@@ -211,12 +211,22 @@ func New(cfg Config) (*DeepPower, error) {
 	default:
 		return nil, fmt.Errorf("agent: unknown backend %q", full.Backend)
 	}
+	replay := rl.NewReplay(full.ReplayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
+	return newDeepPower(full, agent, replay), nil
+}
+
+// newDeepPower wires a policy around an existing learner and replay pool:
+// New's own, or — for a vector shell — the owner's. Everything else (thread
+// controller, noise, reward, warmup RNG) is per-instance, on sub-streams
+// derived by name from full.Seed, so which streams a caller skips moves no
+// draw of the others.
+func newDeepPower(full Config, agent Backend, replay *rl.Replay) *DeepPower {
 	rng := sim.NewRNG(full.Seed).Stream("deeppower")
-	dp := &DeepPower{
+	return &DeepPower{
 		cfg:    full,
 		tc:     control.NewThreadController(full.InitialParams),
 		agent:  agent,
-		replay: rl.NewReplay(full.ReplayCap, rng.Stream("replay")),
+		replay: replay,
 		noise: &rl.DecayedNoise{
 			Inner: rl.NewGaussianNoise(full.NoiseMu, full.NoiseSigma, rng.Stream("noise")),
 			Scale: 1, Decay: full.NoiseDecay, Floor: 0.05,
@@ -224,7 +234,6 @@ func New(cfg Config) (*DeepPower, error) {
 		reward: NewReward(full.Reward),
 		rng:    rng.Stream("warmup-actions"),
 	}
-	return dp, nil
 }
 
 // Name implements server.Policy.
@@ -417,19 +426,13 @@ func (dp *DeepPower) vecForward(states []float64, n int) []float64 {
 // controller, observer, reward, and RNG substreams (exploration stays
 // env-decoupled, seeded via sim.SubSeed so any worker count draws the same
 // noise), sharing the owner's learner networks and replay pool.
-func (dp *DeepPower) vecNewShell(envIdx int) (vecShell, error) {
+func (dp *DeepPower) vecNewShell(envIdx int) vecShell {
 	cfg := dp.cfg
 	cfg.Seed = sim.SubSeed(dp.cfg.Seed, fmt.Sprintf("vec-env/%d", envIdx))
-	cfg.DDPG.Seed = 0 // re-derive the (discarded) shell learner's seed
 	cfg.RecordLog = false
-	shell, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	shell.agent = dp.agent
-	shell.replay = dp.replay
+	shell := newDeepPower(cfg, dp.agent, dp.replay)
 	shell.external = true
-	return shell, nil
+	return shell
 }
 
 // vecObserve runs the observation half of a lockstep step: state, reward,

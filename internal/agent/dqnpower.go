@@ -127,16 +127,22 @@ func NewDQNPower(cfg DQNPowerConfig) (*DQNPower, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(full.Seed).Stream("dqnpower")
+	replay := rl.NewReplay(full.ReplayCap, sim.NewRNG(full.Seed).Stream("dqnpower").Stream("replay"))
+	return newDQNPower(full, dqn, replay), nil
+}
+
+// newDQNPower wires a policy around an existing learner and replay pool (see
+// newDeepPower).
+func newDQNPower(full DQNPowerConfig, dqn *rl.DQN, replay *rl.Replay) *DQNPower {
 	return &DQNPower{
 		cfg:    full,
 		tc:     control.NewThreadController(full.InitialParams),
 		agent:  dqn,
-		replay: rl.NewReplay(full.ReplayCap, rng.Stream("replay")),
+		replay: replay,
 		reward: NewReward(full.Reward),
-		rng:    rng.Stream("explore"),
+		rng:    sim.NewRNG(full.Seed).Stream("dqnpower").Stream("explore"),
 		eps:    full.EpsStart,
-	}, nil
+	}
 }
 
 // SavePolicy writes the trained Q-network — the same policy-export entry
@@ -299,17 +305,12 @@ func (dq *DQNPower) vecForward(states []float64, n int) []float64 {
 // vecNewShell implements VectorPolicy: a per-env acting shell with its own
 // controller, observer, reward, ε schedule, and RNG substream, sharing the
 // owner's Q-network and replay pool.
-func (dq *DQNPower) vecNewShell(envIdx int) (vecShell, error) {
+func (dq *DQNPower) vecNewShell(envIdx int) vecShell {
 	cfg := dq.cfg
 	cfg.Seed = sim.SubSeed(dq.cfg.Seed, fmt.Sprintf("vec-env/%d", envIdx))
-	shell, err := NewDQNPower(cfg)
-	if err != nil {
-		return nil, err
-	}
-	shell.agent = dq.agent
-	shell.replay = dq.replay
+	shell := newDQNPower(cfg, dq.agent, dq.replay)
 	shell.external = true
-	return shell, nil
+	return shell
 }
 
 // vecObserve runs the observation half of a lockstep step (serial, env

@@ -25,9 +25,13 @@ type VectorPolicy interface {
 	// batched call; rows alias network-internal buffers and must be consumed
 	// before the next forward or update.
 	vecForward(states []float64, n int) []float64
-	// vecNewShell builds the per-env acting shell for env envIdx.
-	vecNewShell(envIdx int) (vecShell, error)
+	// vecNewShell builds the per-env acting shell for env envIdx around the
+	// owner's learner and replay pool.
+	vecNewShell(envIdx int) vecShell
 	// vecLearn runs one boundary's gradient updates on the shared learner.
+	// It touches only learner state (networks, replay sampler, minibatch
+	// buffer, loss fields) — never a shell or an environment — which is what
+	// lets the trainer run it beside the environments' next segment.
 	vecLearn()
 	// Experience counts transitions pushed into the shared replay pool.
 	Experience() uint64
@@ -51,8 +55,9 @@ type vecShell interface {
 type TrainVectorConfig struct {
 	// Envs is the number of environments run in lockstep (default 8).
 	Envs int
-	// Workers bounds the goroutines advancing environments between
-	// boundaries (0 = all cores). Results are byte-identical at any value.
+	// Workers bounds the goroutines running a parallel phase — the
+	// environments advancing to the next boundary and the learner's updates
+	// beside them (0 = all cores). Results are byte-identical at any value.
 	Workers int
 	// Episodes is how many trace periods to train for (default 8).
 	Episodes int
@@ -71,33 +76,59 @@ type TrainVectorConfig struct {
 }
 
 // VectorTrainer trains one shared policy on E environments advanced in
-// lockstep. Each control period has two phases:
+// lockstep. Each control period is one parallel phase and one serial phase:
 //
-//   - parallel: every environment's engine runs independently up to the
-//     boundary (Server.RunSegment fanned out over internal/pool). Units
-//     touch only per-env state, so any worker count computes the same thing.
-//   - serial, ascending env index: observe each env and push its transition
-//     into the shared replay (one fixed interleave order), gather all E
-//     observations, evaluate the policy network once for the whole batch
-//     (vecForward), act each env from its row, then run the boundary's
-//     gradient updates (vecLearn).
+//   - parallel (one pool.Run): unit 0 runs the gradient updates the previous
+//     boundary owes (vecLearn) while units 1..E advance one environment each
+//     to the next boundary (Server.RunSegment). The first phase of an episode
+//     also arms each environment inside its unit (server.New + Begin), the
+//     last one settles it (End). The two kinds of unit touch disjoint state:
+//     an environment unit only its own engine, server, result slot and
+//     shell (Init at arm, the thread controller per tick — shells never act
+//     inline); the learn unit only the owner's networks, replay sampler,
+//     minibatch buffer and loss fields. So any worker count computes the
+//     same thing, and at one worker the units run in index order: update,
+//     then advance, strictly serial.
+//   - serial, ascending env index, after pool.Run has returned: observe each
+//     env and push its transition into the shared replay (one fixed
+//     interleave order), gather all E observations, evaluate the policy
+//     network once for the whole batch (vecForward), act each env from its
+//     row. This is the only phase that reads the networks the learn unit
+//     writes or writes the replay it samples.
 //
-// Shared state — learner networks, replay pool, write cursor — is touched
-// only in the serial phase, so training is race-clean and byte-identical
-// across worker counts, while per-step cost amortizes one batched forward
-// and one update schedule over E transitions.
+// The learn unit is joined — pool.Run does not return while a unit runs —
+// before every access to shared state: the replay push, the batched forward,
+// the end-of-episode report and OnEpisode hook, and every error or
+// cancellation return. Training is therefore race-clean and byte-identical
+// across worker counts, while per-step cost amortizes one batched forward and
+// one update schedule over E transitions.
 type VectorTrainer struct {
 	cfg    TrainVectorConfig
 	owner  VectorPolicy
 	shells []vecShell
+	seeds  []int64 // per-env server seed base, SubSeed(Server.Seed, "vec-env/i")
 	engs   []*sim.Engine
 	srvs   []*server.Server
-	units  []pool.Unit
+	// results holds each environment's settled episode, written by its unit.
+	results []*server.Result
+	// units is the learn unit followed by one unit per environment: the
+	// learn is the longest unit, so it is dispatched first.
+	units []pool.Unit
 	// states is the preallocated [Envs×StateDim] observation gather buffer.
 	states []float64
-	// segEnd is the boundary the current parallel phase runs to; the pool
-	// units close over the trainer and read it (and srvs) per call.
-	segEnd sim.Time
+	// phase describes the parallel phase in flight; written between
+	// pool.Run calls, read by the units.
+	phase vecPhase
+}
+
+// vecPhase is one parallel phase: every environment runs to until, with the
+// episode's arm before and settle after folded into the same units.
+type vecPhase struct {
+	until   sim.Time
+	episode int
+	arm     bool // build and Begin this episode's servers first
+	learn   bool // the previous boundary owes its gradient updates
+	settle  bool // End every server after the segment
 }
 
 // NewVectorTrainer builds the trainer and its per-env shells. The policy dp
@@ -126,28 +157,64 @@ func NewVectorTrainer(dp VectorPolicy, cfg TrainVectorConfig) (*VectorTrainer, e
 		return nil, fmt.Errorf("agent: non-positive control period %v", dp.vecPeriod())
 	}
 	vt := &VectorTrainer{
-		cfg:    cfg,
-		owner:  dp,
-		shells: make([]vecShell, cfg.Envs),
-		engs:   make([]*sim.Engine, cfg.Envs),
-		srvs:   make([]*server.Server, cfg.Envs),
-		units:  make([]pool.Unit, cfg.Envs),
-		states: make([]float64, cfg.Envs*StateDim),
+		cfg:     cfg,
+		owner:   dp,
+		shells:  make([]vecShell, cfg.Envs),
+		seeds:   make([]int64, cfg.Envs),
+		engs:    make([]*sim.Engine, cfg.Envs),
+		srvs:    make([]*server.Server, cfg.Envs),
+		results: make([]*server.Result, cfg.Envs),
+		units:   make([]pool.Unit, 1+cfg.Envs),
+		states:  make([]float64, cfg.Envs*StateDim),
+	}
+	vt.units[0] = func(context.Context) error {
+		if vt.phase.learn {
+			vt.owner.vecLearn()
+		}
+		return nil
 	}
 	for i := 0; i < cfg.Envs; i++ {
-		shell, err := dp.vecNewShell(i)
-		if err != nil {
-			return nil, fmt.Errorf("agent: env %d shell: %w", i, err)
-		}
-		vt.shells[i] = shell
+		vt.shells[i] = dp.vecNewShell(i)
+		vt.seeds[i] = sim.SubSeed(cfg.Server.Seed, fmt.Sprintf("vec-env/%d", i))
 		vt.engs[i] = sim.NewEngine()
 		i := i
-		vt.units[i] = func(context.Context) error {
-			vt.srvs[i].RunSegment(vt.segEnd)
-			return nil
-		}
+		vt.units[1+i] = func(context.Context) error { return vt.runEnv(i) }
 	}
 	return vt, nil
+}
+
+// runEnv is environment i's share of the current parallel phase. It touches
+// only per-environment state.
+func (vt *VectorTrainer) runEnv(i int) error {
+	ph := vt.phase
+	if ph.arm {
+		// The engine is Reset to recycle its warm event arena; the server is
+		// fresh (the request pool is per-server and re-pools within the
+		// episode).
+		sc := vt.cfg.Server
+		sc.Seed = vt.seeds[i] + int64(ph.episode)*7919
+		sc.DiscardLatencies = false
+		vt.engs[i].Reset()
+		srv, err := server.New(vt.engs[i], sc, vt.shells[i])
+		if err != nil {
+			return err
+		}
+		if err := srv.Begin(vt.cfg.Trace, vt.cfg.EpisodeLen); err != nil {
+			return err
+		}
+		vt.srvs[i] = srv
+	}
+	vt.srvs[i].RunSegment(ph.until)
+	if ph.settle {
+		vt.results[i] = vt.srvs[i].End()
+	}
+	return nil
+}
+
+// run executes one parallel phase and joins it.
+func (vt *VectorTrainer) run(ctx context.Context, ph vecPhase) error {
+	vt.phase = ph
+	return pool.Run(ctx, vt.units, vt.cfg.Workers)
 }
 
 // Experience reports how many transitions have entered the shared replay
@@ -165,34 +232,18 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 	rowW := vt.owner.vecRowWidth()
 	stats := make([]EpisodeStats, 0, vt.cfg.Episodes)
 	for ep := 0; ep < vt.cfg.Episodes; ep++ {
-		// Arm every environment: engines Reset to recycle their warm event
-		// arenas, fresh servers over them (the request pool is per-server
-		// and re-pools within the episode).
-		for i, sh := range vt.shells {
-			sc := vt.cfg.Server
-			sc.Seed = sim.SubSeed(vt.cfg.Server.Seed, fmt.Sprintf("vec-env/%d", i)) + int64(ep)*7919
-			sc.DiscardLatencies = false
-			vt.engs[i].Reset()
-			srv, err := server.New(vt.engs[i], sc, sh)
-			if err != nil {
-				return stats, err
-			}
-			if err := srv.Begin(vt.cfg.Trace, vt.cfg.EpisodeLen); err != nil {
-				return stats, err
-			}
-			vt.srvs[i] = srv
-		}
-
-		// Lockstep boundaries at 0, period, 2·period, … — at each, the
-		// parallel phase settles every env at the boundary (the control
-		// tick scheduled exactly there fires inside its segment), then the
-		// serial phase observes, acts, and learns in ascending env order.
+		// Lockstep boundaries at 0, period, 2·period, … — the parallel phase
+		// settles every env at the boundary (the control tick scheduled
+		// exactly there fires inside its segment) while the learner catches
+		// up on the previous boundary; then the serial phase observes and
+		// acts in ascending env order.
+		ph := vecPhase{episode: ep, arm: true}
 		for t := sim.Time(0); t < vt.cfg.EpisodeLen; t += period {
 			if err := ctx.Err(); err != nil {
 				return stats, err
 			}
-			vt.segEnd = t
-			if err := pool.Run(ctx, vt.units, vt.cfg.Workers); err != nil {
+			ph.until = t
+			if err := vt.run(ctx, ph); err != nil {
 				return stats, err
 			}
 			for _, sh := range vt.shells {
@@ -205,18 +256,19 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 			for i, sh := range vt.shells {
 				sh.vecActRow(t, rows[i*rowW:(i+1)*rowW])
 			}
-			vt.owner.vecLearn()
+			ph = vecPhase{episode: ep, learn: true}
 		}
 
-		// Drain every env to the episode end and settle results.
-		vt.segEnd = vt.cfg.EpisodeLen
-		if err := pool.Run(ctx, vt.units, vt.cfg.Workers); err != nil {
+		// Drain every env to the episode end and settle results, beside the
+		// last boundary's updates.
+		ph.until, ph.settle = vt.cfg.EpisodeLen, true
+		if err := vt.run(ctx, ph); err != nil {
 			return stats, err
 		}
 		st := EpisodeStats{Episode: ep}
 		var timeouts, completions uint64
 		for i, sh := range vt.shells {
-			res := vt.srvs[i].End()
+			res := vt.results[i]
 			st.Return += sh.Return()
 			st.AvgPowerW += res.AvgPowerW
 			st.P99Seconds += res.Latency.P99

@@ -3,10 +3,17 @@ package agent
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"github.com/deeppower/deeppower/internal/ckpt"
+	"github.com/deeppower/deeppower/internal/rl"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -123,21 +130,25 @@ func TestVectorTrainerLearns(t *testing.T) {
 	}
 }
 
-func TestVectorTrainerDQNPower(t *testing.T) {
-	build := func() *DQNPower {
-		dq, err := NewDQNPower(DQNPowerConfig{
-			Seed:        22,
-			Train:       true,
-			LongTime:    500 * sim.Millisecond,
-			WarmupSteps: 3,
-			BatchSize:   8,
-			ReplayCap:   32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dq
+// vecTestDQN is the value-based counterpart of vecTestConfig: a fresh
+// DQNPower whose small pool wraps within the vector tests' runs.
+func vecTestDQN(t *testing.T) *DQNPower {
+	t.Helper()
+	dq, err := NewDQNPower(DQNPowerConfig{
+		Seed:        22,
+		Train:       true,
+		LongTime:    500 * sim.Millisecond,
+		WarmupSteps: 3,
+		BatchSize:   8,
+		ReplayCap:   32,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return dq
+}
+
+func TestVectorTrainerDQNPower(t *testing.T) {
 	train := func(dq *DQNPower, workers int) []EpisodeStats {
 		cfg := vecTrainConfig(4, workers)
 		cfg.Episodes = 1
@@ -151,7 +162,7 @@ func TestVectorTrainerDQNPower(t *testing.T) {
 		}
 		return stats
 	}
-	dq1, dq4 := build(), build()
+	dq1, dq4 := vecTestDQN(t), vecTestDQN(t)
 	stats1 := train(dq1, 1)
 	stats4 := train(dq4, 4)
 	if dq1.Experience() == 0 {
@@ -225,5 +236,160 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 	if got.AvgPowerW != want.AvgPowerW || got.Latency.P99 != want.Latency.P99 ||
 		got.Counters != want.Counters {
 		t.Fatalf("warm-engine result differs: %+v vs %+v", got, want)
+	}
+}
+
+// vecDigest fingerprints everything vector training produces that a later
+// run could depend on: the exported policy and the shared replay pool's
+// complete encoding (geometry, sampler position, every stored transition).
+func vecDigest(t *testing.T, pol interface{ SavePolicy(io.Writer) error }, rp *rl.Replay) string {
+	t.Helper()
+	var policy bytes.Buffer
+	if err := pol.SavePolicy(&policy); err != nil {
+		t.Fatal(err)
+	}
+	var e ckpt.Enc
+	rp.Encode(&e)
+	h := sha256.New()
+	h.Write(policy.Bytes())
+	h.Write(e.Bytes())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The digests below were captured from the strictly serial boundary loop
+// (observe, act, learn, then advance — the commit before the learner was
+// moved beside the environments' next segment), on E=4, 2-episode runs whose
+// 72 pushes wrap the 48- and 32-slot pools. The pipelined trainer must
+// reproduce them at any worker count.
+const (
+	serialLoopDigestDDPG = "3010abc0d5cc0eeacfc9879dc7b625838058225e02047c6f04b466d3834af10c"
+	serialLoopDigestDQN  = "d8124da2185a3bad9505a0f860a6b4e95506ac15431efe79bdd7ccbc93b338b6"
+)
+
+func TestVectorTrainerMatchesSerialLoopDigest(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		dp, _ := trainVector(t, 4, workers)
+		if got := vecDigest(t, dp, dp.replay); got != serialLoopDigestDDPG {
+			t.Errorf("DDPG workers=%d: digest %s, want %s", workers, got, serialLoopDigestDDPG)
+		}
+
+		dq := vecTestDQN(t)
+		vt, err := NewVectorTrainer(dq, vecTrainConfig(4, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vt.Train(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := vecDigest(t, dq, dq.replay); got != serialLoopDigestDQN {
+			t.Errorf("DQN workers=%d: digest %s, want %s", workers, got, serialLoopDigestDQN)
+		}
+	}
+}
+
+// TestVectorTrainerJoinsLearnerBeforeReturning aborts training two ways —
+// the context cancelled from inside an environment's segment while the learn
+// unit runs beside it, and an OnEpisode error — and immediately reads and
+// retrains the owner. Under -race this fails if a learn unit can outlive
+// Train's return.
+func TestVectorTrainerJoinsLearnerBeforeReturning(t *testing.T) {
+	dp, err := New(vecTestConfig(27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hookErr := errors.New("hook refused")
+	failHook := true
+	cfg := vecTrainConfig(4, 8)
+	// The server calls Interference from inside the running segments, so the
+	// cancellation lands mid-phase, past warmup, at a fixed virtual time.
+	cfg.Server.Interference = func(now sim.Time) float64 {
+		if now >= 3500*sim.Millisecond {
+			cancel()
+		}
+		return 0
+	}
+	cfg.OnEpisode = func(int, EpisodeStats) error {
+		if failHook {
+			return hookErr
+		}
+		return nil
+	}
+	vt, err := NewVectorTrainer(dp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reuse := func(step string) {
+		t.Helper()
+		if err := dp.SavePolicy(io.Discard); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+
+	stats, err := vt.Train(ctx)
+	if !errors.Is(err, context.Canceled) || len(stats) != 0 {
+		t.Fatalf("cancelled mid-episode: %d episodes, err %v", len(stats), err)
+	}
+	if dp.CriticLoss == 0 {
+		t.Fatal("cancelled before any update ran — no learn unit was ever in flight")
+	}
+	reuse("after cancellation")
+
+	stats, err = vt.Train(context.Background())
+	if !errors.Is(err, hookErr) || len(stats) != 1 {
+		t.Fatalf("failing hook: %d episodes, err %v", len(stats), err)
+	}
+	reuse("after hook error")
+
+	failHook = false
+	stats, err = vt.Train(context.Background())
+	if err != nil || len(stats) != cfg.Episodes {
+		t.Fatalf("retrain on the same owner: %d episodes, err %v", len(stats), err)
+	}
+}
+
+// allocatedBy reports the bytes fn allocates (cumulative, so garbage counts).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestExperiencePathAllocatesOnUse pins what construction may cost with the
+// default 100 000-slot pool (8.8 MB if reserved up front): shells borrow the
+// owner's learner and pool instead of building their own, and a pool nobody
+// pushes to owns no transition memory.
+func TestExperiencePathAllocatesOnUse(t *testing.T) {
+	const limit = 1 << 20
+	owner, err := New(Config{Seed: 28, Train: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var policy bytes.Buffer
+	if err := owner.SavePolicy(&policy); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := allocatedBy(func() {
+		if _, err := NewVectorTrainer(owner, vecTrainConfig(8, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= limit {
+		t.Errorf("NewVectorTrainer(E=8) allocated %d bytes beyond its owner, want < %d", got, limit)
+	}
+
+	if got := allocatedBy(func() {
+		dp, err := New(Config{Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dp.LoadPolicy(bytes.NewReader(policy.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= limit {
+		t.Errorf("inference-only New + LoadPolicy allocated %d bytes, want < %d", got, limit)
 	}
 }

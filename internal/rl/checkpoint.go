@@ -118,8 +118,9 @@ func (rp *Replay) Encode(e *ckpt.Enc) {
 	e.Bool(rp.full)
 	e.I64(rp.rng.Seed())
 	e.U64(rp.rng.DrawCount())
-	e.Int(len(rp.buf))
-	for _, t := range rp.buf {
+	e.Int(rp.n)
+	for i := 0; i < rp.n; i++ {
+		t := rp.slot(i)
 		e.F64s(t.State)
 		e.F64s(t.Action)
 		e.F64(t.Reward)
@@ -140,12 +141,17 @@ func DecodeReplay(dec *ckpt.Dec) (*Replay, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	if capacity <= 0 || n < 0 || n > capacity || next < 0 || next >= capacity {
-		return nil, fmt.Errorf("%w: replay geometry cap=%d len=%d next=%d",
-			ckpt.ErrMalformed, capacity, n, next)
+	// A ring has wrapped only once it is full, and only a wrapped ring has a
+	// non-zero eviction slot; anything else would index slots never written.
+	if capacity <= 0 || n < 0 || n > capacity || next < 0 || next >= capacity ||
+		(full && n != capacity) || (!full && next != 0) {
+		return nil, fmt.Errorf("%w: replay geometry cap=%d len=%d next=%d full=%v",
+			ckpt.ErrMalformed, capacity, n, next, full)
 	}
+	// capacity and n are header claims: storage grows one block per 1024
+	// transitions actually decoded, so a frame cannot reserve more memory
+	// than its own payload backs.
 	rp := &Replay{
-		buf:  make([]Transition, 0, capacity),
 		cap:  capacity,
 		next: next,
 		full: full,
@@ -165,7 +171,7 @@ func DecodeReplay(dec *ckpt.Dec) (*Replay, error) {
 		if err := dec.Err(); err != nil {
 			return nil, err
 		}
-		rp.buf = append(rp.buf, t)
+		rp.appendSlot(t)
 	}
 	return rp, nil
 }

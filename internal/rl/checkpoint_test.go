@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
@@ -340,16 +341,48 @@ func TestReplayCodecResumesSampling(t *testing.T) {
 		}
 	}
 
-	// Corrupt geometry must be rejected.
-	e.Reset()
-	e.Int(0) // cap=0
-	e.Int(0)
-	e.Bool(false)
-	e.I64(1)
-	e.U64(0)
-	e.Int(0)
-	if _, err := DecodeReplay(ckpt.NewDec(e.Bytes())); !errors.Is(err, ckpt.ErrMalformed) {
-		t.Fatalf("got %v", err)
+	// Corrupt geometry must be rejected, and no header field may size an
+	// allocation the payload does not back.
+	frames := []struct {
+		name         string
+		capacity     int
+		next         int
+		full         bool
+		n            int
+		wantLen      int // decoded length when the frame is accepted
+		wantRejected bool
+	}{
+		{name: "zero capacity", capacity: 0, wantRejected: true},
+		{name: "len beyond capacity", capacity: 4, n: 5, wantRejected: true},
+		{name: "eviction slot beyond capacity", capacity: 4, next: 4, wantRejected: true},
+		{name: "wrapped but not full", capacity: 8, next: 2, full: true, n: 3, wantRejected: true},
+		{name: "eviction slot without wrap", capacity: 8, next: 2, n: 3, wantRejected: true},
+		{name: "huge capacity, empty pool", capacity: 1 << 40, n: 0, wantLen: 0},
+		{name: "huge capacity and len, no transitions", capacity: 1 << 40, n: 1 << 39, wantRejected: true},
+	}
+	for _, f := range frames {
+		e.Reset()
+		e.Int(f.capacity)
+		e.Int(f.next)
+		e.Bool(f.full)
+		e.I64(1)
+		e.U64(0)
+		e.Int(f.n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := DecodeReplay(ckpt.NewDec(e.Bytes()))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", f.name, len(e.Bytes()), grew)
+		}
+		switch {
+		case f.wantRejected && !errors.Is(err, ckpt.ErrMalformed) && !errors.Is(err, ckpt.ErrTruncated):
+			t.Errorf("%s: got %v, want a malformed or truncated frame error", f.name, err)
+		case !f.wantRejected && err != nil:
+			t.Errorf("%s: well-formed frame rejected: %v", f.name, err)
+		case !f.wantRejected && got.Len() != f.wantLen:
+			t.Errorf("%s: decoded length %d, want %d", f.name, got.Len(), f.wantLen)
+		}
 	}
 }
 

@@ -208,13 +208,11 @@ func (q *stampQueue) pushN(nanos int64, n int) {
 	q.mu.Unlock()
 }
 
-// popN pops up to n stamps into dst and returns how many.
+// popN pops up to n stamps into dst — at most len(dst) of them, so callers
+// owed more than their buffer holds loop — and returns how many.
 func (q *stampQueue) popN(dst []int64, n int) int {
 	q.mu.Lock()
-	avail := len(q.buf) - q.head
-	if n > avail {
-		n = avail
-	}
+	n = min(n, len(dst), len(q.buf)-q.head)
 	copy(dst[:n], q.buf[q.head:q.head+n])
 	q.head += n
 	if q.head == len(q.buf) {

@@ -241,6 +241,12 @@ func (s *Server) Snapshot() Snapshot {
 		Counters: s.counters,
 		Energy:   s.Energy(),
 	}
+	if snap.QueueLen > 0 {
+		// Sized once, but a fresh slice per call: fault.Injector retains
+		// snapshots for stale-read faults, so server-owned scratch would
+		// alias them.
+		snap.QueueSLARemaining = make([]sim.Time, 0, snap.QueueLen)
+	}
 	for i := 0; i < snap.QueueLen; i++ {
 		r := s.queue.Peek(i)
 		snap.QueueSLARemaining = append(snap.QueueSLARemaining, r.SLARemaining(now, s.prof.SLA))

@@ -5,8 +5,8 @@
 //
 //	deeppower -app xapian -method deeppower -episodes 10 -duration 120
 //	deeppower -app moses -method retail
-//	deeppower -app xapian -method deeppower -save policy.json
-//	deeppower -app xapian -policy policy.json
+//	deeppower -app xapian -method deeppower -save policy.dpck
+//	deeppower -app xapian -policy policy.dpck
 //	deeppower -compare -app xapian
 package main
 

@@ -3,10 +3,12 @@ package agent
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/deeppower/deeppower/internal/app"
+	"github.com/deeppower/deeppower/internal/ckpt"
 	"github.com/deeppower/deeppower/internal/control"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -192,36 +194,138 @@ func smallApp() *app.Profile {
 	return p
 }
 
+// agentKinds is every agent the package constructs. The loop they run lives
+// in one place (core), so each test of the loop takes the agent as an input.
+var agentKinds = []struct {
+	name   string
+	policy string // server.Policy name
+	// build constructs the agent from the loop settings the tests vary:
+	// Seed, Train, LongTime, WarmupSteps and (continuous only) RecordLog.
+	build func(cfg Config) (VectorPolicy, error)
+	// vec constructs it with the vector tests' small-but-real configuration.
+	vec func(t *testing.T) VectorPolicy
+}{
+	{"ddpg", "deeppower", buildContinuous(BackendDDPG), func(t *testing.T) VectorPolicy {
+		return mustBuild(t)(New(vecTestConfig(20)))
+	}},
+	{"td3", "deeppower", buildContinuous(BackendTD3), func(t *testing.T) VectorPolicy {
+		cfg := vecTestConfig(20)
+		cfg.Backend = BackendTD3
+		return mustBuild(t)(New(cfg))
+	}},
+	{"dqn", "dqn-power", buildLattice(false), func(t *testing.T) VectorPolicy {
+		return mustBuild(t)(NewDQNPower(vecTestDQNConfig(false)))
+	}},
+	{"ddqn", "ddqn-power", buildLattice(true), func(t *testing.T) VectorPolicy {
+		return mustBuild(t)(NewDQNPower(vecTestDQNConfig(true)))
+	}},
+}
+
+func buildContinuous(backend BackendName) func(Config) (VectorPolicy, error) {
+	return func(cfg Config) (VectorPolicy, error) {
+		cfg.Backend = backend
+		return New(cfg)
+	}
+}
+
+func buildLattice(double bool) func(Config) (VectorPolicy, error) {
+	return func(cfg Config) (VectorPolicy, error) {
+		return NewDQNPower(DQNPowerConfig{
+			Double: double, Seed: cfg.Seed, Train: cfg.Train,
+			LongTime: cfg.LongTime, WarmupSteps: cfg.WarmupSteps,
+		})
+	}
+}
+
+// mustBuild unwraps a constructor's result.
+func mustBuild(t *testing.T) func(VectorPolicy, error) VectorPolicy {
+	return func(p VectorPolicy, err error) VectorPolicy {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+}
+
 func TestDeepPowerRunsAndActs(t *testing.T) {
-	dp, err := New(Config{Seed: 2, Train: true, RecordLog: true, WarmupSteps: 3, LongTime: sim.Second})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			// One step per second for the continuous agents, two for the
+			// lattice ones, over ten seconds.
+			cfg, wantSteps := Config{Seed: 2, Train: true, RecordLog: true, WarmupSteps: 3, LongTime: sim.Second}, 9
+			if kind.policy != "deeppower" {
+				cfg.LongTime, wantSteps = 500*sim.Millisecond, 19
+			}
+			pol := mustBuild(t)(kind.build(cfg))
+			c := pol.agentCore()
+			eng := sim.NewEngine()
+			srv, err := server.New(eng, server.Config{App: smallApp(), Seed: 2}, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := srv.Run(testTrace(), 10*sim.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counters.Completions == 0 {
+				t.Error("no requests completed")
+			}
+			if c.step < wantSteps {
+				t.Errorf("agent steps = %d, want ~%d (one per %v)", c.step, wantSteps+1, cfg.LongTime)
+			}
+			if c.Params().Validate() != nil {
+				t.Errorf("invalid final params %+v", c.Params())
+			}
+			if pol.Name() != kind.policy {
+				t.Errorf("name = %q, want %q", pol.Name(), kind.policy)
+			}
+			switch k := c.codec.(type) {
+			case *pairCodec:
+				// Only Config can ask for the log.
+				if len(c.Log) != c.step {
+					t.Errorf("log length %d != steps %d", len(c.Log), c.step)
+				}
+				for _, lp := range c.Log {
+					if lp.Params.Validate() != nil {
+						t.Errorf("invalid params logged: %+v", lp.Params)
+					}
+					if len(lp.State) != StateDim {
+						t.Errorf("state dim %d", len(lp.State))
+					}
+				}
+			case *lattice:
+				// Epsilon must have decayed from its start.
+				if k.eps >= k.cfg.EpsStart {
+					t.Errorf("epsilon never decayed: %v", k.eps)
+				}
+			}
+		})
 	}
-	eng := sim.NewEngine()
-	srv, err := server.New(eng, server.Config{App: smallApp(), Seed: 2}, dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := srv.Run(testTrace(), 10*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.StepCount() < 9 {
-		t.Errorf("agent steps = %d, want ~10 (one per second)", dp.StepCount())
-	}
-	if len(dp.Log) != dp.StepCount() {
-		t.Errorf("log length %d != steps %d", len(dp.Log), dp.StepCount())
-	}
-	for _, lp := range dp.Log {
-		if lp.Params.Validate() != nil {
-			t.Errorf("invalid params logged: %+v", lp.Params)
-		}
-		if len(lp.State) != StateDim {
-			t.Errorf("state dim %d", len(lp.State))
-		}
-	}
-	if res.Counters.Completions == 0 {
-		t.Error("no requests completed")
+}
+
+// TestEvaluationDeterministic runs two fresh same-seed agents in inference
+// mode: they must use the same energy to the bit.
+func TestEvaluationDeterministic(t *testing.T) {
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			run := func() float64 {
+				pol := mustBuild(t)(kind.build(Config{Seed: 4}))
+				eng := sim.NewEngine()
+				srv, err := server.New(eng, server.Config{App: smallApp(), Seed: 4}, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := srv.Run(testTrace(), 5*sim.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.EnergyJ
+			}
+			if a, b := run(), run(); a != b {
+				t.Errorf("evaluation not deterministic: %v vs %v", a, b)
+			}
+		})
 	}
 }
 
@@ -268,31 +372,31 @@ func TestTrainImprovesOverRandom(t *testing.T) {
 }
 
 func TestPolicySaveLoadRoundTrip(t *testing.T) {
-	dp, err := New(Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := dp.SavePolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dp2, err := New(Config{Seed: 5, Train: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dp2.LoadPolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if dp2.cfg.Train {
-		t.Error("LoadPolicy should switch to inference mode")
-	}
-	s := make([]float64, StateDim)
-	a1 := dp.Agent().Act(s)
-	a2 := dp2.Agent().Act(s)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("loaded policy acts differently")
-		}
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			src := mustBuild(t)(kind.build(Config{Seed: 4})).agentCore()
+			var buf bytes.Buffer
+			if err := src.SavePolicy(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if k, _, err := ckpt.Open(buf.Bytes()); err != nil || k != ckpt.KindPolicy {
+				t.Fatalf("export is not a sealed policy container (kind %v, err %v)", k, err)
+			}
+			dst := mustBuild(t)(kind.build(Config{Seed: 5, Train: true})).agentCore()
+			if err := dst.LoadPolicy(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if dst.cfg.Train {
+				t.Error("LoadPolicy should switch to inference mode")
+			}
+			s := make([]float64, StateDim)
+			if a1, a2 := src.codec.act(actGreedy, s, nil), dst.codec.act(actGreedy, s, nil); !reflect.DeepEqual(a1, a2) {
+				t.Fatalf("loaded policy acts differently: %v vs %v", a1, a2)
+			}
+			if err := dst.LoadPolicy(bytes.NewReader([]byte("junk"))); err == nil {
+				t.Fatal("junk accepted")
+			}
+		})
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
+	"github.com/deeppower/deeppower/internal/rl"
 	"github.com/deeppower/deeppower/internal/server"
 )
 
@@ -102,35 +104,55 @@ func TestOnEpisodeErrorAbortsTraining(t *testing.T) {
 	}
 }
 
-// TestDQNPowerPolicyExport checks the value-based variant shares the policy
-// export/import entry points.
-func TestDQNPowerPolicyExport(t *testing.T) {
-	dq, err := NewDQNPower(DQNPowerConfig{Seed: 31, Train: true})
+// TestLoadPolicyTypedErrors feeds every policy loader files that are not a
+// sealed container: each must fail with ckpt's typed error for what is wrong
+// with the file — there is no second format to fall back to.
+func TestLoadPolicyTypedErrors(t *testing.T) {
+	ddpg, err := rl.NewDDPG(rl.DDPGConfig{StateDim: StateDim, ActionDim: ActionDim, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := dq.SavePolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if k, ok := ckpt.PeekKind(buf.Bytes()); !ok || k != ckpt.KindPolicy {
-		t.Fatalf("DQNPower export is not a sealed policy container (kind %v ok %v)", k, ok)
-	}
-	dq2, err := NewDQNPower(DQNPowerConfig{Seed: 32, Train: true})
+	td3, err := rl.NewTD3(rl.TD3Config{StateDim: StateDim, ActionDim: ActionDim, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dq2.LoadPolicy(&buf); err != nil {
+	dqn, err := rl.NewDQN(rl.DQNConfig{StateDim: StateDim, NumActions: 25, Seed: 41})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dq2.cfg.Train {
-		t.Error("LoadPolicy should switch to inference mode")
+	dp, err := New(Config{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := make([]float64, StateDim)
-	if dq.Agent().Act(s) != dq2.Agent().Act(s) {
-		t.Fatal("loaded Q-network acts differently")
+	loaders := []struct {
+		name string
+		load func(io.Reader) error
+	}{
+		{"DDPG", ddpg.LoadPolicy}, {"TD3", td3.LoadPolicy}, {"DQN", dqn.LoadPolicy},
+		{"DeepPower", dp.LoadPolicy},
 	}
-	if err := dq2.LoadPolicy(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk accepted")
+
+	var sealed bytes.Buffer
+	if err := ddpg.SavePolicy(&sealed); err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), sealed.Bytes()...)
+	flipped[0] ^= 0xff
+	inputs := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"flipped magic", flipped, ckpt.ErrBadMagic},
+		{"3 bytes", sealed.Bytes()[:3], ckpt.ErrTruncated},
+		{"empty JSON snapshot", []byte(`{"layers":[]}`), ckpt.ErrTruncated},
+		{"JSON snapshot", []byte(`{"layers":[{"in":8,"out":2,"act":0,"w":[0],"b":[0]}]}`), ckpt.ErrBadMagic},
+	}
+	for _, l := range loaders {
+		for _, in := range inputs {
+			if err := l.load(bytes.NewReader(in.data)); !errors.Is(err, in.want) {
+				t.Errorf("%s.LoadPolicy(%s): got %v, want %v", l.name, in.name, err, in.want)
+			}
+		}
 	}
 }

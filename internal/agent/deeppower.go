@@ -2,12 +2,10 @@ package agent
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/deeppower/deeppower/internal/control"
 	"github.com/deeppower/deeppower/internal/rl"
-	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 )
 
@@ -75,15 +73,11 @@ type Config struct {
 	Seed int64
 }
 
+// withDefaults fills the agent loop's defaults — the fields DQNPowerConfig
+// shares.
 func (c Config) withDefaults() Config {
 	if c.LongTime == 0 {
 		c.LongTime = sim.Second
-	}
-	if c.NoiseMu == 0 && c.NoiseSigma == 0 {
-		c.NoiseMu, c.NoiseSigma = 0.3, 1.0
-	}
-	if c.NoiseDecay == 0 {
-		c.NoiseDecay = 0.999
 	}
 	if c.WarmupSteps == 0 {
 		c.WarmupSteps = 20
@@ -100,6 +94,18 @@ func (c Config) withDefaults() Config {
 	if c.InitialParams == (control.Params{}) {
 		c.InitialParams = control.Params{BaseFreq: 0.6, ScalingCoef: 0.6}
 	}
+	return c
+}
+
+// withActorDefaults fills what is specific to the continuous action space:
+// the exploration noise, the backend, and the learner's dimensions.
+func (c Config) withActorDefaults() Config {
+	if c.NoiseMu == 0 && c.NoiseSigma == 0 {
+		c.NoiseMu, c.NoiseSigma = 0.3, 1.0
+	}
+	if c.NoiseDecay == 0 {
+		c.NoiseDecay = 0.999
+	}
 	if c.Backend == "" {
 		c.Backend = BackendDDPG
 	}
@@ -115,71 +121,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LogPoint is one agent step's record (for Fig. 8's parameter curves).
-type LogPoint struct {
-	At     sim.Time
-	Params control.Params
-	Reward Breakdown
-	State  []float64
-}
-
-// DeepPower is the full framework of Fig. 3 wired as a server.Policy: the
-// thread controller runs every tick; once per LongTime the DRL agent
-// observes, rewards, learns, and emits new controller parameters.
+// DeepPower is the full framework of Fig. 3 wired as a server.Policy — the
+// agent loop of core — with the paper's continuous actions: a DDPG (or TD3)
+// actor emitting (BaseFreq, ScalingCoef), plus a placement score with
+// Config.Placement.
 type DeepPower struct {
-	server.BasePolicy
-	cfg Config
-
-	tc       *control.ThreadController
-	agent    Backend
-	replay   *rl.Replay
-	noise    rl.Noise
-	observer *Observer
-	reward   *Reward
-	rng      *sim.RNG
-
-	step       int
-	nextAct    sim.Time
-	lastState  []float64
-	lastAction []float64
-
-	// external marks this instance as externally driven: OnTick keeps the
-	// thread controller running but never acts inline — the vector trainer
-	// acts at lockstep boundaries instead (see vector.go).
-	external bool
-	// vecSteps counts lockstep boundaries the shared learner has seen; it
-	// plays step's role in the vectorized warmup/learn gating.
-	vecSteps int
-	// pendingState/pendingRew carry the boundary observation between the
-	// observe and act halves of a vector step.
-	pendingState []float64
-	pendingRew   Breakdown
-	// noiseBuf is the reused exploration-noise row for vecActRow, sized
-	// for the widest action space.
-	noiseBuf [placementActionDim]float64
-
-	// placeLevels is the server topology's placement ladder, captured at
-	// Init when Placement is on (nil on homogeneous servers).
-	placeLevels [][]int
-	// classEnergyBuf is the reused per-class energy row for observeStep.
-	classEnergyBuf []float64
-
-	// batchBuf is the reused minibatch buffer for replay sampling
-	// (rl.Replay.SampleInto), so the steady-state train loop allocates
-	// nothing per update.
-	batchBuf []rl.Transition
-
-	// Log holds per-step records when RecordLog is set.
-	Log []LogPoint
-	// EpisodeReturn accumulates reward over the current episode.
-	EpisodeReturn float64
-	// Losses tracks the most recent update's losses.
-	CriticLoss, ActorLoss float64
+	core
 }
 
 // New builds a DeepPower policy.
 func New(cfg Config) (*DeepPower, error) {
-	full := cfg.withDefaults()
+	full := cfg.withDefaults().withActorDefaults()
 	if full.Classes < 0 {
 		return nil, fmt.Errorf("agent: negative class count %d", full.Classes)
 	}
@@ -211,297 +163,81 @@ func New(cfg Config) (*DeepPower, error) {
 	default:
 		return nil, fmt.Errorf("agent: unknown backend %q", full.Backend)
 	}
+	k := &pairCodec{Backend: agent, cfg: full}
 	replay := rl.NewReplay(full.ReplayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
-	return newDeepPower(full, agent, replay), nil
+	return &DeepPower{newCore("deeppower", full, k.seeded(full.Seed), replay)}, nil
 }
-
-// newDeepPower wires a policy around an existing learner and replay pool:
-// New's own, or — for a vector shell — the owner's. Everything else (thread
-// controller, noise, reward, warmup RNG) is per-instance, on sub-streams
-// derived by name from full.Seed, so which streams a caller skips moves no
-// draw of the others.
-func newDeepPower(full Config, agent Backend, replay *rl.Replay) *DeepPower {
-	rng := sim.NewRNG(full.Seed).Stream("deeppower")
-	return &DeepPower{
-		cfg:    full,
-		tc:     control.NewThreadController(full.InitialParams),
-		agent:  agent,
-		replay: replay,
-		noise: &rl.DecayedNoise{
-			Inner: rl.NewGaussianNoise(full.NoiseMu, full.NoiseSigma, rng.Stream("noise")),
-			Scale: 1, Decay: full.NoiseDecay, Floor: 0.05,
-		},
-		reward: NewReward(full.Reward),
-		rng:    rng.Stream("warmup-actions"),
-	}
-}
-
-// Name implements server.Policy.
-func (dp *DeepPower) Name() string { return "deeppower" }
-
-// Params returns the thread controller's current parameters.
-func (dp *DeepPower) Params() control.Params { return dp.tc.Params() }
 
 // Agent exposes the underlying learner (diagnostics, ablations).
-func (dp *DeepPower) Agent() Backend { return dp.agent }
+func (dp *DeepPower) Agent() Backend { return dp.codec.(*pairCodec).Backend }
 
 // StepCount reports completed agent steps across all episodes.
 func (dp *DeepPower) StepCount() int { return dp.step }
 
-// Return implements Trainable.
-func (dp *DeepPower) Return() float64 { return dp.EpisodeReturn }
+// EnableLog turns on per-step action/reward logging (Fig. 8).
+func (dp *DeepPower) EnableLog() { dp.cfg.RecordLog = true }
 
-// Init implements server.Policy: per-episode reset. Learned networks, the
-// replay pool, and exploration decay persist across episodes.
-func (dp *DeepPower) Init(c server.Control) {
-	dp.BasePolicy.Init(c)
-	dp.tc.Init(c)
-	if dp.cfg.Placement {
-		if t := c.Topology(); t != nil {
-			dp.placeLevels = t.PlacementLevels()
-		}
-	}
-	if dp.observer == nil {
-		dp.observer = NewObserverClasses(c.SLA(), dp.cfg.Classes)
-	} else {
-		// Keep learned normalization across episodes so training-time and
-		// evaluation-time state representations agree.
-		dp.observer.Reset()
-	}
-	dp.reward.Reset()
-	dp.lastState = nil
-	dp.lastAction = nil
-	dp.EpisodeReturn = 0
-	dp.nextAct = c.Now() // act immediately on the first tick
-	dp.tc.SetParams(dp.cfg.InitialParams)
+// pairCodec is the continuous action space: the action is the actor's output
+// vector in [0,1]^dim — the (BaseFreq, ScalingCoef) pair, or a triple with
+// the placement score — explored with decaying Gaussian noise N(µ,δ).
+type pairCodec struct {
+	Backend
+	cfg Config // noise parameters and action width
+
+	noise rl.Noise
+	rng   *sim.RNG // randomSelect() draws
+	// noiseBuf is the reused exploration-noise row for the vectorized path,
+	// sized for the widest action space.
+	noiseBuf [placementActionDim]float64
 }
 
-// OnTick implements server.Policy: Algorithm 1 every tick, Algorithm 2 every
-// LongTime. In Flat mode the controller is bypassed and the agent's score
-// applies uniformly (set once at the agent step).
-func (dp *DeepPower) OnTick(now sim.Time) {
-	if !dp.external && now >= dp.nextAct {
-		dp.agentStep(now)
-		dp.nextAct = now + dp.cfg.LongTime
+func (k *pairCodec) seeded(seed int64) codec {
+	rng := sim.NewRNG(seed).Stream("deeppower")
+	fresh := *k
+	fresh.noise = &rl.DecayedNoise{
+		Inner: rl.NewGaussianNoise(k.cfg.NoiseMu, k.cfg.NoiseSigma, rng.Stream("noise")),
+		Scale: 1, Decay: k.cfg.NoiseDecay, Floor: 0.05,
 	}
-	if !dp.cfg.Flat {
-		dp.tc.Apply(now, dp.Ctl)
-	}
+	fresh.rng = rng.Stream("warmup-actions")
+	return &fresh
 }
 
-// OnDispatch implements server.Policy (delegated to the controller so new
-// requests get scored immediately).
-func (dp *DeepPower) OnDispatch(r *server.Request, core int) {
-	if !dp.cfg.Flat {
-		dp.tc.OnDispatch(r, core)
-	}
-}
-
-// agentStep is one iteration of Algorithm 2's loop body: observe and
-// reward, store the completed transition, learn, select, actuate. The
-// vectorized trainer runs the same halves split across a lockstep boundary
-// (vecObserve / vecActRow / vecLearn below).
-func (dp *DeepPower) agentStep(now sim.Time) {
-	state, rew := dp.observeStep()
-	if dp.pushTransition(state, rew) &&
-		dp.step >= dp.cfg.WarmupSteps && dp.replay.Len() >= dp.cfg.BatchSize {
-		dp.learnStep()
-	}
-	dp.EpisodeReturn += rew.Total
-	dp.commitAction(now, state, dp.selectAction(state), rew)
-}
-
-// observeStep computes the boundary state and reward from the control seam
-// (Algorithm 2 lines 3–4).
-func (dp *DeepPower) observeStep() ([]float64, Breakdown) {
-	snap := dp.Ctl.Snapshot()
-	state := dp.observer.Observe(snap)
-	var rew Breakdown
-	if dp.cfg.Classes > 0 && len(snap.Classes) > 0 {
-		if cap(dp.classEnergyBuf) < len(snap.Classes) {
-			dp.classEnergyBuf = make([]float64, len(snap.Classes))
-		}
-		buf := dp.classEnergyBuf[:len(snap.Classes)]
-		for i, cs := range snap.Classes {
-			buf[i] = cs.EnergyJ
-		}
-		rew = dp.reward.StepClasses(snap.Energy, buf, snap.Counters.Timeouts, snap.QueueLen, dp.cfg.LongTime)
-	} else {
-		rew = dp.reward.Step(snap.Energy, snap.Counters.Timeouts, snap.QueueLen, dp.cfg.LongTime)
-	}
-	return state, rew
-}
-
-// pushTransition stores the completed (s, a, r, s') tuple and reports
-// whether it was stored. Transitions carrying non-finite values (possible
-// under faulted telemetry) are dropped before they can poison the replay
-// pool.
-func (dp *DeepPower) pushTransition(state []float64, rew Breakdown) bool {
-	if !dp.cfg.Train || dp.lastState == nil || !finiteVec(state) || !isFinite(rew.Total) {
-		return false
-	}
-	dp.replay.Push(rl.Transition{
-		State:     dp.lastState,
-		Action:    dp.lastAction,
-		Reward:    rew.Total,
-		NextState: state,
-	})
-	return true
-}
-
-// learnStep runs the configured gradient updates from the replay pool.
-func (dp *DeepPower) learnStep() {
-	if dp.batchBuf == nil {
-		dp.batchBuf = make([]rl.Transition, dp.cfg.BatchSize)
-	}
-	for u := 0; u < dp.cfg.UpdatesPerStep; u++ {
-		dp.replay.SampleInto(dp.batchBuf)
-		dp.CriticLoss, dp.ActorLoss = dp.agent.Update(dp.batchBuf)
-	}
-}
-
-// actionDim is the actor's effective output width (2, or 3 with Placement).
-func (dp *DeepPower) actionDim() int { return dp.cfg.DDPG.ActionDim }
-
-// randomAction draws a uniform warmup action of the full width —
-// randomSelect() of Algorithm 2 line 7. For the 2-dim paper agent the draw
-// count and order match earlier versions exactly.
-func (dp *DeepPower) randomAction() []float64 {
-	a := make([]float64, dp.actionDim())
-	for i := range a {
-		a[i] = dp.rng.Float64()
-	}
-	return a
-}
-
-// selectAction picks the next action inline (Algorithm 2 line 5).
-func (dp *DeepPower) selectAction(state []float64) []float64 {
+// act draws warmup actions uniformly from the codec's own stream; a training
+// row gets the codec's own exploration noise — same numerics and draw order
+// as ActNoisy on the inline path.
+func (k *pairCodec) act(mode actMode, state, row []float64) []float64 {
 	switch {
-	case dp.cfg.Train && dp.step < dp.cfg.WarmupSteps:
-		return dp.randomAction()
-	case dp.cfg.Train:
-		return dp.agent.ActNoisy(state, dp.noise)
-	default:
-		return dp.agent.Act(state)
-	}
-}
-
-// commitAction actuates a selected action and advances the step bookkeeping
-// — the shared tail of the inline agent step and the vectorized boundary
-// act.
-func (dp *DeepPower) commitAction(now sim.Time, state, action []float64, rew Breakdown) {
-	params := control.Params{BaseFreq: action[0], ScalingCoef: action[1]}
-	dp.tc.SetParams(params)
-	if dp.cfg.Placement && len(action) > 2 && dp.placeLevels != nil {
-		dp.Ctl.SetPlacement(control.PlacementFromScore(action[2], dp.placeLevels))
-	}
-	if dp.cfg.Flat {
-		for i := 0; i < dp.Ctl.NumCores(); i++ {
-			dp.Ctl.SetScore(i, action[0])
+	case mode == actWarmup:
+		a := make([]float64, k.cfg.DDPG.ActionDim)
+		for i := range a {
+			a[i] = k.rng.Float64()
 		}
+		return a
+	case row == nil && mode == actExplore:
+		return k.ActNoisy(state, k.noise)
+	case row == nil:
+		return k.Act(state)
 	}
-
-	if dp.cfg.RecordLog {
-		dp.Log = append(dp.Log, LogPoint{At: now, Params: dp.tc.Params(), Reward: rew, State: state})
-	}
-	dp.lastState = state
-	dp.lastAction = action
-	dp.step++
-}
-
-// --- vectorized acting (VectorPolicy; driven by VectorTrainer) -------------
-
-// vecPeriod implements VectorPolicy.
-func (dp *DeepPower) vecPeriod() sim.Time { return dp.cfg.LongTime }
-
-// vecRowWidth implements VectorPolicy: the actor emits one action per row.
-func (dp *DeepPower) vecRowWidth() int { return dp.actionDim() }
-
-// vecForward implements VectorPolicy: one batched actor call for all envs.
-func (dp *DeepPower) vecForward(states []float64, n int) []float64 {
-	return dp.agent.ActBatch(states, n)
-}
-
-// vecNewShell implements VectorPolicy: a per-env acting shell with its own
-// controller, observer, reward, and RNG substreams (exploration stays
-// env-decoupled, seeded via sim.SubSeed so any worker count draws the same
-// noise), sharing the owner's learner networks and replay pool.
-func (dp *DeepPower) vecNewShell(envIdx int) vecShell {
-	cfg := dp.cfg
-	cfg.Seed = sim.SubSeed(dp.cfg.Seed, fmt.Sprintf("vec-env/%d", envIdx))
-	cfg.RecordLog = false
-	shell := newDeepPower(cfg, dp.agent, dp.replay)
-	shell.external = true
-	return shell
-}
-
-// vecObserve runs the observation half of a lockstep step: state, reward,
-// and the completed transition pushed into the (shared) replay pool. The
-// trainer calls it serially in ascending env order — the deterministic
-// interleave that makes the shared write cursor worker-count independent.
-func (dp *DeepPower) vecObserve(sim.Time) {
-	state, rew := dp.observeStep()
-	dp.pushTransition(state, rew)
-	dp.EpisodeReturn += rew.Total
-	dp.pendingState = state
-	dp.pendingRew = rew
-}
-
-// vecStateInto copies the pending boundary observation into one row of the
-// trainer's gather buffer.
-func (dp *DeepPower) vecStateInto(dst []float64) { copy(dst, dp.pendingState) }
-
-// vecActRow consumes this env's row of the batched actor output: warmup
-// envs draw random actions from their own RNG substream, training envs add
-// their own exploration noise (same numerics and draw order as ActNoisy),
-// and the action actuates immediately — matching the inline path, where the
-// tick that triggered the agent step applies the controller right after.
-func (dp *DeepPower) vecActRow(now sim.Time, row []float64) {
-	state := dp.pendingState
-	var action []float64
-	switch {
-	case dp.cfg.Train && dp.step < dp.cfg.WarmupSteps:
-		action = dp.randomAction()
-	case dp.cfg.Train:
-		action = append(make([]float64, 0, len(row)), row...)
-		noise := dp.noiseBuf[:len(row)]
-		dp.noise.SampleInto(noise)
+	action := append(make([]float64, 0, len(row)), row...)
+	if mode == actExplore {
+		noise := k.noiseBuf[:len(row)]
+		k.noise.SampleInto(noise)
 		for i := range action {
 			action[i] += noise[i]
 		}
 		clipAction(action)
-	default:
-		action = append(make([]float64, 0, len(row)), row...)
 	}
-	dp.commitAction(now, state, action, dp.pendingRew)
-	if !dp.cfg.Flat {
-		dp.tc.Apply(now, dp.Ctl)
-	}
+	return action
 }
 
-// vecLearn implements VectorPolicy: one lockstep boundary's gradient
-// updates from the shared pool — the same UpdatesPerStep cadence as one
-// inline agent step, amortized across all E transitions the boundary
-// contributed.
-func (dp *DeepPower) vecLearn() {
-	dp.vecSteps++
-	if !dp.cfg.Train || dp.vecSteps <= dp.cfg.WarmupSteps || dp.replay.Len() < dp.cfg.BatchSize {
-		return
-	}
-	dp.learnStep()
+func (k *pairCodec) params(action []float64) control.Params {
+	return control.Params{BaseFreq: action[0], ScalingCoef: action[1]}
 }
 
-// Experience reports how many transitions have entered the replay pool —
-// the experience-throughput counter the vector benchmarks rate.
-func (dp *DeepPower) Experience() uint64 { return dp.replay.Pushed() }
-
-// LastCriticLoss implements LossReporter.
-func (dp *DeepPower) LastCriticLoss() float64 { return dp.CriticLoss }
-
-// DivergenceCount implements DivergenceReporter: the backend's cumulative
-// rolled-back updates (zero for backends without a divergence guard).
-func (dp *DeepPower) DivergenceCount() uint64 {
-	if div, ok := dp.agent.(interface{ Divergences() uint64 }); ok {
+// divergences reports the backend's rolled-back updates (zero for backends
+// without a divergence guard).
+func (k *pairCodec) divergences() uint64 {
+	if div, ok := k.Backend.(interface{ Divergences() uint64 }); ok {
 		return div.Divergences()
 	}
 	return 0
@@ -520,32 +256,3 @@ func clipAction(a []float64) {
 		}
 	}
 }
-
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-func finiteVec(v []float64) bool {
-	for _, x := range v {
-		if !isFinite(x) {
-			return false
-		}
-	}
-	return true
-}
-
-// SavePolicy writes the trained actor.
-func (dp *DeepPower) SavePolicy(w io.Writer) error { return dp.agent.SavePolicy(w) }
-
-// LoadPolicy installs a trained actor and switches the policy to inference.
-func (dp *DeepPower) LoadPolicy(r io.Reader) error {
-	if err := dp.agent.LoadPolicy(r); err != nil {
-		return fmt.Errorf("agent: %w", err)
-	}
-	dp.cfg.Train = false
-	return nil
-}
-
-// SetTrain toggles training mode.
-func (dp *DeepPower) SetTrain(train bool) { dp.cfg.Train = train }
-
-// EnableLog turns on per-step action/reward logging (Fig. 8).
-func (dp *DeepPower) EnableLog() { dp.cfg.RecordLog = true }

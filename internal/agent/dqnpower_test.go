@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/control"
-	"github.com/deeppower/deeppower/internal/server"
-	"github.com/deeppower/deeppower/internal/sim"
 )
 
 func TestDQNPowerParamsLattice(t *testing.T) {
@@ -25,13 +23,13 @@ func TestDQNPowerParamsLattice(t *testing.T) {
 		{12, control.Params{BaseFreq: 0.5, ScalingCoef: 0.5}},
 	}
 	for _, c := range cases {
-		if got := dq.paramsOf(c.action); got != c.want {
+		if got := dq.codec.params([]float64{float64(c.action)}); got != c.want {
 			t.Errorf("paramsOf(%d) = %+v, want %+v", c.action, got, c.want)
 		}
 	}
 	// Every action maps into [0,1]².
 	for a := 0; a < 25; a++ {
-		if p := dq.paramsOf(a); p.Validate() != nil {
+		if p := dq.codec.params([]float64{float64(a)}); p.Validate() != nil {
 			t.Errorf("action %d → invalid params %+v", a, p)
 		}
 	}
@@ -43,41 +41,6 @@ func TestDQNPowerRejectsTinyGrid(t *testing.T) {
 	}
 }
 
-func TestDQNPowerRunsAndLearnsSignals(t *testing.T) {
-	dq, err := NewDQNPower(DQNPowerConfig{
-		Seed: 2, Train: true, WarmupSteps: 3,
-		LongTime: 500 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	srv, err := server.New(eng, server.Config{App: smallApp(), Seed: 2}, dq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := srv.Run(testTrace(), 10*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.Completions == 0 {
-		t.Fatal("no completions")
-	}
-	if dq.step < 19 {
-		t.Errorf("agent steps = %d, want ~20", dq.step)
-	}
-	if dq.Params().Validate() != nil {
-		t.Errorf("invalid final params %+v", dq.Params())
-	}
-	// Epsilon must have decayed from its start.
-	if dq.eps >= dq.cfg.EpsStart {
-		t.Errorf("epsilon never decayed: %v", dq.eps)
-	}
-	if dq.Name() != "dqn-power" {
-		t.Errorf("name = %q", dq.Name())
-	}
-}
-
 func TestDDQNPowerName(t *testing.T) {
 	dq, err := NewDQNPower(DQNPowerConfig{Double: true, Seed: 3})
 	if err != nil {
@@ -85,27 +48,5 @@ func TestDDQNPowerName(t *testing.T) {
 	}
 	if dq.Name() != "ddqn-power" {
 		t.Errorf("name = %q", dq.Name())
-	}
-}
-
-func TestDQNPowerEvaluationDeterministic(t *testing.T) {
-	run := func() float64 {
-		dq, err := NewDQNPower(DQNPowerConfig{Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.NewEngine()
-		srv, err := server.New(eng, server.Config{App: smallApp(), Seed: 4}, dq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := srv.Run(testTrace(), 5*sim.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.EnergyJ
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("evaluation not deterministic: %v vs %v", a, b)
 	}
 }

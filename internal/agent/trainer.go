@@ -52,11 +52,10 @@ type DivergenceReporter interface {
 	DivergenceCount() uint64
 }
 
+// Both agent types report through the core they embed.
 var (
-	_ LossReporter       = (*DeepPower)(nil)
-	_ LossReporter       = (*DQNPower)(nil)
-	_ DivergenceReporter = (*DeepPower)(nil)
-	_ DivergenceReporter = (*DQNPower)(nil)
+	_ LossReporter       = (*core)(nil)
+	_ DivergenceReporter = (*core)(nil)
 )
 
 // reportInto copies optional telemetry from a policy into episode stats.

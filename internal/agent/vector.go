@@ -11,44 +11,15 @@ import (
 )
 
 // VectorPolicy is a trainable policy that can drive E environments in
-// lockstep through one shared learner: DeepPower and DQNPower both qualify.
-// The unexported methods are the vectorized act protocol (implemented in
-// deeppower.go / dqnpower.go); external packages obtain a VectorPolicy by
-// constructing one of those concrete types.
+// lockstep through one shared learner: DeepPower and DQNPower both qualify,
+// and external packages obtain one by constructing either.
 type VectorPolicy interface {
 	Trainable
-	// vecPeriod is the control period between lockstep boundaries.
-	vecPeriod() sim.Time
-	// vecRowWidth is one env's slice width in the batched forward output.
-	vecRowWidth() int
-	// vecForward evaluates the policy network for n gathered states in one
-	// batched call; rows alias network-internal buffers and must be consumed
-	// before the next forward or update.
-	vecForward(states []float64, n int) []float64
-	// vecNewShell builds the per-env acting shell for env envIdx around the
-	// owner's learner and replay pool.
-	vecNewShell(envIdx int) vecShell
-	// vecLearn runs one boundary's gradient updates on the shared learner.
-	// It touches only learner state (networks, replay sampler, minibatch
-	// buffer, loss fields) — never a shell or an environment — which is what
-	// lets the trainer run it beside the environments' next segment.
-	vecLearn()
 	// Experience counts transitions pushed into the shared replay pool.
 	Experience() uint64
-}
-
-// vecShell is one environment's acting surface: a full policy instance with
-// its own controller, observer, reward tracker, and RNG substreams, sharing
-// the owner's learner networks and replay pool. Its inline act path is
-// disabled; the trainer drives the observe/act halves at each boundary.
-type vecShell interface {
-	Trainable
-	// vecObserve observes, rewards, and pushes the completed transition.
-	vecObserve(now sim.Time)
-	// vecStateInto copies the pending observation into one gather row.
-	vecStateInto(dst []float64)
-	// vecActRow consumes this env's row of the batched forward output.
-	vecActRow(now sim.Time, row []float64)
+	// agentCore is the agent loop both types embed; its vec* methods are the
+	// vectorized act protocol the trainer drives.
+	agentCore() *core
 }
 
 // TrainVectorConfig drives VectorTrainer.
@@ -104,8 +75,8 @@ type TrainVectorConfig struct {
 // one update schedule over E transitions.
 type VectorTrainer struct {
 	cfg    TrainVectorConfig
-	owner  VectorPolicy
-	shells []vecShell
+	owner  *core
+	shells []*core
 	seeds  []int64 // per-env server seed base, SubSeed(Server.Seed, "vec-env/i")
 	engs   []*sim.Engine
 	srvs   []*server.Server
@@ -114,7 +85,7 @@ type VectorTrainer struct {
 	// units is the learn unit followed by one unit per environment: the
 	// learn is the longest unit, so it is dispatched first.
 	units []pool.Unit
-	// states is the preallocated [Envs×StateDim] observation gather buffer.
+	// states is the preallocated [Envs×vecStateDim] observation gather buffer.
 	states []float64
 	// phase describes the parallel phase in flight; written between
 	// pool.Run calls, read by the units.
@@ -135,6 +106,7 @@ type vecPhase struct {
 // becomes the shared learner; it must not be driven by another server while
 // vector training runs.
 func NewVectorTrainer(dp VectorPolicy, cfg TrainVectorConfig) (*VectorTrainer, error) {
+	owner := dp.agentCore()
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("agent: TrainVectorConfig.Trace is required")
 	}
@@ -153,19 +125,19 @@ func NewVectorTrainer(dp VectorPolicy, cfg TrainVectorConfig) (*VectorTrainer, e
 	if cfg.EpisodeLen == 0 {
 		cfg.EpisodeLen = cfg.Trace.Period
 	}
-	if dp.vecPeriod() <= 0 {
-		return nil, fmt.Errorf("agent: non-positive control period %v", dp.vecPeriod())
+	if owner.vecPeriod() <= 0 {
+		return nil, fmt.Errorf("agent: non-positive control period %v", owner.vecPeriod())
 	}
 	vt := &VectorTrainer{
 		cfg:     cfg,
-		owner:   dp,
-		shells:  make([]vecShell, cfg.Envs),
+		owner:   owner,
+		shells:  make([]*core, cfg.Envs),
 		seeds:   make([]int64, cfg.Envs),
 		engs:    make([]*sim.Engine, cfg.Envs),
 		srvs:    make([]*server.Server, cfg.Envs),
 		results: make([]*server.Result, cfg.Envs),
 		units:   make([]pool.Unit, 1+cfg.Envs),
-		states:  make([]float64, cfg.Envs*StateDim),
+		states:  make([]float64, cfg.Envs*owner.vecStateDim()),
 	}
 	vt.units[0] = func(context.Context) error {
 		if vt.phase.learn {
@@ -174,7 +146,7 @@ func NewVectorTrainer(dp VectorPolicy, cfg TrainVectorConfig) (*VectorTrainer, e
 		return nil
 	}
 	for i := 0; i < cfg.Envs; i++ {
-		vt.shells[i] = dp.vecNewShell(i)
+		vt.shells[i] = owner.vecNewShell(i)
 		vt.seeds[i] = sim.SubSeed(cfg.Server.Seed, fmt.Sprintf("vec-env/%d", i))
 		vt.engs[i] = sim.NewEngine()
 		i := i
@@ -229,7 +201,7 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 		sh.SetTrain(true)
 	}
 	period := vt.owner.vecPeriod()
-	rowW := vt.owner.vecRowWidth()
+	stateW := vt.owner.vecStateDim()
 	stats := make([]EpisodeStats, 0, vt.cfg.Episodes)
 	for ep := 0; ep < vt.cfg.Episodes; ep++ {
 		// Lockstep boundaries at 0, period, 2·period, … — the parallel phase
@@ -246,13 +218,12 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 			if err := vt.run(ctx, ph); err != nil {
 				return stats, err
 			}
-			for _, sh := range vt.shells {
-				sh.vecObserve(t)
-			}
 			for i, sh := range vt.shells {
-				sh.vecStateInto(vt.states[i*StateDim : (i+1)*StateDim])
+				sh.vecObserve()
+				sh.vecStateInto(vt.states[i*stateW : (i+1)*stateW])
 			}
 			rows := vt.owner.vecForward(vt.states, vt.cfg.Envs)
+			rowW := len(rows) / vt.cfg.Envs
 			for i, sh := range vt.shells {
 				sh.vecActRow(t, rows[i*rowW:(i+1)*rowW])
 			}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
+	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/rl"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -43,15 +44,12 @@ func vecTrainConfig(envs, workers int) TrainVectorConfig {
 	}
 }
 
-// trainVector trains a fresh policy with the given worker count and returns
-// the policy and its per-episode stats.
-func trainVector(t *testing.T, envs, workers int) (*DeepPower, []EpisodeStats) {
+// trainKind vector-trains a fresh agent of one kind and returns its loop
+// state and per-episode stats.
+func trainKind(t *testing.T, build func(*testing.T) VectorPolicy, envs, workers int) (*core, []EpisodeStats) {
 	t.Helper()
-	dp, err := New(vecTestConfig(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt, err := NewVectorTrainer(dp, vecTrainConfig(envs, workers))
+	pol := build(t)
+	vt, err := NewVectorTrainer(pol, vecTrainConfig(envs, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,124 +60,152 @@ func trainVector(t *testing.T, envs, workers int) (*DeepPower, []EpisodeStats) {
 	if vt.Experience() == 0 {
 		t.Fatal("no experience collected")
 	}
-	return dp, stats
+	return pol.agentCore(), stats
+}
+
+// trainVector is trainKind for the paper's agent.
+func trainVector(t *testing.T, envs, workers int) (*core, []EpisodeStats) {
+	t.Helper()
+	return trainKind(t, agentKinds[0].vec, envs, workers)
 }
 
 func TestVectorTrainerWorkerEquivalence(t *testing.T) {
-	dp1, stats1 := trainVector(t, 8, 1)
-	dp8, stats8 := trainVector(t, 8, 8)
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			c1, stats1 := trainKind(t, kind.vec, 8, 1)
+			c8, stats8 := trainKind(t, kind.vec, 8, 8)
 
-	// Shared replay pool: same cursor, same contents, same order.
-	if dp1.replay.Pushed() != dp8.replay.Pushed() {
-		t.Fatalf("write cursor differs: workers=1 %d, workers=8 %d",
-			dp1.replay.Pushed(), dp8.replay.Pushed())
-	}
-	if dp1.replay.Pushed() <= uint64(dp1.replay.Len()) {
-		t.Fatalf("replay never wrapped (pushed %d, retained %d) — config too small to exercise the cursor",
-			dp1.replay.Pushed(), dp1.replay.Len())
-	}
-	if dp1.replay.Len() != dp8.replay.Len() {
-		t.Fatalf("replay length differs: %d vs %d", dp1.replay.Len(), dp8.replay.Len())
-	}
-	for i := 0; i < dp1.replay.Len(); i++ {
-		a, b := dp1.replay.At(i), dp8.replay.At(i)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("replay transition %d differs:\n  workers=1: %+v\n  workers=8: %+v", i, a, b)
-		}
-	}
+			// Shared replay pool: same cursor, same contents, same order.
+			if c1.replay.Pushed() != c8.replay.Pushed() {
+				t.Fatalf("write cursor differs: workers=1 %d, workers=8 %d",
+					c1.replay.Pushed(), c8.replay.Pushed())
+			}
+			if c1.replay.Pushed() <= uint64(c1.replay.Len()) {
+				t.Fatalf("replay never wrapped (pushed %d, retained %d) — config too small to exercise the cursor",
+					c1.replay.Pushed(), c1.replay.Len())
+			}
+			if c1.replay.Len() != c8.replay.Len() {
+				t.Fatalf("replay length differs: %d vs %d", c1.replay.Len(), c8.replay.Len())
+			}
+			for i := 0; i < c1.replay.Len(); i++ {
+				a, b := c1.replay.At(i), c8.replay.At(i)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("replay transition %d differs:\n  workers=1: %+v\n  workers=8: %+v", i, a, b)
+				}
+			}
 
-	// Final weights byte-identical.
-	var w1, w8 bytes.Buffer
-	if err := dp1.SavePolicy(&w1); err != nil {
-		t.Fatal(err)
-	}
-	if err := dp8.SavePolicy(&w8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1.Bytes(), w8.Bytes()) {
-		t.Fatal("final policy weights differ between worker counts")
-	}
+			// Final weights byte-identical.
+			var w1, w8 bytes.Buffer
+			if err := c1.SavePolicy(&w1); err != nil {
+				t.Fatal(err)
+			}
+			if err := c8.SavePolicy(&w8); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w1.Bytes(), w8.Bytes()) {
+				t.Fatal("final policy weights differ between worker counts")
+			}
 
-	// Episode stats identical too (returns, losses, aggregates).
-	if !reflect.DeepEqual(stats1, stats8) {
-		t.Fatalf("episode stats differ:\n  workers=1: %+v\n  workers=8: %+v", stats1, stats8)
-	}
-	for _, st := range stats1 {
-		if math.IsNaN(st.Return) || math.IsInf(st.Return, 0) {
-			t.Fatalf("non-finite return: %+v", st)
-		}
+			// Episode stats identical too (returns, losses, aggregates).
+			if !reflect.DeepEqual(stats1, stats8) {
+				t.Fatalf("episode stats differ:\n  workers=1: %+v\n  workers=8: %+v", stats1, stats8)
+			}
+			for _, st := range stats1 {
+				if math.IsNaN(st.Return) || math.IsInf(st.Return, 0) {
+					t.Fatalf("non-finite return: %+v", st)
+				}
+			}
+
+			// And the shared learner learned (all cores, 4 envs).
+			c, stats := trainKind(t, kind.vec, 4, 0)
+			if len(stats) != 2 {
+				t.Fatalf("episodes = %d, want 2", len(stats))
+			}
+			// Past warmup with a full replay, boundary learning must have run.
+			if c.CriticLoss == 0 {
+				t.Error("critic loss never recorded — vecLearn did not update")
+			}
+			if stats[1].CriticLoss != c.CriticLoss {
+				t.Errorf("stats loss %v != policy loss %v", stats[1].CriticLoss, c.CriticLoss)
+			}
+			// 4 envs × 2 episodes × 10 boundaries, minus the unpushed first
+			// boundary of each (env, episode): 72 transitions.
+			if got := c.Experience(); got != 72 {
+				t.Errorf("experience = %d, want 72", got)
+			}
+		})
 	}
 }
 
-func TestVectorTrainerLearns(t *testing.T) {
-	dp, stats := trainVector(t, 4, 0)
-	if len(stats) != 2 {
-		t.Fatalf("episodes = %d, want 2", len(stats))
-	}
-	// Past warmup with a full replay, boundary learning must have run.
-	if dp.CriticLoss == 0 {
-		t.Error("critic loss never recorded — vecLearn did not update")
-	}
-	if stats[1].CriticLoss != dp.CriticLoss {
-		t.Errorf("stats loss %v != policy loss %v", stats[1].CriticLoss, dp.CriticLoss)
-	}
-	// 4 envs × 2 episodes × 10 boundaries, minus the unpushed first
-	// boundary of each (env, episode): 72 transitions.
-	if got := dp.Experience(); got != 72 {
-		t.Errorf("experience = %d, want 72", got)
-	}
-}
-
-// vecTestDQN is the value-based counterpart of vecTestConfig: a fresh
-// DQNPower whose small pool wraps within the vector tests' runs.
-func vecTestDQN(t *testing.T) *DQNPower {
-	t.Helper()
-	dq, err := NewDQNPower(DQNPowerConfig{
+// vecTestDQNConfig is the value-based counterpart of vecTestConfig: a small
+// pool that wraps within the vector tests' runs.
+func vecTestDQNConfig(double bool) DQNPowerConfig {
+	return DQNPowerConfig{
 		Seed:        22,
+		Double:      double,
 		Train:       true,
 		LongTime:    500 * sim.Millisecond,
 		WarmupSteps: 3,
 		BatchSize:   8,
 		ReplayCap:   32,
-	})
+	}
+}
+
+func vecTestDQN(t *testing.T) *DQNPower {
+	t.Helper()
+	dq, err := NewDQNPower(vecTestDQNConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dq
 }
 
-func TestVectorTrainerDQNPower(t *testing.T) {
-	train := func(dq *DQNPower, workers int) []EpisodeStats {
-		cfg := vecTrainConfig(4, workers)
-		cfg.Episodes = 1
-		vt, err := NewVectorTrainer(dq, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := vt.Train(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	dq1, dq4 := vecTestDQN(t), vecTestDQN(t)
-	stats1 := train(dq1, 1)
-	stats4 := train(dq4, 4)
-	if dq1.Experience() == 0 {
-		t.Fatal("no experience collected")
-	}
-	if !reflect.DeepEqual(stats1, stats4) {
-		t.Fatalf("DQN stats differ across worker counts:\n  %+v\n  %+v", stats1, stats4)
-	}
-	var w1, w4 bytes.Buffer
-	if err := dq1.SavePolicy(&w1); err != nil {
-		t.Fatal(err)
-	}
-	if err := dq4.SavePolicy(&w4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1.Bytes(), w4.Bytes()) {
-		t.Fatal("DQN weights differ between worker counts")
+// TestVectorTrainerClassAwareState trains an agent whose state carries the
+// per-class dims (StateDim + 2·Classes wide), on a homogeneous server — where
+// they stay zero — and on a two-class topology.
+func TestVectorTrainerClassAwareState(t *testing.T) {
+	hetero := cpu.DefaultHetero(2, 2)
+	for _, tc := range []struct {
+		name string
+		topo *cpu.Topology
+	}{{"homogeneous", nil}, {"two-class", &hetero}} {
+		t.Run(tc.name, func(t *testing.T) {
+			train := func(workers int) string {
+				cfg := vecTestConfig(30)
+				cfg.Classes = 2
+				dp, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tcfg := vecTrainConfig(2, workers)
+				tcfg.Server.Topology = tc.topo
+				vt, err := NewVectorTrainer(dp, tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := vt.Train(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if dp.CriticLoss == 0 {
+					t.Error("critic loss never recorded — the learner never updated")
+				}
+				last := dp.replay.At(dp.replay.Len() - 1).NextState
+				if len(last) != StateDim+4 {
+					t.Fatalf("stored state is %d wide, want %d", len(last), StateDim+4)
+				}
+				classDims := 0.0
+				for _, v := range last[StateDim:] {
+					classDims += v
+				}
+				if (classDims != 0) != (tc.topo != nil) {
+					t.Errorf("per-class dims %v on a %s server", last[StateDim:], tc.name)
+				}
+				return vecDigest(t, dp, dp.replay)
+			}
+			if w1, w2 := train(1), train(2); w1 != w2 {
+				t.Errorf("policy and replay differ between worker counts: %s vs %s", w1, w2)
+			}
+		})
 	}
 }
 

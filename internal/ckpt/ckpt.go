@@ -163,16 +163,6 @@ func OpenKind(data []byte, want Kind) ([]byte, error) {
 	return payload, nil
 }
 
-// PeekKind reports the kind of a sealed container without verifying the
-// checksum — the cheap sniff compatibility shims use to distinguish the
-// binary format from legacy JSON.
-func PeekKind(data []byte) (Kind, bool) {
-	if len(data) < 7 || string(data[:4]) != Magic {
-		return 0, false
-	}
-	return Kind(data[6]), true
-}
-
 // Enc appends primitive values to a growing byte buffer. The zero value is
 // ready to use; Reset keeps the capacity so periodic checkpoint encoding is
 // allocation-free at steady state.

@@ -111,7 +111,7 @@ func TestOpenRejectsRandomCorruption(t *testing.T) {
 	}
 }
 
-func TestOpenKindAndPeekKind(t *testing.T) {
+func TestOpenKind(t *testing.T) {
 	sealed := Seal(KindDQN, []byte("q"))
 	if _, err := OpenKind(sealed, KindDQN); err != nil {
 		t.Fatalf("OpenKind same kind: %v", err)
@@ -119,14 +119,11 @@ func TestOpenKindAndPeekKind(t *testing.T) {
 	if _, err := OpenKind(sealed, KindSAC); !errors.Is(err, ErrKind) {
 		t.Fatalf("OpenKind wrong kind: got %v, want ErrKind", err)
 	}
-	if k, ok := PeekKind(sealed); !ok || k != KindDQN {
-		t.Fatalf("PeekKind = %v, %v", k, ok)
+	if _, err := OpenKind([]byte(`{"layers": [], "json": true}`), KindDQN); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("OpenKind on JSON: got %v, want ErrBadMagic", err)
 	}
-	if _, ok := PeekKind([]byte(`{"json": true}`)); ok {
-		t.Fatal("PeekKind accepted JSON")
-	}
-	if _, ok := PeekKind(nil); ok {
-		t.Fatal("PeekKind accepted nil")
+	if _, err := OpenKind(nil, KindDQN); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("OpenKind on nil: got %v, want ErrTruncated", err)
 	}
 }
 

@@ -1,13 +1,6 @@
 package nn
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-
-	"github.com/deeppower/deeppower/internal/sim"
-)
+import "github.com/deeppower/deeppower/internal/sim"
 
 // MLP is a stack of Dense layers.
 type MLP struct {
@@ -119,96 +112,6 @@ func (m *MLP) SoftUpdateFrom(src *MLP, tau float64) {
 	for i, l := range m.Layers {
 		l.SoftUpdateFrom(src.Layers[i], tau)
 	}
-}
-
-// snapshot is the serialized form of a network.
-type snapshot struct {
-	Layers []layerSnapshot `json:"layers"`
-}
-
-type layerSnapshot struct {
-	In  int        `json:"in"`
-	Out int        `json:"out"`
-	Act Activation `json:"act"`
-	W   []float64  `json:"w"`
-	B   []float64  `json:"b"`
-}
-
-// Save writes the network weights as JSON.
-func (m *MLP) Save(w io.Writer) error {
-	var s snapshot
-	for _, l := range m.Layers {
-		s.Layers = append(s.Layers, layerSnapshot{
-			In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B,
-		})
-	}
-	return json.NewEncoder(w).Encode(s)
-}
-
-// restoreLayer validates a layer snapshot — shape, activation code, weight
-// array lengths, chaining against the previous layer's output width
-// (wantIn > 0), and finiteness — and builds the Dense. JSON NaN/Inf cannot
-// arrive through the decoder, but a hand-edited or corrupted snapshot could
-// carry huge-but-finite garbage; the finiteness sweep still guards values
-// injected as strings elsewhere and keeps the JSON path's contract identical
-// to the binary path's.
-func restoreLayer(ls layerSnapshot, wantIn int) (*Dense, error) {
-	if ls.In <= 0 || ls.Out <= 0 {
-		return nil, fmt.Errorf("nn: malformed layer shape %d→%d in snapshot", ls.In, ls.Out)
-	}
-	if wantIn > 0 && ls.In != wantIn {
-		return nil, fmt.Errorf("nn: layer input %d does not chain from previous output %d", ls.In, wantIn)
-	}
-	if !validActivation(ls.Act) {
-		return nil, fmt.Errorf("nn: unknown activation code %d in snapshot", int(ls.Act))
-	}
-	if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
-		return nil, fmt.Errorf("nn: layer %d→%d carries %d weights and %d biases",
-			ls.In, ls.Out, len(ls.W), len(ls.B))
-	}
-	for _, v := range ls.W {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("nn: non-finite weight in %d→%d layer", ls.In, ls.Out)
-		}
-	}
-	for _, v := range ls.B {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("nn: non-finite bias in %d→%d layer", ls.In, ls.Out)
-		}
-	}
-	return &Dense{
-		In: ls.In, Out: ls.Out, Act: ls.Act,
-		W: ls.W, B: ls.B,
-		GW: make([]float64, len(ls.W)),
-		GB: make([]float64, len(ls.B)),
-		x:  make([]float64, ls.In),
-		y:  make([]float64, ls.Out),
-		dx: make([]float64, ls.In),
-	}, nil
-}
-
-// Load reads a network saved by Save. Malformed input — truncated, empty,
-// mis-shaped, unknown activations, or non-finite weights — yields a
-// descriptive error; Load never panics.
-func Load(r io.Reader) (*MLP, error) {
-	var s snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: decoding network: %w", err)
-	}
-	if len(s.Layers) == 0 {
-		return nil, fmt.Errorf("nn: empty network snapshot")
-	}
-	m := &MLP{}
-	prev := 0
-	for i, ls := range s.Layers {
-		d, err := restoreLayer(ls, prev)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		m.Layers = append(m.Layers, d)
-		prev = d.Out
-	}
-	return m, nil
 }
 
 // MSE returns the mean squared error between pred and target and writes

@@ -1,11 +1,5 @@
 package nn
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-)
-
 // Network abstracts a trainable feed-forward network so agents can swap
 // topologies (the sequential MLP, or the paper's two-headed actor).
 type Network interface {
@@ -34,8 +28,6 @@ type Network interface {
 	// SoftUpdateNet blends src (of the same concrete type) into this
 	// network: θ ← τ·θ_src + (1−τ)·θ.
 	SoftUpdateNet(src Network, tau float64)
-	// Save serializes the weights.
-	Save(w io.Writer) error
 	// InDim and OutDim report input/output widths.
 	InDim() int
 	OutDim() int
@@ -53,25 +45,3 @@ func (m *MLP) SoftUpdateNet(src Network, tau float64) {
 }
 
 var _ Network = (*MLP)(nil)
-
-// LoadAny reads a network saved by MLP.Save or TwoHead.Save, detecting the
-// topology from the serialized form. Input that parses as neither yields an
-// error describing both failures; LoadAny never panics.
-func LoadAny(r io.Reader) (Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("nn: reading network snapshot: %w", err)
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("nn: empty network snapshot")
-	}
-	m, mlpErr := Load(bytes.NewReader(data))
-	if mlpErr == nil {
-		return m, nil
-	}
-	t, thErr := LoadTwoHead(bytes.NewReader(data))
-	if thErr == nil {
-		return t, nil
-	}
-	return nil, fmt.Errorf("nn: snapshot is neither topology: as mlp: %v; as two-head: %w", mlpErr, thErr)
-}

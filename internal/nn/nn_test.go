@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -287,41 +285,6 @@ func TestSoftUpdateConverges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(8)
-	m := NewMLP([]int{3, 5, 2}, ReLU, Sigmoid, rng)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, 0.2, 0.3}
-	a := m.Forward(x)
-	b := got.Forward(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round-trip output mismatch: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"{}",
-		`{"layers":[{"in":2,"out":1,"w":[1],"b":[0]}]}`, // wrong W size
-		`{"layers":[{"in":0,"out":1,"w":[],"b":[0]}]}`,  // zero dims
-	}
-	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -267,73 +265,6 @@ func (t *TwoHead) SoftUpdateNet(src Network, tau float64) {
 	for i := range mine {
 		mine[i].SoftUpdateFrom(theirs[i], tau)
 	}
-}
-
-// twoHeadSnapshot serializes a TwoHead.
-type twoHeadSnapshot struct {
-	Trunk []layerSnapshot   `json:"trunk"`
-	Heads [][]layerSnapshot `json:"heads"`
-}
-
-// Save implements Network.
-func (t *TwoHead) Save(w io.Writer) error {
-	var s twoHeadSnapshot
-	for _, l := range t.Trunk {
-		s.Trunk = append(s.Trunk, layerSnapshot{In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B})
-	}
-	for _, stack := range t.Heads {
-		var hs []layerSnapshot
-		for _, l := range stack {
-			hs = append(hs, layerSnapshot{In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B})
-		}
-		s.Heads = append(s.Heads, hs)
-	}
-	return json.NewEncoder(w).Encode(s)
-}
-
-// LoadTwoHead reads a network saved by TwoHead.Save. Malformed input —
-// truncated, empty, mis-chained, unknown activations, or non-finite weights —
-// yields a descriptive error; LoadTwoHead never panics.
-func LoadTwoHead(r io.Reader) (*TwoHead, error) {
-	var s twoHeadSnapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: decoding two-head network: %w", err)
-	}
-	if len(s.Heads) == 0 {
-		return nil, fmt.Errorf("nn: two-head snapshot has no heads")
-	}
-	t := &TwoHead{out: make([]float64, len(s.Heads))}
-	prev := 0
-	for i, ls := range s.Trunk {
-		l, err := restoreLayer(ls, prev)
-		if err != nil {
-			return nil, fmt.Errorf("nn: trunk layer %d: %w", i, err)
-		}
-		t.Trunk = append(t.Trunk, l)
-		prev = l.Out
-	}
-	trunkOut := prev
-	for h, hs := range s.Heads {
-		if len(hs) == 0 {
-			return nil, fmt.Errorf("nn: two-head snapshot head %d is empty", h)
-		}
-		var stack []*Dense
-		prev = trunkOut
-		for i, ls := range hs {
-			l, err := restoreLayer(ls, prev)
-			if err != nil {
-				return nil, fmt.Errorf("nn: head %d layer %d: %w", h, i, err)
-			}
-			stack = append(stack, l)
-			prev = l.Out
-		}
-		if stack[len(stack)-1].Out != 1 {
-			return nil, fmt.Errorf("nn: two-head snapshot head %d must end in width 1", h)
-		}
-		t.Heads = append(t.Heads, stack)
-	}
-	t.finish()
-	return t, nil
 }
 
 var _ Network = (*TwoHead)(nil)

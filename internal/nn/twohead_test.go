@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/sim"
@@ -143,67 +141,6 @@ func TestTwoHeadCloneAndSoftUpdate(t *testing.T) {
 	for i := range aOut {
 		if math.Abs(aOut[i]-cOut[i]) > 1e-6 {
 			t.Error("soft updates did not converge")
-		}
-	}
-}
-
-func TestTwoHeadSaveLoadRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(5)
-	a := NewPaperActor(8, rng)
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTwoHead(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 8)
-	for i := range x {
-		x[i] = float64(i) / 10
-	}
-	av := append([]float64(nil), a.Forward(x)...)
-	gv := got.Forward(x)
-	for i := range av {
-		if av[i] != gv[i] {
-			t.Fatal("round-trip output mismatch")
-		}
-	}
-	// LoadAny detects the topology.
-	net, err := LoadAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := net.(*TwoHead); !ok {
-		t.Errorf("LoadAny returned %T, want *TwoHead", net)
-	}
-}
-
-func TestLoadAnyMLP(t *testing.T) {
-	rng := sim.NewRNG(6)
-	m := NewMLP([]int{3, 4, 2}, ReLU, Sigmoid, rng)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	net, err := LoadAny(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := net.(*MLP); !ok {
-		t.Errorf("LoadAny returned %T, want *MLP", net)
-	}
-}
-
-func TestLoadTwoHeadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"", "{}",
-		`{"trunk":[],"heads":[]}`,
-		`{"heads":[[{"in":2,"out":2,"w":[1,1,1,1],"b":[0,0]}]]}`, // head not width 1
-	}
-	for i, c := range cases {
-		if _, err := LoadTwoHead(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
 		}
 	}
 }

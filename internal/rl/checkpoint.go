@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -176,7 +175,7 @@ func DecodeReplay(dec *ckpt.Dec) (*Replay, error) {
 	return rp, nil
 }
 
-// --- policy export (compat shim) ------------------------------------------
+// --- policy export ---------------------------------------------------------
 
 // savePolicyNet writes net as a sealed KindPolicy container — the unit the
 // registry stores and the serving path consumes.
@@ -189,15 +188,13 @@ func savePolicyNet(w io.Writer, net nn.Network) error {
 	return nil
 }
 
-// loadPolicyNet reads an exported policy: the sealed binary format, or —
-// compatibility shim — the legacy JSON snapshot the old SavePolicy wrote.
+// loadPolicyNet reads an exported policy. The sealed container is the only
+// format: anything else fails with ckpt's typed error for what is wrong with
+// it (ErrTruncated, ErrBadMagic, ErrVersion, ErrChecksum, ErrKind).
 func loadPolicyNet(r io.Reader) (nn.Network, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("rl: reading policy: %w", err)
-	}
-	if _, ok := ckpt.PeekKind(data); !ok {
-		return nn.LoadAny(bytes.NewReader(data))
 	}
 	payload, err := ckpt.OpenKind(data, ckpt.KindPolicy)
 	if err != nil {

@@ -386,8 +386,9 @@ func TestReplayCodecResumesSampling(t *testing.T) {
 	}
 }
 
-// TestPolicyExportCompat exercises the compat shim: binary SavePolicy output
-// loads, and so do legacy JSON snapshots written by the old format.
+// TestPolicyExportCompat checks every learner exports its policy through the
+// same entry point: SavePolicy writes a sealed KindPolicy container and
+// LoadPolicy reads it back to the same actions.
 func TestPolicyExportCompat(t *testing.T) {
 	d, err := NewDDPG(DDPGConfig{StateDim: 4, ActionDim: 2, TwoHeadActor: true, Seed: 3})
 	if err != nil {
@@ -397,31 +398,23 @@ func TestPolicyExportCompat(t *testing.T) {
 	if err := d.SavePolicy(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if k, ok := ckpt.PeekKind(bin.Bytes()); !ok || k != ckpt.KindPolicy {
-		t.Fatalf("SavePolicy did not write a sealed policy container (kind %v ok %v)", k, ok)
-	}
-
-	// Legacy JSON path (what the old SavePolicy wrote).
-	var legacy bytes.Buffer
-	if err := d.Actor.Save(&legacy); err != nil {
-		t.Fatal(err)
+	if k, _, err := ckpt.Open(bin.Bytes()); err != nil || k != ckpt.KindPolicy {
+		t.Fatalf("SavePolicy did not write a sealed policy container (kind %v, err %v)", k, err)
 	}
 
 	probe := []float64{0.1, 0.2, 0.3, 0.4}
 	want := d.Act(probe)
-	for _, src := range []*bytes.Buffer{&bin, &legacy} {
-		d2, err := NewDDPG(DDPGConfig{StateDim: 4, ActionDim: 2, TwoHeadActor: true, Seed: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d2.LoadPolicy(bytes.NewReader(src.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		got := d2.Act(probe)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("loaded policy action[%d] %v != %v", i, got[i], want[i])
-			}
+	d2, err := NewDDPG(DDPGConfig{StateDim: 4, ActionDim: 2, TwoHeadActor: true, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.LoadPolicy(&bin); err != nil {
+		t.Fatal(err)
+	}
+	got := d2.Act(probe)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("loaded policy action[%d] %v != %v", i, got[i], want[i])
 		}
 	}
 

@@ -408,7 +408,7 @@ func (d *DDPG) NumParams() int { return d.Actor.NumParams() }
 func (d *DDPG) SavePolicy(w io.Writer) error { return savePolicyNet(w, d.Actor) }
 
 // LoadPolicy replaces the actor (and its target) with a saved network
-// (either topology; binary containers and legacy JSON snapshots both load).
+// (either topology) from a sealed KindPolicy container.
 func (d *DDPG) LoadPolicy(r io.Reader) error {
 	m, err := loadPolicyNet(r)
 	if err != nil {

@@ -546,70 +546,6 @@ func TestDDPGTwoHeadSaveLoad(t *testing.T) {
 	}
 }
 
-func TestPrioritizedReplayBasics(t *testing.T) {
-	pr := NewPrioritizedReplay(4, sim.NewRNG(31))
-	for i := 0; i < 6; i++ {
-		pr.Push(Transition{Reward: float64(i)})
-	}
-	if pr.Len() != 4 {
-		t.Fatalf("Len = %d", pr.Len())
-	}
-	batch := pr.Sample(50)
-	for _, tr := range batch {
-		if tr.Reward < 2 {
-			t.Fatal("sampled evicted transition")
-		}
-	}
-}
-
-func TestPrioritizedReplayBiasesHighError(t *testing.T) {
-	pr := NewPrioritizedReplay(100, sim.NewRNG(32))
-	for i := 0; i < 100; i++ {
-		pr.Push(Transition{Reward: float64(i)})
-	}
-	// Give index 7 a huge TD error, everything else tiny.
-	idx := make([]int, 100)
-	errs := make([]float64, 100)
-	for i := range idx {
-		idx[i] = i
-		errs[i] = 0.001
-	}
-	errs[7] = 100
-	pr.UpdatePriorities(idx, errs)
-	count7 := 0
-	const draws = 2000
-	_, indices := pr.SampleIndexed(draws)
-	for _, ix := range indices {
-		if ix == 7 {
-			count7++
-		}
-	}
-	// Uniform would give ~20 hits; prioritized must give far more.
-	if count7 < 200 {
-		t.Errorf("high-error transition sampled %d/%d times, want heavy bias", count7, draws)
-	}
-}
-
-func TestPrioritizedReplayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero capacity did not panic")
-		}
-	}()
-	NewPrioritizedReplay(0, sim.NewRNG(1))
-}
-
-func TestPrioritizedReplayUpdateMismatchPanics(t *testing.T) {
-	pr := NewPrioritizedReplay(4, sim.NewRNG(1))
-	pr.Push(Transition{})
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	pr.UpdatePriorities([]int{0}, []float64{1, 2})
-}
-
 func TestTD3ConfigErrors(t *testing.T) {
 	if _, err := NewTD3(TD3Config{}); err == nil {
 		t.Error("zero dims accepted")

@@ -305,8 +305,8 @@ func (t *TD3) NumParams() int { return t.Actor.NumParams() }
 // container.
 func (t *TD3) SavePolicy(w io.Writer) error { return savePolicyNet(w, t.Actor) }
 
-// LoadPolicy replaces the actor (and its target) with a saved network
-// (binary containers and legacy JSON snapshots both load).
+// LoadPolicy replaces the actor (and its target) with a saved network from a
+// sealed KindPolicy container.
 func (t *TD3) LoadPolicy(r io.Reader) error {
 	m, err := loadPolicyNet(r)
 	if err != nil {

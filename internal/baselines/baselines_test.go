@@ -238,3 +238,51 @@ func TestFitRubikErrors(t *testing.T) {
 		t.Error("empty samples accepted")
 	}
 }
+
+// TestDispatchPoliciesZeroAllocs: the three per-request comparison policies
+// decide over the ladder's levels on every dispatch; with the levels built
+// once in Init, a steady-state 1 ms step under each of them — arrivals, their
+// OnDispatch decisions, completions, the tick — allocates nothing.
+func TestDispatchPoliciesZeroAllocs(t *testing.T) {
+	prof := smallXapian()
+	samples, err := CollectServiceData(prof, 0.4, 600, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retail, err := FitRetail(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gemini, err := FitGemini(samples, GeminiTrainConfig{Seed: 9, Epochs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rubik, err := FitRubik(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []server.Policy{retail, gemini, rubik} {
+		eng := sim.NewEngine()
+		srv, err := server.New(eng, server.Config{App: prof, Seed: 21, DiscardLatencies: true}, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rate := 0.5 * prof.MaxCapacity(prof.RefFreq, 1)
+		if err := srv.Begin(workload.Constant(rate, 60*sim.Second), 60*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		at := 2 * sim.Second
+		eng.RunUntil(at)
+		before := srv.Counters().Dispatched
+		allocs := testing.AllocsPerRun(200, func() {
+			at += sim.Millisecond
+			eng.RunUntil(at)
+		})
+		if n := srv.Counters().Dispatched - before; n < 100 {
+			t.Fatalf("%s: only %d dispatches measured", pol.Name(), n)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: steady-state step allocated %.2f times per 1 ms, want 0", pol.Name(), allocs)
+		}
+	}
+}

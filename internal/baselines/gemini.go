@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/nn"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -30,6 +31,10 @@ type Gemini struct {
 
 	// predicted holds each core's stage-1 prediction.
 	predicted []sim.Time
+	// levels is the ladder's operating points, fixed for the run.
+	levels []cpu.Freq
+	// featBuf holds one request's standardized features.
+	featBuf []float64
 }
 
 // GeminiTrainConfig controls predictor fitting.
@@ -141,6 +146,7 @@ func (p *Gemini) Name() string { return "gemini" }
 func (p *Gemini) Init(c server.Control) {
 	p.BasePolicy.Init(c)
 	p.predicted = make([]sim.Time, c.NumCores())
+	p.levels = c.Ladder().Levels()
 	for i := 0; i < c.NumCores(); i++ {
 		c.SetFreq(i, c.Ladder().Min)
 	}
@@ -148,7 +154,10 @@ func (p *Gemini) Init(c server.Control) {
 
 // rawPredict evaluates the network on standardized features (seconds).
 func (p *Gemini) rawPredict(features []float64) float64 {
-	x := make([]float64, len(features))
+	if cap(p.featBuf) < len(features) {
+		p.featBuf = make([]float64, len(features))
+	}
+	x := p.featBuf[:len(features)]
 	for i, f := range features {
 		x[i] = (f - p.featMean[i]) / p.featStd[i]
 	}
@@ -171,7 +180,7 @@ func (p *Gemini) OnDispatch(r *server.Request, core int) {
 	pred := p.PredictRef(r.Work.Features)
 	p.predicted[core] = pred
 	slack := sim.Time(float64(r.SLARemaining(c.Now(), c.SLA())) * p.Margin)
-	for _, f := range c.Ladder().Levels() {
+	for _, f := range p.levels {
 		if scaledService(c, pred, f) <= slack {
 			c.SetFreq(core, f)
 			return

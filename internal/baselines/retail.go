@@ -28,6 +28,9 @@ type Retail struct {
 	// percentile of the training-set underprediction residuals, the
 	// error-calibration real prediction-based schedulers must do.
 	Pad sim.Time
+
+	// levels is the ladder's operating points, fixed for the run.
+	levels []cpu.Freq
 }
 
 // NewRetail builds the policy around a fitted predictor.
@@ -69,6 +72,7 @@ func (p *Retail) Name() string { return "retail" }
 // Init implements server.Policy: idle cores start at the floor frequency.
 func (p *Retail) Init(c server.Control) {
 	p.BasePolicy.Init(c)
+	p.levels = c.Ladder().Levels()
 	for i := 0; i < c.NumCores(); i++ {
 		c.SetFreq(i, c.Ladder().Min)
 	}
@@ -117,8 +121,7 @@ func (p *Retail) OnDispatch(r *server.Request, core int) {
 	minQueueSlack = sim.Time(float64(minQueueSlack) * p.Safety)
 	workers := sim.Time(c.NumCores())
 
-	ladder := c.Ladder()
-	for _, f := range ladder.Levels() {
+	for _, f := range p.levels {
 		// (a) This request finishes inside its own slack at f.
 		if scaledService(c, ownPred, f) > ownSlack {
 			continue

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 	"github.com/deeppower/deeppower/internal/stats"
@@ -21,6 +22,9 @@ type Rubik struct {
 	TailPred sim.Time
 	// Safety discounts available slack, as in ReTail.
 	Safety float64
+
+	// levels is the ladder's operating points, fixed for the run.
+	levels []cpu.Freq
 }
 
 // RubikTailQuantile is the distribution quantile Rubik plans against.
@@ -47,6 +51,7 @@ func (p *Rubik) Name() string { return "rubik" }
 // Init implements server.Policy.
 func (p *Rubik) Init(c server.Control) {
 	p.BasePolicy.Init(c)
+	p.levels = c.Ladder().Levels()
 	for i := 0; i < c.NumCores(); i++ {
 		c.SetFreq(i, c.Ladder().Min)
 	}
@@ -72,7 +77,7 @@ func (p *Rubik) OnDispatch(r *server.Request, core int) {
 	minQueueSlack = sim.Time(float64(minQueueSlack) * p.Safety)
 	workers := sim.Time(c.NumCores())
 
-	for _, f := range c.Ladder().Levels() {
+	for _, f := range p.levels {
 		if scaledService(c, p.TailPred, f) > ownSlack {
 			continue
 		}

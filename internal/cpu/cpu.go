@@ -67,7 +67,7 @@ func (l Ladder) Validate() error {
 // Levels enumerates the ladder's non-turbo operating points ascending,
 // followed by the turbo frequency as the final element.
 func (l Ladder) Levels() []Freq {
-	var out []Freq
+	out := make([]Freq, 0, l.NumLevels())
 	for f := l.Min; f <= l.Max+l.Step/1000; f += l.Step {
 		out = append(out, l.quantizeExact(f))
 	}
@@ -78,7 +78,16 @@ func (l Ladder) Levels() []Freq {
 }
 
 // NumLevels reports how many operating points Levels returns.
-func (l Ladder) NumLevels() int { return len(l.Levels()) }
+func (l Ladder) NumLevels() int {
+	n := 0
+	for f := l.Min; f <= l.Max+l.Step/1000; f += l.Step {
+		n++
+	}
+	if l.Turbo > l.Max {
+		n++
+	}
+	return n
+}
 
 // Quantize clamps f into [Min, Max] and snaps it to the nearest grid point.
 // It never returns Turbo; use the Turbo field explicitly to engage turbo.
@@ -89,8 +98,27 @@ func (l Ladder) Quantize(f Freq) Freq {
 	if f >= l.Max {
 		return l.Max
 	}
-	steps := math.Round(float64(f-l.Min) / float64(l.Step))
-	return l.quantizeExact(l.Min + Freq(steps)*l.Step)
+	return l.gridPoint(l.gridStep(f))
+}
+
+// Snap is the target a request for f actuates: f quantized to the ladder,
+// unless it is the turbo frequency exactly.
+func (l Ladder) Snap(f Freq) Freq {
+	if f != l.Turbo {
+		f = l.Quantize(f)
+	}
+	return f
+}
+
+// gridStep returns the index of the grid point nearest f, for f strictly
+// between Min and Max.
+func (l Ladder) gridStep(f Freq) float64 {
+	return math.Round(float64(f-l.Min) / float64(l.Step))
+}
+
+// gridPoint returns grid point k.
+func (l Ladder) gridPoint(k float64) Freq {
+	return l.quantizeExact(l.Min + Freq(k)*l.Step)
 }
 
 // quantizeExact rounds away float drift so 0.8+5*0.1 prints as 1.3.
@@ -103,13 +131,18 @@ func (l Ladder) quantizeExact(f Freq) Freq {
 // This is the interpolation step of the paper's thread controller
 // (Algorithm 1, line 9).
 func (l Ladder) Interpolate(score float64) Freq {
+	return l.Quantize(l.atScore(score))
+}
+
+// atScore is Interpolate before quantization.
+func (l Ladder) atScore(score float64) Freq {
 	if math.IsNaN(score) || score < 0 {
 		score = 0
 	}
 	if score > 1 {
 		score = 1
 	}
-	return l.Quantize(l.Min + Freq(score)*(l.Max-l.Min))
+	return l.Min + Freq(score)*(l.Max-l.Min)
 }
 
 // Core is one physical core with DVFS state. A frequency request takes
@@ -125,6 +158,10 @@ type Core struct {
 
 	transitions int // completed SetFreq requests that changed the target
 
+	// levels[k] is the target SetFreq arrives at when asked for grid point
+	// k, built once so a score maps to its target without quantizing twice.
+	levels []Freq
+
 	// Sleep-state extension (see cstate.go).
 	cstate  CState
 	awakeAt sim.Time
@@ -133,7 +170,14 @@ type Core struct {
 // NewCore returns a core starting at the ladder's maximum frequency, which is
 // how the OS hands cores to the baseline (no power management) configuration.
 func NewCore(id int, ladder Ladder) *Core {
-	return &Core{id: id, ladder: ladder, cur: ladder.Max, pending: ladder.Max}
+	c := &Core{id: id, ladder: ladder, cur: ladder.Max, pending: ladder.Max}
+	// gridStep is monotone in f and f stays below Max, so the last index a
+	// score can reach is Max's own.
+	c.levels = make([]Freq, int(ladder.gridStep(ladder.Max))+1)
+	for k := range c.levels {
+		c.levels[k] = ladder.Snap(ladder.gridPoint(float64(k)))
+	}
+	return c
 }
 
 // ID returns the core's index.
@@ -167,9 +211,28 @@ func (c *Core) FreqAt(t sim.Time) Freq {
 // turbo frequency exactly) at time now. The change becomes effective at
 // now + TransitionLatency. Setting the current target again is a no-op.
 func (c *Core) SetFreq(now sim.Time, f Freq) {
-	if f != c.ladder.Turbo {
-		f = c.ladder.Quantize(f)
+	c.SetLevel(now, c.ladder.Snap(f))
+}
+
+// ScoreLevel maps a thread-controller score below 1 to the target that
+// SetFreq(Ladder.Interpolate(score)) arrives at — the same arithmetic up to
+// the grid index, then the level table in place of two quantizations.
+func (c *Core) ScoreLevel(score float64) Freq {
+	l := &c.ladder
+	f := l.atScore(score)
+	if math.IsNaN(float64(f)) || f <= l.Min {
+		return l.Min
 	}
+	if f >= l.Max {
+		return l.Max
+	}
+	return c.levels[int(l.gridStep(f))]
+}
+
+// SetLevel is SetFreq for a frequency that is already a target of this
+// core's ladder (a ScoreLevel result or the turbo frequency): it is taken as
+// given.
+func (c *Core) SetLevel(now sim.Time, f Freq) {
 	c.settle(now)
 	if f == c.Target() {
 		return

@@ -49,21 +49,28 @@ func (s *Server) SetFreq(core int, f cpu.Freq) {
 	s.applyFreq(core, f)
 }
 
-// applyFreq is the actuation path proper: progress and energy are settled
-// under the old frequency schedule before the new request is applied, and a
-// busy worker's completion event is recomputed.
+// applyFreq is the actuation path proper: a fault plan's throttle clamps the
+// request, then the core takes it quantized to its ladder.
 func (s *Server) applyFreq(core int, f cpu.Freq) {
-	w := s.workers[core]
-	now := s.eng.Now()
 	if s.cfg.Faults != nil {
-		if cap := s.cfg.Faults.FreqCap(now, core); cap > 0 && f > cap {
+		if cap := s.cfg.Faults.FreqCap(s.eng.Now(), core); cap > 0 && f > cap {
 			f = cap
 		}
 	}
+	s.actuate(s.workers[core], s.cores[core].Ladder().Snap(f))
+}
+
+// actuate hands core-ladder target f to w's core: progress and energy are
+// settled under the old frequency schedule first, and a busy worker's
+// completion event is moved to its new time afterwards — except for the
+// worker whose dispatch is in progress, whose completion dispatch schedules
+// once OnDispatch returns.
+func (s *Server) actuate(w *worker, f cpu.Freq) {
+	now := s.eng.Now()
 	s.syncWorker(w, now)
 	s.accrueCore(w, now)
-	w.core.SetFreq(now, f)
-	if w.req != nil {
+	w.core.SetLevel(now, f)
+	if w.req != nil && w != s.dispatching {
 		s.scheduleCompletion(w)
 	}
 }
@@ -81,7 +88,12 @@ func (s *Server) SetScore(core int, score float64) {
 		s.SetTurbo(core)
 		return
 	}
-	s.SetFreq(core, s.cores[core].Ladder().Interpolate(score))
+	f := s.cores[core].ScoreLevel(score)
+	if s.cfg.Faults != nil {
+		s.SetFreq(core, f)
+		return
+	}
+	s.actuate(s.workers[core], f)
 }
 
 // Freq implements Control.
@@ -148,6 +160,7 @@ func (s *Server) SetPlacement(counts []int) {
 				continue
 			}
 			w.parked = park
+			s.noteIdle(w)
 			if park && w.req == nil {
 				// An idle parked core drops to its ladder floor at once;
 				// a busy one keeps the controller's schedule while it
@@ -176,15 +189,7 @@ func (s *Server) QueueLen() int { return s.queue.Len() }
 func (s *Server) QueuePeek(i int) *Request { return s.queue.Peek(i) }
 
 // BusyCores implements Control.
-func (s *Server) BusyCores() int {
-	n := 0
-	for _, w := range s.workers {
-		if w.req != nil {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) BusyCores() int { return s.busy }
 
 // Counters implements Control.
 func (s *Server) Counters() Counters { return s.counters }
@@ -242,18 +247,21 @@ func (s *Server) Snapshot() Snapshot {
 		Energy:   s.Energy(),
 	}
 	if snap.QueueLen > 0 {
-		// Sized once, but a fresh slice per call: fault.Injector retains
-		// snapshots for stale-read faults, so server-owned scratch would
-		// alias them.
+		// Both feeds are sized once, but a fresh slice per call:
+		// fault.Injector retains snapshots for stale-read faults, so
+		// server-owned scratch would alias them.
 		snap.QueueSLARemaining = make([]sim.Time, 0, snap.QueueLen)
 	}
 	for i := 0; i < snap.QueueLen; i++ {
 		r := s.queue.Peek(i)
 		snap.QueueSLARemaining = append(snap.QueueSLARemaining, r.SLARemaining(now, s.prof.SLA))
 	}
-	for _, w := range s.workers {
-		if w.req != nil {
-			snap.CoreSLARemaining = append(snap.CoreSLARemaining, w.req.SLARemaining(now, s.prof.SLA))
+	if s.busy > 0 {
+		snap.CoreSLARemaining = make([]sim.Time, 0, s.busy)
+		for _, w := range s.workers {
+			if w.req != nil {
+				snap.CoreSLARemaining = append(snap.CoreSLARemaining, w.req.SLARemaining(now, s.prof.SLA))
+			}
 		}
 	}
 	if s.topo != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/cpu"
@@ -137,6 +138,15 @@ type Server struct {
 	queue   fifo
 	meter   *power.Meter
 
+	// busy counts workers holding a request; idle has bit i set while worker
+	// i holds none and is not parked. Both are kept by dispatch, onComplete
+	// and SetPlacement, so the per-request paths read the answer the scan
+	// over workers would give without scanning. dispatching is the worker
+	// whose OnDispatch callback is running, if any.
+	busy        int
+	idle        []uint64
+	dispatching *worker
+
 	counters     Counters
 	applyPending []bool     // per-core governor apply in flight (fault delays)
 	applyFns     []func()   // per-core delayed-apply callbacks, bound once
@@ -220,6 +230,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 	s.applyPending = make([]bool, n)
 	s.applyFns = make([]func(), n)
 	s.wantFreq = make([]cpu.Freq, n)
+	s.idle = make([]uint64, (n+63)/64)
 	for i := 0; i < n; i++ {
 		i := i
 		w := &worker{speed: 1, dynScale: 1, leakScale: 1}
@@ -237,6 +248,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 		w.completeFn = func() { s.onComplete(w) }
 		s.cores[i] = w.core
 		s.workers[i] = w
+		s.noteIdle(w)
 		s.applyFns[i] = func() {
 			s.applyPending[i] = false
 			s.applyFreq(i, s.wantFreq[i])
@@ -458,32 +470,38 @@ func (s *Server) admit() {
 	}
 }
 
+// noteIdle brings w's bit of the idle set in line with its state.
+func (s *Server) noteIdle(w *worker) {
+	i := w.core.ID()
+	if w.req == nil && !w.parked {
+		s.idle[i>>6] |= 1 << (i & 63)
+	} else {
+		s.idle[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// idleWorker returns the lowest-indexed worker that can take a request now:
+// in the idle set and, under a fault plan, not offline at this instant.
 func (s *Server) idleWorker() *worker {
 	now := s.eng.Now()
-	for _, w := range s.workers {
-		if w.req != nil || w.parked {
-			continue
+	for wi, word := range s.idle {
+		for ; word != 0; word &= word - 1 {
+			w := s.workers[wi<<6+bits.TrailingZeros64(word)]
+			if s.cfg.Faults != nil && s.cfg.Faults.CoreOffline(now, w.core.ID()) {
+				continue
+			}
+			return w
 		}
-		if s.cfg.Faults != nil && s.cfg.Faults.CoreOffline(now, w.core.ID()) {
-			continue
-		}
-		return w
 	}
 	return nil
 }
 
-// dispatch starts r on worker w at the current time.
+// dispatch starts r on the idle worker w at the current time.
 func (s *Server) dispatch(w *worker, r *Request) {
 	now := s.eng.Now()
-	busyOthers := 0
-	for _, o := range s.workers {
-		if o != w && o.req != nil {
-			busyOthers++
-		}
-	}
 	rho := 0.0
 	if len(s.workers) > 1 {
-		rho = float64(busyOthers) / float64(len(s.workers)-1)
+		rho = float64(s.busy) / float64(len(s.workers)-1)
 	}
 	if s.cfg.Interference != nil {
 		if x := s.cfg.Interference(now); x > 0 {
@@ -497,6 +515,8 @@ func (s *Server) dispatch(w *worker, r *Request) {
 
 	s.accrueCore(w, now) // idle → busy power transition
 	w.req = r
+	s.busy++
+	s.noteIdle(w)
 	// A sleeping core must wake before executing; its progress starts at
 	// the end of the wake-up latency (the sleep-state extension, §6).
 	w.lastSync = w.core.WakeUp(now)
@@ -504,7 +524,13 @@ func (s *Server) dispatch(w *worker, r *Request) {
 	if s.freqTrace != nil {
 		s.freqTrace.markBegin(now, w.core.ID())
 	}
+	// The completion is scheduled once, below: a frequency write to w from
+	// inside its own OnDispatch settles progress and energy but leaves the
+	// scheduling to this call (see actuate).
+	outer := s.dispatching
+	s.dispatching = w
 	s.policy.OnDispatch(r, w.core.ID())
+	s.dispatching = outer
 	s.scheduleCompletion(w)
 }
 
@@ -529,11 +555,10 @@ func (s *Server) completionTime(w *worker, now sim.Time) sim.Time {
 	return now + sim.Seconds(rem/(s.prof.SpeedAt(f0)*w.speed))
 }
 
+// scheduleCompletion (re)schedules w's completion event for its current
+// frequency schedule; a pending one is moved, not cancelled and re-added.
 func (s *Server) scheduleCompletion(w *worker) {
-	now := s.eng.Now()
-	s.eng.Cancel(w.compl) // no-op on the zero Event or an already-fired one
-	at := s.completionTime(w, now)
-	w.compl = s.eng.At(at, w.completeFn)
+	w.compl = s.eng.Reschedule(w.compl, s.completionTime(w, s.eng.Now()), w.completeFn)
 }
 
 // syncWorker integrates the request's progress up to now. A busy worker's
@@ -571,6 +596,8 @@ func (s *Server) onComplete(w *worker) {
 
 	s.accrueCore(w, now) // busy → idle power transition
 	w.req = nil
+	s.busy--
+	s.noteIdle(w)
 	w.compl = sim.Event{}
 
 	s.counters.Completions++

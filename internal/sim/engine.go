@@ -49,10 +49,10 @@ type node struct {
 // if any, lives inside individual event handlers.
 //
 // The scheduler is a concrete 4-ary min-heap over an index-stable event
-// arena with a free list: At/After/Cancel and the run loop perform zero heap
-// allocations in steady state and no interface boxing. Events with equal
-// firing times keep FIFO order via a monotone sequence number, so the pop
-// order is a strict total order on (at, seq) — identical to the previous
+// arena with a free list: At/After/Cancel/Reschedule and the run loop perform
+// zero heap allocations in steady state and no interface boxing. Events with
+// equal firing times keep FIFO order via a monotone sequence number, so the
+// pop order is a strict total order on (at, seq) — identical to the previous
 // container/heap implementation bit for bit.
 type Engine struct {
 	now   Time
@@ -98,11 +98,8 @@ func (e *Engine) Reset() {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it is always a logic error in a discrete-event model.
 func (e *Engine) At(t Time, fn func()) Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: scheduling nil event func")
+	if t < e.now || fn == nil {
+		e.badSchedule(t)
 	}
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -118,6 +115,15 @@ func (e *Engine) At(t Time, fn func()) Event {
 	e.seq++
 	e.siftUp(len(e.nodes) - 1)
 	return Event{eng: e, at: t, ref: uint32(idx) + 1, gen: s.gen}
+}
+
+// badSchedule panics for a schedule request that is always a logic error in
+// a discrete-event model: a time in the past, or no callback.
+func (e *Engine) badSchedule(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	panic("sim: scheduling nil event func")
 }
 
 // After schedules fn to run d after the current time.
@@ -163,6 +169,31 @@ func (e *Engine) Cancel(ev Event) {
 	}
 	e.remove(int(s.pos))
 	e.release(idx)
+}
+
+// Reschedule moves the pending event ev to run fn at absolute time t and
+// returns its new handle; ev itself becomes stale. It is observably
+// Cancel(ev) followed by At(t, fn) — the event gets a fresh sequence number,
+// so it fires after everything already scheduled at t, and pop order is the
+// strict total order on (at, seq) whatever the heap's arrangement — but the
+// node is re-keyed where it sits and sifted once instead of being removed and
+// pushed again. A handle that is no longer pending (fired, cancelled, zero,
+// or from before a Reset) schedules afresh without touching any other slot.
+func (e *Engine) Reschedule(ev Event, t Time, fn func()) Event {
+	if ev.eng != e || ev.Cancelled() {
+		return e.At(t, fn)
+	}
+	if t < e.now || fn == nil {
+		e.badSchedule(t)
+	}
+	s := &e.arena[ev.ref-1]
+	s.fn = fn
+	s.gen++
+	i := int(s.pos)
+	e.nodes[i].at, e.nodes[i].seq = t, e.seq
+	e.seq++
+	e.fix(i)
+	return Event{eng: e, at: t, ref: ev.ref, gen: s.gen}
 }
 
 // release returns an arena slot to the free list, invalidating handles.
@@ -284,10 +315,14 @@ func (e *Engine) remove(i int) {
 		e.nodes = e.nodes[:last]
 		return
 	}
-	moved := e.nodes[last]
-	e.nodes[i] = moved
+	e.nodes[i] = e.nodes[last]
 	e.nodes = e.nodes[:last]
-	if i > 0 && nodeLess(moved, e.nodes[(i-1)/4]) {
+	e.fix(i)
+}
+
+// fix restores the heap property around position i after its key changed.
+func (e *Engine) fix(i int) {
+	if i > 0 && nodeLess(e.nodes[i], e.nodes[(i-1)/4]) {
 		e.siftUp(i)
 	} else {
 		e.siftDown(i)

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -72,7 +71,7 @@ func Percentile(xs []float64, p float64) float64 {
 		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
 	}
 	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
+	sortFloats(cp)
 	return percentileSorted(cp, p)
 }
 
@@ -120,7 +119,7 @@ func CDF(xs []float64, points int) []CDFPoint {
 		return nil
 	}
 	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
+	sortFloats(cp)
 	if points > len(cp) {
 		points = len(cp)
 	}
@@ -170,7 +169,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
+	sortFloats(cp)
 	return Summary{
 		N:    len(cp),
 		Mean: Mean(cp),

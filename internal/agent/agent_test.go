@@ -2,6 +2,7 @@ package agent
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/ckpt"
 	"github.com/deeppower/deeppower/internal/control"
+	"github.com/deeppower/deeppower/internal/nn"
+	"github.com/deeppower/deeppower/internal/rl"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 	"github.com/deeppower/deeppower/internal/workload"
@@ -245,6 +248,32 @@ func mustBuild(t *testing.T) func(VectorPolicy, error) VectorPolicy {
 			t.Fatal(err)
 		}
 		return p
+	}
+}
+
+// TestDivergenceCountEveryAgent: a poisoned transition that reaches replay
+// (pushTransition filters them; a faulted restore might not) is rolled back
+// and counted by every agent's learner, not only DDPG's — TrainStats reports
+// the count through this method.
+func TestDivergenceCountEveryAgent(t *testing.T) {
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			c := mustBuild(t)(kind.build(Config{Seed: 4, Train: true})).agentCore()
+			action := c.codec.act(actWarmup, nil, nil)
+			for i := 0; i < c.cfg.BatchSize; i++ {
+				c.replay.Push(rl.Transition{
+					State: make([]float64, StateDim), Action: action,
+					Reward: math.NaN(), NextState: make([]float64, StateDim),
+				})
+			}
+			c.learnStep()
+			if got := c.DivergenceCount(); got != 1 {
+				t.Errorf("DivergenceCount() = %d after one poisoned update, want 1", got)
+			}
+			if c.CriticLoss != 0 {
+				t.Errorf("rolled-back update reported critic loss %v", c.CriticLoss)
+			}
+		})
 	}
 }
 
@@ -486,6 +515,44 @@ func TestTD3BackendTrains(t *testing.T) {
 func TestUnknownBackendRejected(t *testing.T) {
 	if _, err := New(Config{Backend: "ppo"}); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// TestBackendHonoursLearnerConfig: Config.Backend only picks the variant —
+// the two-head topology and non-default hidden sizes in Config.DDPG reach
+// whichever learner runs them (the TD3 backend used to drop all three).
+func TestBackendHonoursLearnerConfig(t *testing.T) {
+	for backend := range backends {
+		cfg := Config{Seed: 10, Backend: backend}
+		cfg.DDPG.TwoHeadActor = true
+		dp, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := dp.Agent().Actor.(*nn.TwoHead); !ok {
+			t.Errorf("%s: TwoHeadActor built a %T", backend, dp.Agent().Actor)
+		}
+
+		cfg = Config{Seed: 10, Backend: backend}
+		cfg.DDPG.ActorHidden = []int{8, 6}
+		cfg.DDPG.CriticHidden = [3]int{10, 7, 5}
+		if dp, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		widths := func(layers []*nn.Dense) (out []int) {
+			for _, l := range layers {
+				out = append(out, l.Out)
+			}
+			return out
+		}
+		if got := fmt.Sprint(widths(dp.Agent().Actor.Params())); got != "[8 6 2]" {
+			t.Errorf("%s: ActorHidden {8,6} built actor widths %s", backend, got)
+		}
+		for _, c := range dp.Agent().Critics {
+			if got := fmt.Sprint(widths(c.Layers())); got != "[10 7 5 1]" {
+				t.Errorf("%s: CriticHidden {10,7,5} built critic widths %s", backend, got)
+			}
+		}
 	}
 }
 

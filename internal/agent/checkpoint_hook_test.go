@@ -112,7 +112,7 @@ func TestLoadPolicyTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	td3, err := rl.NewTD3(rl.TD3Config{StateDim: StateDim, ActionDim: ActionDim, Seed: 41})
+	td3, err := rl.NewTD3(rl.DDPGConfig{StateDim: StateDim, ActionDim: ActionDim, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

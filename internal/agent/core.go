@@ -20,18 +20,21 @@ const (
 	actExplore                // training: the policy plus exploration
 )
 
-// codec is the one decision in which the continuous agent (DeepPower over a
-// Backend) and the value-based one (DQNPower over rl.DQN) differ: what an
+// codec is the one decision in which the continuous agent (DeepPower over an
+// rl.ActorCritic) and the value-based one (DQNPower over rl.DQN) differ: what an
 // action is, how to explore in that space, and how it maps onto
 // control.Params. Everything else about an agent is the core below. The core
 // consults its codec once per LongTime, never per tick.
 type codec interface {
-	// SavePolicy, LoadPolicy, ActBatch and (on a Backend) Update are the
-	// learner's own methods. ActBatch evaluates the policy network for n
-	// row-major states: n equal-width rows aliasing network buffers.
+	// SavePolicy, LoadPolicy, ActBatch, Divergences and (on an
+	// rl.ActorCritic) Update are the learner's own methods. ActBatch
+	// evaluates the policy network for n row-major states: n equal-width
+	// rows aliasing network buffers. Divergences counts the updates the
+	// learner's divergence guard rolled back.
 	SavePolicy(w io.Writer) error
 	LoadPolicy(r io.Reader) error
 	ActBatch(states []float64, n int) []float64
+	Divergences() uint64
 	Update(batch []rl.Transition) (criticLoss, actorLoss float64)
 	// act selects the next action. row is this environment's row of a
 	// batched ActBatch, or nil on the inline path, where the codec evaluates
@@ -40,8 +43,6 @@ type codec interface {
 	act(mode actMode, state, row []float64) []float64
 	// params maps an action onto the thread controller's parameters.
 	params(action []float64) control.Params
-	// divergences counts updates a divergence guard rolled back.
-	divergences() uint64
 	// seeded returns a codec on the same learner whose exploration state
 	// (noise process, random-action stream, ε schedule) starts fresh on
 	// sub-streams derived by name from seed, so which streams a caller
@@ -365,8 +366,8 @@ func (c *core) Experience() uint64 { return c.replay.Pushed() }
 func (c *core) LastCriticLoss() float64 { return c.CriticLoss }
 
 // DivergenceCount implements DivergenceReporter: the learner's cumulative
-// rolled-back updates (zero for learners without a divergence guard).
-func (c *core) DivergenceCount() uint64 { return c.codec.divergences() }
+// rolled-back updates.
+func (c *core) DivergenceCount() uint64 { return c.codec.Divergences() }
 
 // SavePolicy writes the trained policy network as a sealed ckpt.KindPolicy
 // container — one export entry point for every agent, so the checkpoint

@@ -17,6 +17,22 @@ const ActionDim = 2
 // placementActionDim is the widened action width when Placement is on.
 const placementActionDim = 3
 
+// BackendName selects the actor–critic variant in Config.
+type BackendName string
+
+// Supported backends.
+const (
+	BackendDDPG BackendName = "ddpg" // the paper's algorithm (default)
+	BackendTD3  BackendName = "td3"  // twin-delayed DDPG ablation
+)
+
+// backends maps a BackendName onto the constructor of its rl variant; every
+// variant takes the same configuration and is driven the same way.
+var backends = map[BackendName]func(rl.DDPGConfig) (*rl.ActorCritic, error){
+	BackendDDPG: rl.NewDDPG,
+	BackendTD3:  rl.NewTD3,
+}
+
 // Config parameterizes the DeepPower policy.
 type Config struct {
 	// LongTime is the DRL agent's step interval (default 1 s, §4.6). The
@@ -27,8 +43,8 @@ type Config struct {
 	// Backend selects the learner: BackendDDPG (default, the paper's
 	// algorithm) or BackendTD3.
 	Backend BackendName
-	// DDPG hyper-parameters; state/action dims are fixed by the paper.
-	// (For the TD3 backend, the analogous fields are mapped across.)
+	// DDPG holds the learner's hyper-parameters, whichever Backend runs
+	// them; state/action dims are fixed by the paper.
 	DDPG rl.DDPGConfig
 	// NoiseMu and NoiseSigma parameterize exploration noise N(µ,δ); the
 	// paper defaults to (0.3, 1) — the positive mean avoids early queue
@@ -138,38 +154,21 @@ func New(cfg Config) (*DeepPower, error) {
 	if full.Placement && full.Classes == 0 {
 		return nil, fmt.Errorf("agent: Placement requires Classes > 0")
 	}
-	var agent Backend
-	switch full.Backend {
-	case BackendDDPG:
-		a, err := rl.NewDDPG(full.DDPG)
-		if err != nil {
-			return nil, err
-		}
-		agent = a
-	case BackendTD3:
-		a, err := rl.NewTD3(rl.TD3Config{
-			StateDim:  full.DDPG.StateDim,
-			ActionDim: full.DDPG.ActionDim,
-			ActorLR:   full.DDPG.ActorLR,
-			CriticLR:  full.DDPG.CriticLR,
-			Gamma:     full.DDPG.Gamma,
-			Tau:       full.DDPG.Tau,
-			Seed:      full.DDPG.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		agent = td3Backend{a}
-	default:
+	newLearner, ok := backends[full.Backend]
+	if !ok {
 		return nil, fmt.Errorf("agent: unknown backend %q", full.Backend)
 	}
-	k := &pairCodec{Backend: agent, cfg: full}
+	learner, err := newLearner(full.DDPG)
+	if err != nil {
+		return nil, err
+	}
+	k := &pairCodec{ActorCritic: learner, cfg: full}
 	replay := rl.NewReplay(full.ReplayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
 	return &DeepPower{newCore("deeppower", full, k.seeded(full.Seed), replay)}, nil
 }
 
 // Agent exposes the underlying learner (diagnostics, ablations).
-func (dp *DeepPower) Agent() Backend { return dp.codec.(*pairCodec).Backend }
+func (dp *DeepPower) Agent() *rl.ActorCritic { return dp.codec.(*pairCodec).ActorCritic }
 
 // StepCount reports completed agent steps across all episodes.
 func (dp *DeepPower) StepCount() int { return dp.step }
@@ -181,7 +180,7 @@ func (dp *DeepPower) EnableLog() { dp.cfg.RecordLog = true }
 // vector in [0,1]^dim — the (BaseFreq, ScalingCoef) pair, or a triple with
 // the placement score — explored with decaying Gaussian noise N(µ,δ).
 type pairCodec struct {
-	Backend
+	*rl.ActorCritic
 	cfg Config // noise parameters and action width
 
 	noise rl.Noise
@@ -232,15 +231,6 @@ func (k *pairCodec) act(mode actMode, state, row []float64) []float64 {
 
 func (k *pairCodec) params(action []float64) control.Params {
 	return control.Params{BaseFreq: action[0], ScalingCoef: action[1]}
-}
-
-// divergences reports the backend's rolled-back updates (zero for backends
-// without a divergence guard).
-func (k *pairCodec) divergences() uint64 {
-	if div, ok := k.Backend.(interface{ Divergences() uint64 }); ok {
-		return div.Divergences()
-	}
-	return 0
 }
 
 // clipAction clamps into the actor's [0,1] range — rl's clip semantics

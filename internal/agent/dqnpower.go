@@ -158,6 +158,3 @@ func (k *lattice) params(action []float64) control.Params {
 
 // Update reports rl.DQN's TD loss as the critic loss; there is no actor.
 func (k *lattice) Update(batch []rl.Transition) (float64, float64) { return k.DQN.Update(batch), 0 }
-
-// divergences is zero: rl.DQN has no divergence-rollback guard.
-func (k *lattice) divergences() uint64 { return 0 }

@@ -50,7 +50,7 @@ func Table2(iters int) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sac, err := rl.NewSAC(rl.SACConfig{StateDim: agent.StateDim, ActionDim: agent.ActionDim, Seed: 1})
+	sac, err := rl.NewSAC(rl.DDPGConfig{StateDim: agent.StateDim, ActionDim: agent.ActionDim, Seed: 1})
 	if err != nil {
 		return nil, err
 	}

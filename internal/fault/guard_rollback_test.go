@@ -172,7 +172,7 @@ func TestRegistryRollbackHook(t *testing.T) {
 	}
 	cfg := rl.DDPGConfig{StateDim: 3, ActionDim: 2}
 
-	putPolicy := func(seed int64) *rl.DDPG {
+	putPolicy := func(seed int64) *rl.ActorCritic {
 		c := cfg
 		c.Seed = seed
 		d, err := rl.NewDDPG(c)

@@ -123,19 +123,6 @@ func DecodeNetwork(dec *ckpt.Dec) (Network, error) {
 	return nil, fmt.Errorf("%w: unknown network topology tag %d", ckpt.ErrMalformed, tag)
 }
 
-// DecodeMLP is DecodeNetwork restricted to the sequential topology.
-func DecodeMLP(dec *ckpt.Dec) (*MLP, error) {
-	n, err := DecodeNetwork(dec)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := n.(*MLP)
-	if !ok {
-		return nil, fmt.Errorf("%w: expected sequential network, found two-head", ckpt.ErrMalformed)
-	}
-	return m, nil
-}
-
 func decodeCount(dec *ckpt.Dec, what string) (int, error) {
 	n := dec.Int()
 	if err := dec.Err(); err != nil {

@@ -142,10 +142,11 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	a1.EncodeState(&e)
 
 	dec := ckpt.NewDec(e.Bytes())
-	m2, err := DecodeMLP(dec)
+	net, err := DecodeNetwork(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2 := net.(*MLP)
 	a2 := NewAdam(m2.Params(), 1e-3)
 	if err := a2.RestoreState(dec); err != nil {
 		t.Fatal(err)

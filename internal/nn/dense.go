@@ -2,7 +2,7 @@
 // backpropagation — the substitute for the PyTorch models in the paper's
 // implementation (§4.6). The paper's networks are tiny MLPs (the actor has
 // ~2k parameters), so fully-connected layers, ReLU/sigmoid/tanh activations,
-// SGD/Adam, and soft target updates cover everything DDPG, DQN, DDQN and SAC
+// Adam, and soft target updates cover everything DDPG, TD3, DQN, DDQN and SAC
 // need.
 package nn
 

@@ -201,33 +201,6 @@ func TestMLPTrainsXOR(t *testing.T) {
 
 func denseLayers(m *MLP) []*Dense { return m.Layers }
 
-func TestSGDReducesLoss(t *testing.T) {
-	rng := sim.NewRNG(4)
-	m := NewMLP([]int{1, 4, 1}, Tanh, Identity, rng)
-	opt := NewSGD(m.Layers, 0.05)
-	grad := make([]float64, 1)
-	loss := func() float64 {
-		total := 0.0
-		for x := -1.0; x <= 1; x += 0.25 {
-			y := m.Forward([]float64{x})
-			total += (y[0] - x*x) * (y[0] - x*x)
-		}
-		return total
-	}
-	before := loss()
-	for i := 0; i < 500; i++ {
-		for x := -1.0; x <= 1; x += 0.25 {
-			y := m.Forward([]float64{x})
-			MSE(y, []float64{x * x}, grad)
-			m.Backward(grad)
-		}
-		opt.Step()
-	}
-	if after := loss(); after >= before/4 {
-		t.Errorf("SGD did not reduce loss: %v → %v", before, after)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	rng := sim.NewRNG(5)
 	m := NewMLP([]int{2, 3, 1}, ReLU, Identity, rng)

@@ -2,36 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates a fixed set of layers from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-}
-
-// SGD is plain stochastic gradient descent over a layer set.
-type SGD struct {
-	layers []*Dense
-	lr     float64
-}
-
-// NewSGD returns an SGD optimizer with learning rate lr.
-func NewSGD(layers []*Dense, lr float64) *SGD {
-	return &SGD{layers: layers, lr: lr}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	for _, l := range o.layers {
-		for i := range l.W {
-			l.W[i] -= o.lr * l.GW[i]
-		}
-		for i := range l.B {
-			l.B[i] -= o.lr * l.GB[i]
-		}
-		l.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba 2015), the optimizer the
 // paper's PyTorch implementation uses for both actor and critic.
 type Adam struct {
@@ -64,7 +34,7 @@ func NewAdam(layers []*Dense, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients and clears them.
 func (a *Adam) Step() {
 	if a.MaxGradNorm > 0 {
 		a.clip()

@@ -13,7 +13,6 @@ type trainArena struct {
 	y       []float64 // [n] bootstrapped targets
 	dq      []float64 // [n] dL/dQ seeds
 	grad    []float64 // [n×gradDim] network-output gradient rows
-	n       int
 }
 
 // ensure grows the arena to hold n samples of the given widths.
@@ -42,7 +41,6 @@ func (a *trainArena) ensure(n, stateDim, actionDim, gradDim int) {
 	a.y = a.y[:n]
 	a.dq = a.dq[:n]
 	a.grad = a.grad[:n*gradDim]
-	a.n = n
 }
 
 // load flattens a minibatch into the arena's row-major buffers — the only

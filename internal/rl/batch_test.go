@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,156 +68,49 @@ func bitEqLoss(t *testing.T, what string, got, want float64) {
 	}
 }
 
-// TestDDPGBatchBitIdentity trains two identically-seeded agents — one on the
-// batched Update, one on the per-sample reference — and requires every
-// weight of all four networks to stay bit-identical, for both actor
-// topologies.
-func TestDDPGBatchBitIdentity(t *testing.T) {
-	for _, twoHead := range []bool{false, true} {
-		cfg := DDPGConfig{StateDim: 6, ActionDim: 2, TwoHeadActor: twoHead, Seed: 99}
-		bat, err := NewDDPG(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewDDPG(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := sim.NewRNG(7)
-		for step := 0; step < 5; step++ {
-			batch := mkTransitions(rng, 32, cfg.StateDim, cfg.ActionDim, false, 0)
-			cB, aB := bat.Update(batch)
-			cR, aR := ref.updatePerSample(batch)
-			bitEqLoss(t, "critic loss", cB, cR)
-			bitEqLoss(t, "actor loss", aB, aR)
-		}
-		bitEqLayers(t, "actor", bat.Actor.Params(), ref.Actor.Params())
-		bitEqLayers(t, "actor target", bat.ActorTarget.Params(), ref.ActorTarget.Params())
-		bitEqLayers(t, "critic", bat.Critic.Layers(), ref.Critic.Layers())
-		bitEqLayers(t, "critic target", bat.CriticTarget.Layers(), ref.CriticTarget.Layers())
+// TestBatchBitIdentity trains two identically-seeded learners — one on the
+// batched Update, one on the per-sample reference — and requires both losses
+// of every step and every weight of every live and target network to stay
+// bit-identical. The rows cover both actor topologies, the twin critics, the
+// delayed actor update (its NaN "no actor loss" included), the RNG draw order
+// of TD3's target smoothing and SAC's reparameterized draws (noise for
+// non-terminal next states, then all rows in the actor pass), SAC's masked
+// min-critic backward, and both DQN bootstrap paths.
+func TestBatchBitIdentity(t *testing.T) {
+	for _, c := range learnerCases {
+		t.Run(c.name, func(t *testing.T) {
+			bat, ref := c.build(t, 6, false, 99), c.build(t, 6, false, 99)
+			rng := sim.NewRNG(7)
+			for step := 0; step < 5; step++ {
+				batch := mkTransitions(rng, 32, 6, caseActionDim, c.discrete(), caseNumActions)
+				cB, aB := bat.update(batch)
+				cR, aR := ref.reference(batch)
+				bitEqLoss(t, "critic loss", cB, cR)
+				if !math.IsNaN(aB) || !math.IsNaN(aR) {
+					bitEqLoss(t, "actor loss", aB, aR)
+				}
+			}
+			got, want := bat.nets(), ref.nets()
+			for i := range want {
+				bitEqLayers(t, fmt.Sprintf("network %d", i), got[i], want[i])
+			}
+		})
 	}
 }
 
-// TestTD3BatchBitIdentity covers the twin critics, the delayed actor update,
-// and the target-smoothing RNG draw order (noise is drawn for non-terminal
-// rows only).
-func TestTD3BatchBitIdentity(t *testing.T) {
-	cfg := TD3Config{StateDim: 6, ActionDim: 2, Seed: 101}
-	bat, err := NewTD3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewTD3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(11)
-	for step := 0; step < 4; step++ {
-		batch := mkTransitions(rng, 32, cfg.StateDim, cfg.ActionDim, false, 0)
-		c1B, c2B, aB := bat.Update(batch)
-		c1R, c2R, aR := ref.updatePerSample(batch)
-		bitEqLoss(t, "critic1 loss", c1B, c1R)
-		bitEqLoss(t, "critic2 loss", c2B, c2R)
-		if !math.IsNaN(aB) || !math.IsNaN(aR) {
-			bitEqLoss(t, "actor loss", aB, aR)
-		}
-	}
-	bitEqLayers(t, "actor", bat.Actor.Params(), ref.Actor.Params())
-	bitEqLayers(t, "actor target", bat.ActorTarget.Params(), ref.ActorTarget.Params())
-	bitEqLayers(t, "critic1", bat.Critic1.Layers(), ref.Critic1.Layers())
-	bitEqLayers(t, "critic2", bat.Critic2.Layers(), ref.Critic2.Layers())
-	bitEqLayers(t, "target1", bat.Target1.Layers(), ref.Target1.Layers())
-	bitEqLayers(t, "target2", bat.Target2.Layers(), ref.Target2.Layers())
-}
-
-// TestSACBatchBitIdentity covers the reparameterized draws (RNG order: next
-// states for non-terminal rows, then all rows in the actor pass) and the
-// masked min-critic backward.
-func TestSACBatchBitIdentity(t *testing.T) {
-	cfg := SACConfig{StateDim: 6, ActionDim: 2, Seed: 103}
-	bat, err := NewSAC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewSAC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(13)
-	for step := 0; step < 4; step++ {
-		batch := mkTransitions(rng, 32, cfg.StateDim, cfg.ActionDim, false, 0)
-		c1B, c2B, aB := bat.Update(batch)
-		c1R, c2R, aR := ref.updatePerSample(batch)
-		bitEqLoss(t, "critic1 loss", c1B, c1R)
-		bitEqLoss(t, "critic2 loss", c2B, c2R)
-		bitEqLoss(t, "actor loss", aB, aR)
-	}
-	bitEqLayers(t, "actor", bat.Actor.Layers, ref.Actor.Layers)
-	bitEqLayers(t, "critic1", bat.Critic1.Layers(), ref.Critic1.Layers())
-	bitEqLayers(t, "critic2", bat.Critic2.Layers(), ref.Critic2.Layers())
-	bitEqLayers(t, "target1", bat.Target1.Layers(), ref.Target1.Layers())
-	bitEqLayers(t, "target2", bat.Target2.Layers(), ref.Target2.Layers())
-}
-
-// TestDQNBatchBitIdentity covers both the plain and double (decoupled
-// selection/evaluation) bootstrap paths.
-func TestDQNBatchBitIdentity(t *testing.T) {
-	for _, double := range []bool{false, true} {
-		cfg := DQNConfig{StateDim: 6, NumActions: 4, Double: double, Seed: 107}
-		bat, err := NewDQN(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewDQN(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := sim.NewRNG(17)
-		for step := 0; step < 5; step++ {
-			batch := mkTransitions(rng, 32, cfg.StateDim, 0, true, cfg.NumActions)
-			bitEqLoss(t, "loss", bat.Update(batch), ref.updatePerSample(batch))
-		}
-		bitEqLayers(t, "q", bat.Q.Layers, ref.Q.Layers)
-		bitEqLayers(t, "target", bat.Target.Layers, ref.Target.Layers)
-	}
-}
-
-// TestTrainStepZeroAllocs pins the tentpole guarantee: after a warm-up has
-// grown every scratch arena, a steady-state train step performs zero heap
-// allocations, for all four trainers.
+// TestTrainStepZeroAllocs pins the batched path's guarantee: after a warm-up
+// has grown every scratch arena, a steady-state train step — divergence
+// snapshot included — performs zero heap allocations, for every trainer.
 func TestTrainStepZeroAllocs(t *testing.T) {
 	rng := sim.NewRNG(23)
-	const n = 64
-
-	ddpg, err := NewDDPG(DDPGConfig{StateDim: 6, ActionDim: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	contBatch := mkTransitions(rng, n, 6, 2, false, 0)
-	td3, err := NewTD3(TD3Config{StateDim: 6, ActionDim: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sac, err := NewSAC(SACConfig{StateDim: 6, ActionDim: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dqn, err := NewDQN(DQNConfig{StateDim: 6, NumActions: 4, Double: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	discBatch := mkTransitions(rng, n, 6, 0, true, 4)
-
-	for name, step := range map[string]func(){
-		"ddpg": func() { ddpg.Update(contBatch) },
-		"td3":  func() { td3.Update(contBatch) },
-		"sac":  func() { sac.Update(contBatch) },
-		"dqn":  func() { dqn.Update(discBatch) },
-	} {
+	for _, c := range learnerCases {
+		tr := c.build(t, 6, false, 1)
+		batch := mkTransitions(rng, 64, 6, caseActionDim, c.discrete(), caseNumActions)
+		step := func() { tr.update(batch) }
 		step() // warm-up grows the arenas
 		step()
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Errorf("%s: steady-state train step allocates %v times, want 0", name, allocs)
+			t.Errorf("%s: steady-state train step allocates %v times, want 0", c.name, allocs)
 		}
 	}
 }

@@ -9,64 +9,27 @@ import (
 const benchBatch = 64
 
 // BenchmarkTrainStep compares one full trainer update on the batched
-// kernels against the per-sample reference path, at the paper's network
-// sizes and a batch of 64.
+// kernels against the per-sample reference, for every variant, at the
+// paper's network sizes and a batch of 64.
 func BenchmarkTrainStep(b *testing.B) {
 	rng := sim.NewRNG(77)
-	contBatch := mkTransitions(rng, benchBatch, 6, 2, false, 0)
-	discBatch := mkTransitions(rng, benchBatch, 6, 0, true, 4)
-
-	newDDPG := func() *DDPG {
-		d, err := NewDDPG(DDPGConfig{StateDim: 6, ActionDim: 2, TwoHeadActor: true, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
+	for _, c := range learnerCases {
+		batch := mkTransitions(rng, benchBatch, 6, caseActionDim, c.discrete(), caseNumActions)
+		for _, path := range []string{"batched", "persample"} {
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				tr := c.build(b, 6, false, 1)
+				step := func() { tr.update(batch) }
+				if path == "persample" {
+					step = func() { tr.reference(batch) }
+				}
+				step() // warm-up grows the scratch arenas
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+			})
 		}
-		return d
-	}
-	newTD3 := func() *TD3 {
-		t, err := NewTD3(TD3Config{StateDim: 6, ActionDim: 2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return t
-	}
-	newSAC := func() *SAC {
-		s, err := NewSAC(SACConfig{StateDim: 6, ActionDim: 2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	newDQN := func() *DQN {
-		d, err := NewDQN(DQNConfig{StateDim: 6, NumActions: 4, Double: true, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	}
-
-	for _, bc := range []struct {
-		name string
-		step func() func()
-	}{
-		{"ddpg/batched", func() func() { d := newDDPG(); return func() { d.Update(contBatch) } }},
-		{"ddpg/persample", func() func() { d := newDDPG(); return func() { d.updatePerSample(contBatch) } }},
-		{"td3/batched", func() func() { t := newTD3(); return func() { t.Update(contBatch) } }},
-		{"td3/persample", func() func() { t := newTD3(); return func() { t.updatePerSample(contBatch) } }},
-		{"sac/batched", func() func() { s := newSAC(); return func() { s.Update(contBatch) } }},
-		{"sac/persample", func() func() { s := newSAC(); return func() { s.updatePerSample(contBatch) } }},
-		{"dqn/batched", func() func() { d := newDQN(); return func() { d.Update(discBatch) } }},
-		{"dqn/persample", func() func() { d := newDQN(); return func() { d.updatePerSample(discBatch) } }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			step := bc.step()
-			step() // warm-up grows the scratch arenas
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-		})
 	}
 }
 

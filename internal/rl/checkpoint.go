@@ -23,46 +23,29 @@ import (
 // --- shared pieces ---------------------------------------------------------
 
 // encodeCritic appends the critic's four layers. Shape comes from the
-// trainer config; chaining is re-validated on decode.
+// trainer config; it is re-validated on decode.
 func encodeCritic(e *ckpt.Enc, c *Critic) {
-	nn.EncodeDense(e, c.l1)
-	nn.EncodeDense(e, c.l2)
-	nn.EncodeDense(e, c.l3)
-	nn.EncodeDense(e, c.out)
+	for _, l := range c.layers {
+		nn.EncodeDense(e, l)
+	}
 }
 
-// decodeCritic reads four layers and rebuilds a critic for the given
-// state/action dims, validating the concat wiring and hidden sizes.
-func decodeCritic(dec *ckpt.Dec, stateDim, actionDim int, hidden [3]int) (*Critic, error) {
-	l1, err := nn.DecodeDense(dec, stateDim)
-	if err != nil {
-		return nil, err
+// decodeCritic reads four layers into a critic built from the checkpoint's
+// config, validating that each has the shape and activation that config
+// implies.
+func decodeCritic(dec *ckpt.Dec, c *Critic) error {
+	for i, want := range c.layers {
+		l, err := nn.DecodeDense(dec, want.In)
+		if err != nil {
+			return err
+		}
+		if l.Out != want.Out || l.Act != want.Act {
+			return fmt.Errorf("%w: critic layer %d is %d→%d (%v), config declares %d→%d (%v)",
+				ckpt.ErrMalformed, i, l.In, l.Out, l.Act, want.In, want.Out, want.Act)
+		}
+		want.CopyFrom(l)
 	}
-	l2, err := nn.DecodeDense(dec, l1.Out+actionDim)
-	if err != nil {
-		return nil, err
-	}
-	l3, err := nn.DecodeDense(dec, l2.Out)
-	if err != nil {
-		return nil, err
-	}
-	out, err := nn.DecodeDense(dec, l3.Out)
-	if err != nil {
-		return nil, err
-	}
-	if l1.Out != hidden[0] || l2.Out != hidden[1] || l3.Out != hidden[2] || out.Out != 1 {
-		return nil, fmt.Errorf("%w: critic hidden sizes (%d,%d,%d,%d) do not match config (%d,%d,%d,1)",
-			ckpt.ErrMalformed, l1.Out, l2.Out, l3.Out, out.Out, hidden[0], hidden[1], hidden[2])
-	}
-	c := &Critic{
-		l1: l1, l2: l2, l3: l3, out: out,
-		stateDim:  stateDim,
-		actionDim: actionDim,
-		concat:    make([]float64, l1.Out+actionDim),
-		daction:   make([]float64, actionDim),
-	}
-	c.layers = []*nn.Dense{c.l1, c.l2, c.l3, c.out}
-	return c, nil
+	return nil
 }
 
 // decodeActorNet reads a network and checks its interface dims.
@@ -96,12 +79,6 @@ func decodeOptionalReplay(dec *ckpt.Dec) (*Replay, error) {
 		return nil, nil
 	}
 	return DecodeReplay(dec)
-}
-
-// restoredStream rebuilds a trainer's named RNG substream at a serialized
-// draw position (see sim.NewRNGAt).
-func restoredStream(seed int64, name string, draws uint64) *sim.RNG {
-	return sim.NewRNGAt(sim.SubSeed(seed, name), draws)
 }
 
 // --- replay ----------------------------------------------------------------
@@ -217,20 +194,16 @@ func DecodePolicy(payload []byte) (nn.Network, error) {
 	return net, nil
 }
 
-// EncodePolicy seals a network as a KindPolicy container — the inverse of
-// DecodePolicy.
-func EncodePolicy(net nn.Network) []byte {
-	var e ckpt.Enc
-	nn.EncodeNetwork(&e, net)
-	return ckpt.Seal(ckpt.KindPolicy, e.Bytes())
-}
+// --- actor–critic (DDPG, TD3, SAC) -----------------------------------------
 
-// --- DDPG ------------------------------------------------------------------
-
-// EncodeCheckpoint appends the agent's complete training state. Pass the
-// replay pool to make the checkpoint fully resumable; nil omits it.
-func (d *DDPG) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
-	c := d.cfg
+// EncodeCheckpoint appends the learner's complete training state: config,
+// every live and target network, optimizer moments, the policy-delay and
+// divergence counters and the head's RNG position. Pass the replay pool to
+// make the checkpoint fully resumable; nil omits it. The layout is the same
+// for every variant except that a head without a target actor writes none;
+// the container's kind byte says which variant to rebuild.
+func (l *ActorCritic) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
+	c := l.cfg
 	e.Int(c.StateDim)
 	e.Int(c.ActionDim)
 	e.Ints(c.ActorHidden)
@@ -243,30 +216,54 @@ func (d *DDPG) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
 	e.F64(c.Tau)
 	e.Bool(c.TwoHeadActor)
 	e.I64(c.Seed)
-	nn.EncodeNetwork(e, d.Actor)
-	nn.EncodeNetwork(e, d.ActorTarget)
-	encodeCritic(e, d.Critic)
-	encodeCritic(e, d.CriticTarget)
-	d.actorOpt.EncodeState(e)
-	d.criticOpt.EncodeState(e)
-	e.U64(d.divergences)
+	nn.EncodeNetwork(e, l.Actor)
+	if l.ActorTarget != nil {
+		nn.EncodeNetwork(e, l.ActorTarget)
+	}
+	for _, critic := range l.Critics {
+		encodeCritic(e, critic)
+	}
+	for _, critic := range l.Targets {
+		encodeCritic(e, critic)
+	}
+	l.actorOpt.EncodeState(e)
+	for _, opt := range l.criticOpts {
+		opt.EncodeState(e)
+	}
+	e.Int(l.updates)
+	e.U64(l.guard.divergences)
+	var draws uint64
+	if l.rng != nil {
+		draws = l.rng.DrawCount()
+	}
+	e.U64(draws)
 	encodeOptionalReplay(e, replay)
 }
 
-// Checkpoint returns the sealed KindDDPG container.
-func (d *DDPG) Checkpoint(replay *Replay) []byte {
+// Checkpoint returns the sealed container: KindDDPG, KindTD3 or KindSAC.
+func (l *ActorCritic) Checkpoint(replay *Replay) []byte {
 	var e ckpt.Enc
-	d.EncodeCheckpoint(&e, replay)
-	return ckpt.Seal(ckpt.KindDDPG, e.Bytes())
+	l.EncodeCheckpoint(&e, replay)
+	return ckpt.Seal(l.v.kind, e.Bytes())
 }
 
-// LoadDDPGCheckpoint rebuilds an agent (and its replay pool, when the
-// checkpoint carries one) from a sealed container. Training resumed from the
-// result is bitwise identical to the uninterrupted run.
-func LoadDDPGCheckpoint(data []byte) (*DDPG, *Replay, error) {
-	payload, err := ckpt.OpenKind(data, ckpt.KindDDPG)
+// LoadCheckpoint rebuilds an actor–critic learner of the variant the
+// container's kind names (and its replay pool, when the checkpoint carries
+// one). Training resumed from the result is bitwise identical to the
+// uninterrupted run.
+func LoadCheckpoint(data []byte) (*ActorCritic, *Replay, error) {
+	kind, payload, err := ckpt.Open(data)
 	if err != nil {
 		return nil, nil, err
+	}
+	var v *variant
+	for _, cand := range variants {
+		if cand.kind == kind {
+			v = cand
+		}
+	}
+	if v == nil {
+		return nil, nil, fmt.Errorf("%w: %v is not an actor–critic checkpoint", ckpt.ErrKind, kind)
 	}
 	dec := ckpt.NewDec(payload)
 	var cfg DDPGConfig
@@ -285,144 +282,33 @@ func LoadDDPGCheckpoint(data []byte) (*DDPG, *Replay, error) {
 	if err := dec.Err(); err != nil {
 		return nil, nil, err
 	}
-	d, err := NewDDPG(cfg)
+	l, err := newActorCritic(cfg, v)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: checkpoint config rejected: %v", ckpt.ErrMalformed, err)
 	}
-	if d.Actor, err = decodeActorNet(dec, cfg.StateDim, cfg.ActionDim); err != nil {
+	actorOut := l.Actor.OutDim()
+	if l.Actor, err = decodeActorNet(dec, cfg.StateDim, actorOut); err != nil {
 		return nil, nil, err
 	}
-	if d.ActorTarget, err = decodeActorNet(dec, cfg.StateDim, cfg.ActionDim); err != nil {
-		return nil, nil, err
+	if l.ActorTarget != nil {
+		if l.ActorTarget, err = decodeActorNet(dec, cfg.StateDim, actorOut); err != nil {
+			return nil, nil, err
+		}
 	}
-	if d.Critic, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, d.cfg.CriticHidden); err != nil {
-		return nil, nil, err
+	for _, c := range append(append([]*Critic(nil), l.Critics...), l.Targets...) {
+		if err := decodeCritic(dec, c); err != nil {
+			return nil, nil, err
+		}
 	}
-	if d.CriticTarget, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, d.cfg.CriticHidden); err != nil {
-		return nil, nil, err
+	l.resetOptimizers()
+	l.rewire()
+	for _, opt := range append([]*nn.Adam{l.actorOpt}, l.criticOpts...) {
+		if err := opt.RestoreState(dec); err != nil {
+			return nil, nil, err
+		}
 	}
-	d.actorOpt = nn.NewAdam(d.Actor.Params(), d.cfg.ActorLR)
-	d.criticOpt = nn.NewAdam(d.Critic.Layers(), d.cfg.CriticLR)
-	if err := d.actorOpt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	if err := d.criticOpt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	d.divergences = dec.U64()
-	replay, err := decodeOptionalReplay(dec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dec.Finish(); err != nil {
-		return nil, nil, err
-	}
-	d.rebuildCaches()
-	return d, replay, nil
-}
-
-// --- TD3 -------------------------------------------------------------------
-
-// EncodeCheckpoint appends the agent's complete training state, including
-// the target-smoothing RNG position and the policy-delay counter.
-func (t *TD3) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
-	c := t.cfg
-	e.Int(c.StateDim)
-	e.Int(c.ActionDim)
-	e.Ints(c.ActorHidden)
-	e.Int(c.CriticHidden[0])
-	e.Int(c.CriticHidden[1])
-	e.Int(c.CriticHidden[2])
-	e.F64(c.ActorLR)
-	e.F64(c.CriticLR)
-	e.F64(c.Gamma)
-	e.F64(c.Tau)
-	e.Int(c.PolicyDelay)
-	e.F64(c.TargetNoise)
-	e.F64(c.NoiseClip)
-	e.I64(c.Seed)
-	nn.EncodeNetwork(e, t.Actor)
-	nn.EncodeNetwork(e, t.ActorTarget)
-	encodeCritic(e, t.Critic1)
-	encodeCritic(e, t.Critic2)
-	encodeCritic(e, t.Target1)
-	encodeCritic(e, t.Target2)
-	t.actorOpt.EncodeState(e)
-	t.c1Opt.EncodeState(e)
-	t.c2Opt.EncodeState(e)
-	e.Int(t.updates)
-	e.U64(t.rng.DrawCount())
-	encodeOptionalReplay(e, replay)
-}
-
-// Checkpoint returns the sealed KindTD3 container.
-func (t *TD3) Checkpoint(replay *Replay) []byte {
-	var e ckpt.Enc
-	t.EncodeCheckpoint(&e, replay)
-	return ckpt.Seal(ckpt.KindTD3, e.Bytes())
-}
-
-// LoadTD3Checkpoint rebuilds an agent from a sealed container.
-func LoadTD3Checkpoint(data []byte) (*TD3, *Replay, error) {
-	payload, err := ckpt.OpenKind(data, ckpt.KindTD3)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec := ckpt.NewDec(payload)
-	var cfg TD3Config
-	cfg.StateDim = dec.Int()
-	cfg.ActionDim = dec.Int()
-	cfg.ActorHidden = dec.Ints()
-	cfg.CriticHidden[0] = dec.Int()
-	cfg.CriticHidden[1] = dec.Int()
-	cfg.CriticHidden[2] = dec.Int()
-	cfg.ActorLR = dec.FiniteF64()
-	cfg.CriticLR = dec.FiniteF64()
-	cfg.Gamma = dec.FiniteF64()
-	cfg.Tau = dec.FiniteF64()
-	cfg.PolicyDelay = dec.Int()
-	cfg.TargetNoise = dec.FiniteF64()
-	cfg.NoiseClip = dec.FiniteF64()
-	cfg.Seed = dec.I64()
-	if err := dec.Err(); err != nil {
-		return nil, nil, err
-	}
-	t, err := NewTD3(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: checkpoint config rejected: %v", ckpt.ErrMalformed, err)
-	}
-	if t.Actor, err = decodeActorNet(dec, cfg.StateDim, cfg.ActionDim); err != nil {
-		return nil, nil, err
-	}
-	if t.ActorTarget, err = decodeActorNet(dec, cfg.StateDim, cfg.ActionDim); err != nil {
-		return nil, nil, err
-	}
-	hid := t.cfg.CriticHidden
-	if t.Critic1, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if t.Critic2, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if t.Target1, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if t.Target2, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	t.actorOpt = nn.NewAdam(t.Actor.Params(), t.cfg.ActorLR)
-	t.c1Opt = nn.NewAdam(t.Critic1.Layers(), t.cfg.CriticLR)
-	t.c2Opt = nn.NewAdam(t.Critic2.Layers(), t.cfg.CriticLR)
-	if err := t.actorOpt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	if err := t.c1Opt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	if err := t.c2Opt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	updates := dec.Int()
+	l.updates = dec.Int()
+	l.guard.divergences = dec.U64()
 	draws := dec.U64()
 	replay, err := decodeOptionalReplay(dec)
 	if err != nil {
@@ -431,126 +317,19 @@ func LoadTD3Checkpoint(data []byte) (*TD3, *Replay, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, nil, err
 	}
-	if updates < 0 {
-		return nil, nil, fmt.Errorf("%w: negative update counter %d", ckpt.ErrMalformed, updates)
+	if l.updates < 0 {
+		return nil, nil, fmt.Errorf("%w: negative update counter %d", ckpt.ErrMalformed, l.updates)
 	}
-	t.updates = updates
-	t.rng = restoredStream(t.cfg.Seed, "td3-smooth", draws)
-	return t, replay, nil
-}
-
-// --- SAC -------------------------------------------------------------------
-
-// EncodeCheckpoint appends the agent's complete training state, including
-// the reparameterization-sampling RNG position.
-func (s *SAC) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
-	c := s.cfg
-	e.Int(c.StateDim)
-	e.Int(c.ActionDim)
-	e.Ints(c.Hidden)
-	e.Int(c.CriticHidden[0])
-	e.Int(c.CriticHidden[1])
-	e.Int(c.CriticHidden[2])
-	e.F64(c.LR)
-	e.F64(c.Gamma)
-	e.F64(c.Tau)
-	e.F64(c.Alpha)
-	e.I64(c.Seed)
-	nn.EncodeNetwork(e, s.Actor)
-	encodeCritic(e, s.Critic1)
-	encodeCritic(e, s.Critic2)
-	encodeCritic(e, s.Target1)
-	encodeCritic(e, s.Target2)
-	s.actorOpt.EncodeState(e)
-	s.c1Opt.EncodeState(e)
-	s.c2Opt.EncodeState(e)
-	e.U64(s.rng.DrawCount())
-	encodeOptionalReplay(e, replay)
-}
-
-// Checkpoint returns the sealed KindSAC container.
-func (s *SAC) Checkpoint(replay *Replay) []byte {
-	var e ckpt.Enc
-	s.EncodeCheckpoint(&e, replay)
-	return ckpt.Seal(ckpt.KindSAC, e.Bytes())
-}
-
-// LoadSACCheckpoint rebuilds an agent from a sealed container.
-func LoadSACCheckpoint(data []byte) (*SAC, *Replay, error) {
-	payload, err := ckpt.OpenKind(data, ckpt.KindSAC)
-	if err != nil {
-		return nil, nil, err
+	if l.rng != nil {
+		l.rng = sim.NewRNGAt(sim.SubSeed(l.cfg.Seed, v.draws), draws)
 	}
-	dec := ckpt.NewDec(payload)
-	var cfg SACConfig
-	cfg.StateDim = dec.Int()
-	cfg.ActionDim = dec.Int()
-	cfg.Hidden = dec.Ints()
-	cfg.CriticHidden[0] = dec.Int()
-	cfg.CriticHidden[1] = dec.Int()
-	cfg.CriticHidden[2] = dec.Int()
-	cfg.LR = dec.FiniteF64()
-	cfg.Gamma = dec.FiniteF64()
-	cfg.Tau = dec.FiniteF64()
-	cfg.Alpha = dec.FiniteF64()
-	cfg.Seed = dec.I64()
-	if err := dec.Err(); err != nil {
-		return nil, nil, err
-	}
-	s, err := NewSAC(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: checkpoint config rejected: %v", ckpt.ErrMalformed, err)
-	}
-	actor, err := decodeActorNet(dec, cfg.StateDim, 2*cfg.ActionDim)
-	if err != nil {
-		return nil, nil, err
-	}
-	mlp, ok := actor.(*nn.MLP)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: SAC actor must be sequential, found %T", ckpt.ErrMalformed, actor)
-	}
-	s.Actor = mlp
-	hid := s.cfg.CriticHidden
-	if s.Critic1, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if s.Critic2, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if s.Target1, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	if s.Target2, err = decodeCritic(dec, cfg.StateDim, cfg.ActionDim, hid); err != nil {
-		return nil, nil, err
-	}
-	s.actorOpt = nn.NewAdam(s.Actor.Layers, s.cfg.LR)
-	s.c1Opt = nn.NewAdam(s.Critic1.Layers(), s.cfg.LR)
-	s.c2Opt = nn.NewAdam(s.Critic2.Layers(), s.cfg.LR)
-	if err := s.actorOpt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	if err := s.c1Opt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	if err := s.c2Opt.RestoreState(dec); err != nil {
-		return nil, nil, err
-	}
-	draws := dec.U64()
-	replay, err := decodeOptionalReplay(dec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dec.Finish(); err != nil {
-		return nil, nil, err
-	}
-	s.rng = restoredStream(s.cfg.Seed, "sac-sample", draws)
-	return s, replay, nil
+	return l, replay, nil
 }
 
 // --- DQN -------------------------------------------------------------------
 
 // EncodeCheckpoint appends the agent's complete training state, including
-// the exploration RNG position.
+// the divergence counter and the exploration RNG position.
 func (d *DQN) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
 	c := d.cfg
 	e.Int(c.StateDim)
@@ -564,6 +343,7 @@ func (d *DQN) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
 	nn.EncodeNetwork(e, d.Q)
 	nn.EncodeNetwork(e, d.Target)
 	d.opt.EncodeState(e)
+	e.U64(d.guard.divergences)
 	e.U64(d.rng.DrawCount())
 	encodeOptionalReplay(e, replay)
 }
@@ -609,10 +389,11 @@ func LoadDQNCheckpoint(data []byte) (*DQN, *Replay, error) {
 		}
 		*dst = mlp
 	}
-	d.opt = nn.NewAdam(d.Q.Layers, d.cfg.LR)
+	d.rewire()
 	if err := d.opt.RestoreState(dec); err != nil {
 		return nil, nil, err
 	}
+	d.guard.divergences = dec.U64()
 	draws := dec.U64()
 	replay, err := decodeOptionalReplay(dec)
 	if err != nil {
@@ -621,6 +402,6 @@ func LoadDQNCheckpoint(data []byte) (*DQN, *Replay, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, nil, err
 	}
-	d.rng = restoredStream(d.cfg.Seed, "dqn-explore", draws)
+	d.rng = sim.NewRNGAt(sim.SubSeed(d.cfg.Seed, "dqn-explore"), draws)
 	return d, replay, nil
 }

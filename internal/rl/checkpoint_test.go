@@ -37,93 +37,20 @@ func fillReplay(rp *Replay, rng *sim.RNG, n, stateDim, actionDim int, discrete b
 	}
 }
 
-// trainerHarness abstracts one trainer kind for the shared resume test: it
-// can train a step from a replay pool, checkpoint itself (with the pool),
-// and compare complete states bitwise via checkpoint bytes.
-type trainerHarness struct {
-	name     string
-	discrete bool
-	make     func(seed int64) any
-	step     func(tr any, rp *Replay, batch []Transition)
-	dump     func(tr any, rp *Replay) []byte
-	load     func(data []byte) (any, *Replay, error)
-	act      func(tr any, state []float64) []float64
+// loadTrainer reloads a row's checkpoint through the loader for its kind.
+func (c learnerCase) loadTrainer(data []byte) (trainer, *Replay, error) {
+	if c.discrete() {
+		d, rp, err := LoadDQNCheckpoint(data)
+		return dqnTrainer{d}, rp, err
+	}
+	l, rp, err := LoadCheckpoint(data)
+	return acTrainer{l}, rp, err
 }
 
-func harnesses() []trainerHarness {
-	return []trainerHarness{
-		{
-			name: "ddpg",
-			make: func(seed int64) any {
-				d, err := NewDDPG(DDPGConfig{StateDim: 4, ActionDim: 2, ActorHidden: []int{8, 6}, CriticHidden: [3]int{8, 6, 4}, Seed: seed})
-				if err != nil {
-					panic(err)
-				}
-				return d
-			},
-			step: func(tr any, rp *Replay, batch []Transition) {
-				rp.SampleInto(batch)
-				tr.(*DDPG).Update(batch)
-			},
-			dump: func(tr any, rp *Replay) []byte { return tr.(*DDPG).Checkpoint(rp) },
-			load: func(data []byte) (any, *Replay, error) { return LoadDDPGCheckpoint(data) },
-			act:  func(tr any, state []float64) []float64 { return tr.(*DDPG).Act(state) },
-		},
-		{
-			name: "td3",
-			make: func(seed int64) any {
-				t3, err := NewTD3(TD3Config{StateDim: 4, ActionDim: 2, ActorHidden: []int{8, 6}, CriticHidden: [3]int{8, 6, 4}, Seed: seed})
-				if err != nil {
-					panic(err)
-				}
-				return t3
-			},
-			step: func(tr any, rp *Replay, batch []Transition) {
-				rp.SampleInto(batch)
-				tr.(*TD3).Update(batch)
-			},
-			dump: func(tr any, rp *Replay) []byte { return tr.(*TD3).Checkpoint(rp) },
-			load: func(data []byte) (any, *Replay, error) { return LoadTD3Checkpoint(data) },
-			act:  func(tr any, state []float64) []float64 { return tr.(*TD3).Act(state) },
-		},
-		{
-			name: "sac",
-			make: func(seed int64) any {
-				s, err := NewSAC(SACConfig{StateDim: 4, ActionDim: 2, Hidden: []int{8, 6}, CriticHidden: [3]int{8, 6, 4}, Seed: seed})
-				if err != nil {
-					panic(err)
-				}
-				return s
-			},
-			step: func(tr any, rp *Replay, batch []Transition) {
-				rp.SampleInto(batch)
-				tr.(*SAC).Update(batch)
-			},
-			dump: func(tr any, rp *Replay) []byte { return tr.(*SAC).Checkpoint(rp) },
-			load: func(data []byte) (any, *Replay, error) { return LoadSACCheckpoint(data) },
-			act:  func(tr any, state []float64) []float64 { return tr.(*SAC).Act(state) },
-		},
-		{
-			name:     "dqn",
-			discrete: true,
-			make: func(seed int64) any {
-				d, err := NewDQN(DQNConfig{StateDim: 4, NumActions: 5, Hidden: []int{8, 6}, Double: true, Seed: seed})
-				if err != nil {
-					panic(err)
-				}
-				return d
-			},
-			step: func(tr any, rp *Replay, batch []Transition) {
-				rp.SampleInto(batch)
-				tr.(*DQN).Update(batch)
-			},
-			dump: func(tr any, rp *Replay) []byte { return tr.(*DQN).Checkpoint(rp) },
-			load: func(data []byte) (any, *Replay, error) { return LoadDQNCheckpoint(data) },
-			act: func(tr any, state []float64) []float64 {
-				return []float64{float64(tr.(*DQN).Act(state))}
-			},
-		},
-	}
+// trainStep is one replay-sampled update.
+func trainStep(tr trainer, rp *Replay, batch []Transition) {
+	rp.SampleInto(batch)
+	tr.update(batch)
 }
 
 // TestBitwiseResumeEquivalence is the tentpole acceptance test: for every
@@ -137,34 +64,29 @@ func TestBitwiseResumeEquivalence(t *testing.T) {
 		batchSize = 8
 		replayCap = 64
 	)
-	for _, h := range harnesses() {
-		t.Run(h.name, func(t *testing.T) {
-			actionDim := 2
-			if h.discrete {
-				actionDim = 5
-			}
+	for _, c := range learnerCases {
+		t.Run(c.name, func(t *testing.T) {
 			mkReplay := func() *Replay {
 				rp := NewReplay(replayCap, sim.NewRNG(sim.SubSeed(99, "resume-replay")))
-				fillReplay(rp, sim.NewRNG(sim.SubSeed(99, "resume-env")), replayCap, 4, actionDim, h.discrete)
+				fillReplay(rp, sim.NewRNG(sim.SubSeed(99, "resume-env")), replayCap, 4, c.actionDim(), c.discrete())
 				return rp
 			}
 			batch := make([]Transition, batchSize)
 
 			// Uninterrupted N+M run.
-			ref := h.make(99)
+			ref := c.build(t, 4, true, 99)
 			refRp := mkReplay()
 			for i := 0; i < nSteps+mSteps; i++ {
-				h.step(ref, refRp, batch)
+				trainStep(ref, refRp, batch)
 			}
 
 			// Interrupted run: N steps, checkpoint, reload, M steps.
-			a := h.make(99)
+			a := c.build(t, 4, true, 99)
 			aRp := mkReplay()
 			for i := 0; i < nSteps; i++ {
-				h.step(a, aRp, batch)
+				trainStep(a, aRp, batch)
 			}
-			mid := h.dump(a, aRp)
-			b, bRp, err := h.load(mid)
+			b, bRp, err := c.loadTrainer(a.Checkpoint(aRp))
 			if err != nil {
 				t.Fatalf("loading mid-run checkpoint: %v", err)
 			}
@@ -172,20 +94,20 @@ func TestBitwiseResumeEquivalence(t *testing.T) {
 				t.Fatal("checkpoint dropped the replay pool")
 			}
 			for i := 0; i < mSteps; i++ {
-				h.step(b, bRp, batch)
+				trainStep(b, bRp, batch)
 			}
 
 			// Full-state comparison via checkpoint bytes: covers weights,
 			// optimizer moments, counters, RNG positions, and replay.
-			want := h.dump(ref, refRp)
-			got := h.dump(b, bRp)
+			want := ref.Checkpoint(refRp)
+			got := b.Checkpoint(bRp)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("resumed state differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
 			}
 
 			// And the policy actuates identically.
 			probe := []float64{0.2, 0.4, 0.6, 0.8}
-			wa, ga := h.act(ref, probe), h.act(b, probe)
+			wa, ga := ref.act(probe), b.act(probe)
 			for i := range wa {
 				if wa[i] != ga[i] {
 					t.Fatalf("action[%d]: %v != %v", i, ga[i], wa[i])
@@ -203,31 +125,59 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := d.Checkpoint(nil)
-	if _, _, err := LoadDDPGCheckpoint(good); err != nil {
+	if _, _, err := LoadCheckpoint(good); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
 	}
 
 	t.Run("wrong kind", func(t *testing.T) {
-		if _, _, err := LoadTD3Checkpoint(good); !errors.Is(err, ckpt.ErrKind) {
+		// Each loader refuses the other trainer's container, and a policy
+		// export is no trainer checkpoint at all.
+		if _, _, err := LoadDQNCheckpoint(good); !errors.Is(err, ckpt.ErrKind) {
+			t.Fatalf("DQN loader on a DDPG checkpoint: got %v", err)
+		}
+		q, err := NewDQN(DQNConfig{StateDim: 3, NumActions: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var policy bytes.Buffer
+		if err := d.SavePolicy(&policy); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{"DQN checkpoint": q.Checkpoint(nil), "policy export": policy.Bytes()} {
+			if _, _, err := LoadCheckpoint(data); !errors.Is(err, ckpt.ErrKind) {
+				t.Fatalf("actor–critic loader on a %s: got %v", name, err)
+			}
+		}
+	})
+	t.Run("kind selects the variant", func(t *testing.T) {
+		// The payload layout is shared; the kind byte alone says which
+		// variant to rebuild. A DDPG payload under a TD3 kind is short one
+		// critic pair and must fail as malformed or truncated, not load.
+		payload, err := ckpt.OpenKind(good, ckpt.KindDDPG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = LoadCheckpoint(ckpt.Seal(ckpt.KindTD3, payload))
+		if !errors.Is(err, ckpt.ErrMalformed) && !errors.Is(err, ckpt.ErrTruncated) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := LoadDDPGCheckpoint(good[:len(good)-20]); err == nil {
+		if _, _, err := LoadCheckpoint(good[:len(good)-20]); err == nil {
 			t.Fatal("accepted truncated checkpoint")
 		}
 	})
 	t.Run("payload corruption fails crc", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[len(b)/2] ^= 0x10
-		if _, _, err := LoadDDPGCheckpoint(b); !errors.Is(err, ckpt.ErrChecksum) {
+		if _, _, err := LoadCheckpoint(b); !errors.Is(err, ckpt.ErrChecksum) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("non-finite weights", func(t *testing.T) {
 		d2, _ := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, ActorHidden: []int{6}, CriticHidden: [3]int{6, 4, 3}, Seed: 1})
 		d2.Actor.Params()[0].W[0] = math.Inf(1)
-		if _, _, err := LoadDDPGCheckpoint(d2.Checkpoint(nil)); !errors.Is(err, ckpt.ErrNonFinite) {
+		if _, _, err := LoadCheckpoint(d2.Checkpoint(nil)); !errors.Is(err, ckpt.ErrNonFinite) {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -237,7 +187,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		bloated := ckpt.Seal(ckpt.KindDDPG, append(append([]byte(nil), payload...), 0xAA))
-		if _, _, err := LoadDDPGCheckpoint(bloated); !errors.Is(err, ckpt.ErrMalformed) {
+		if _, _, err := LoadCheckpoint(bloated); !errors.Is(err, ckpt.ErrMalformed) {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -276,7 +226,7 @@ func TestCheckpointEncodeAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("train step + checkpoint encode allocated %.1f times per run", allocs)
 	}
-	if _, _, err := LoadDDPGCheckpoint(sealed); err != nil {
+	if _, _, err := LoadCheckpoint(sealed); err != nil {
 		t.Fatalf("sealed checkpoint does not load: %v", err)
 	}
 }
@@ -285,30 +235,25 @@ func TestCheckpointEncodeAllocFree(t *testing.T) {
 // 100 random seeds (rotating trainer kinds, varying shapes and steps),
 // checkpoint → load → checkpoint must reproduce the exact bytes.
 func TestCheckpointRoundTripProperty(t *testing.T) {
-	hs := harnesses()
 	for seed := int64(0); seed < 100; seed++ {
-		h := hs[int(seed)%len(hs)]
+		c := learnerCases[int(seed)%len(learnerCases)]
 		rng := sim.NewRNG(sim.SubSeed(seed, "ckpt-prop"))
 		steps := 1 + rng.Intn(6)
-		actionDim := 2
-		if h.discrete {
-			actionDim = 5
-		}
-		tr := h.make(seed)
+		tr := c.build(t, 4, true, seed)
 		rp := NewReplay(32, sim.NewRNG(sim.SubSeed(seed, "prop-replay")))
-		fillReplay(rp, rng, 32, 4, actionDim, h.discrete)
+		fillReplay(rp, rng, 32, 4, c.actionDim(), c.discrete())
 		batch := make([]Transition, 4)
 		for i := 0; i < steps; i++ {
-			h.step(tr, rp, batch)
+			trainStep(tr, rp, batch)
 		}
-		first := h.dump(tr, rp)
-		tr2, rp2, err := h.load(first)
+		first := tr.Checkpoint(rp)
+		tr2, rp2, err := c.loadTrainer(first)
 		if err != nil {
-			t.Fatalf("seed %d (%s): load: %v", seed, h.name, err)
+			t.Fatalf("seed %d (%s): load: %v", seed, c.name, err)
 		}
-		second := h.dump(tr2, rp2)
+		second := tr2.Checkpoint(rp2)
 		if !bytes.Equal(first, second) {
-			t.Fatalf("seed %d (%s): re-encoded checkpoint differs", seed, h.name)
+			t.Fatalf("seed %d (%s): re-encoded checkpoint differs", seed, c.name)
 		}
 	}
 }
@@ -419,7 +364,7 @@ func TestPolicyExportCompat(t *testing.T) {
 	}
 
 	// SAC and DQN share the exported entry point.
-	s, err := NewSAC(SACConfig{StateDim: 3, ActionDim: 2, Seed: 4})
+	s, err := NewSAC(DDPGConfig{StateDim: 3, ActionDim: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +372,7 @@ func TestPolicyExportCompat(t *testing.T) {
 	if err := s.SavePolicy(&sb); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := NewSAC(SACConfig{StateDim: 3, ActionDim: 2, Seed: 9})
+	s2, _ := NewSAC(DDPGConfig{StateDim: 3, ActionDim: 2, Seed: 9})
 	if err := s2.LoadPolicy(&sb); err != nil {
 		t.Fatal(err)
 	}

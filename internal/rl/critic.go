@@ -16,11 +16,8 @@ type Critic struct {
 	l3  *nn.Dense // h2 → h3 (ReLU)
 	out *nn.Dense // h3 → 1 (identity)
 
-	stateDim, actionDim int
-	concat              []float64
-	daction             []float64   // per-sample Backward scratch
-	dqScratch           [1]float64  // per-sample Backward dq seed
-	layers              []*nn.Dense // cached Layers() result
+	actionDim int
+	layers    []*nn.Dense // cached Layers() result
 
 	// Batched-path scratch ([n×dim] row-major), grown on demand and reused
 	// so a steady-state batched train step never allocates.
@@ -37,46 +34,16 @@ func NewCritic(stateDim, actionDim int, hidden [3]int, rng *sim.RNG) *Critic {
 		l2:        nn.NewDense(hidden[0]+actionDim, hidden[1], nn.ReLU, rng),
 		l3:        nn.NewDense(hidden[1], hidden[2], nn.ReLU, rng),
 		out:       nn.NewDense(hidden[2], 1, nn.Identity, rng),
-		stateDim:  stateDim,
 		actionDim: actionDim,
-		concat:    make([]float64, hidden[0]+actionDim),
-		daction:   make([]float64, actionDim),
 	}
 	c.layers = []*nn.Dense{c.l1, c.l2, c.l3, c.out}
 	return c
 }
 
-// Forward returns Q(s, a) and caches activations for Backward.
-func (c *Critic) Forward(state, action []float64) float64 {
-	h1 := c.l1.Forward(state)
-	copy(c.concat, h1)
-	copy(c.concat[len(h1):], action)
-	h2 := c.l2.Forward(c.concat)
-	h3 := c.l3.Forward(h2)
-	return c.out.Forward(h3)[0]
-}
-
-// Backward propagates dL/dQ of the most recent Forward, accumulating weight
-// gradients, and returns (dL/dstate, dL/daction). Both slices are
-// critic-owned scratch, overwritten by the next Backward call.
-func (c *Critic) Backward(dq float64) (dstate, daction []float64) {
-	c.dqScratch[0] = dq
-	dh3 := c.out.Backward(c.dqScratch[:])
-	dh2 := c.l3.Backward(dh3)
-	dconcat := c.l2.Backward(dh2)
-	h1Dim := len(c.concat) - c.actionDim
-	// Copy the action slice out before l1.Backward reuses dconcat's layer
-	// scratch (dconcat aliases l2's dx buffer, which survives, but keeping a
-	// critic-owned copy preserves the old return-value independence).
-	copy(c.daction, dconcat[h1Dim:])
-	dstate = c.l1.Backward(dconcat[:h1Dim])
-	return dstate, c.daction
-}
-
 // ForwardBatch computes Q(s, a) for n row-major [n×stateDim] states and
 // [n×actionDim] actions, caching activations for BackwardBatch. The
-// returned [n] slice aliases an internal buffer. Bit-identical to n Forward
-// calls (see nn.Dense.ForwardBatch).
+// returned [n] slice aliases an internal buffer. Bit-identical to the
+// per-sample forward, one state at a time (see nn.Dense.ForwardBatch).
 func (c *Critic) ForwardBatch(states, actions []float64, n int) []float64 {
 	h1 := c.l1.ForwardBatch(states, n)
 	h1Dim := c.l1.Out
@@ -103,7 +70,7 @@ func (c *Critic) ForwardBatch(states, actions []float64, n int) []float64 {
 // BackwardBatch propagates dL/dQ for the most recent ForwardBatch (dq is
 // [n]), accumulating weight gradients in ascending sample order, and
 // returns ([n×stateDim], [n×actionDim]) input gradients aliasing internal
-// scratch. Bit-identical to n Forward/Backward pairs.
+// scratch. Bit-identical to n per-sample forward/backward pairs.
 func (c *Critic) BackwardBatch(dq []float64, n int) (dstate, daction []float64) {
 	if n != c.bn {
 		panic(fmt.Sprintf("rl: Critic.BackwardBatch rows %d, last ForwardBatch had %d", n, c.bn))
@@ -134,22 +101,11 @@ func (c *Critic) ZeroGrad() {
 	}
 }
 
-// NumParams returns the total trainable parameter count.
-func (c *Critic) NumParams() int {
-	n := 0
-	for _, l := range c.Layers() {
-		n += l.NumParams()
-	}
-	return n
-}
-
 // Clone deep-copies the critic.
 func (c *Critic) Clone() *Critic {
 	cc := &Critic{
 		l1: c.l1.Clone(), l2: c.l2.Clone(), l3: c.l3.Clone(), out: c.out.Clone(),
-		stateDim: c.stateDim, actionDim: c.actionDim,
-		concat:  make([]float64, len(c.concat)),
-		daction: make([]float64, c.actionDim),
+		actionDim: c.actionDim,
 	}
 	cc.layers = []*nn.Dense{cc.l1, cc.l2, cc.l3, cc.out}
 	return cc

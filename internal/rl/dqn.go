@@ -56,6 +56,7 @@ type DQN struct {
 	Target *nn.MLP
 	opt    *nn.Adam
 	rng    *sim.RNG
+	guard  guard
 
 	// arena holds the reused flat minibatch buffers of the batched update
 	// path; sel caches the DDQN per-row action selections.
@@ -79,14 +80,23 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 		Target: q.Clone(),
 		rng:    sim.NewRNG(full.Seed).Stream("dqn-explore"),
 	}
-	d.opt = nn.NewAdam(q.Layers, full.LR)
-	d.opt.MaxGradNorm = 5
+	d.guard.rebuild = d.resetOptimizer
+	d.rewire()
 	return d, nil
+}
+
+func (d *DQN) resetOptimizer() { d.opt = newAdam(d.Q.Layers, d.cfg.LR) }
+
+// rewire rebuilds what hangs off the network objects — the optimizer and the
+// guard's snapshot arena — at construction and after a load replaced them.
+func (d *DQN) rewire() {
+	d.resetOptimizer()
+	d.guard.watch(d.Q.Layers, d.Target.Layers)
 }
 
 // Act returns the greedy action index for a state.
 func (d *DQN) Act(state []float64) int {
-	return argmax(d.Q.Forward(state))
+	return Argmax(d.Q.Forward(state))
 }
 
 // ActEpsilonGreedy explores with probability eps.
@@ -105,26 +115,20 @@ func (d *DQN) ActBatch(states []float64, n int) []float64 {
 	return d.Q.ForwardBatch(states, n)
 }
 
-// Argmax returns the index of a row's maximum element — the greedy action
-// over one Q-value row, with Act's first-max tie-breaking.
-func Argmax(q []float64) int { return argmax(q) }
-
-// QValues returns a copy of Q(s, ·).
-func (d *DQN) QValues(state []float64) []float64 {
-	return append([]float64(nil), d.Q.Forward(state)...)
-}
-
 // Update performs one gradient step on a minibatch. Transitions must carry
 // a single-element Action slice holding the action index.
 //
 // The step runs on the batched nn kernels over reused flat buffers; it is
-// bit-identical to the per-sample reference path (updatePerSample) and
-// allocation-free at steady state.
+// bit-identical to the per-sample reference (updatePerSample, in the tests)
+// and allocation-free at steady state. Like the actor–critic Update it is
+// divergence-guarded (see guard): a step that produces a non-finite loss or
+// weight is rolled back and skipped, and reports a zero loss.
 func (d *DQN) Update(batch []Transition) (loss float64) {
 	if len(batch) == 0 {
 		return 0
 	}
 	n := len(batch)
+	d.guard.snapshot()
 	inv := 1 / float64(n)
 	k := d.cfg.NumActions
 	ar := &d.arena
@@ -140,7 +144,7 @@ func (d *DQN) Update(batch []Transition) (loss float64) {
 		// DDQN: online net selects, target net evaluates.
 		qNext := d.Q.ForwardBatch(ar.next, n)
 		for i := 0; i < n; i++ {
-			d.sel[i] = argmax(qNext[i*k : (i+1)*k])
+			d.sel[i] = Argmax(qNext[i*k : (i+1)*k])
 		}
 	}
 	tNext := d.Target.ForwardBatch(ar.next, n)
@@ -170,39 +174,15 @@ func (d *DQN) Update(batch []Transition) (loss float64) {
 	d.Q.BackwardBatch(ar.grad, n)
 	d.opt.Step()
 	d.Target.SoftUpdateFrom(d.Q, d.cfg.Tau)
+	if d.guard.diverged(isFinite(loss)) {
+		return 0
+	}
 	return loss
 }
 
-// updatePerSample is the pre-batching reference implementation, retained as
-// the benchmark baseline and the bit-identity oracle for the batched Update.
-func (d *DQN) updatePerSample(batch []Transition) (loss float64) {
-	if len(batch) == 0 {
-		return 0
-	}
-	inv := 1 / float64(len(batch))
-	d.Q.ZeroGrad()
-	for _, tr := range batch {
-		a := int(tr.Action[0])
-		y := tr.Reward
-		if !tr.Done {
-			if d.cfg.Double {
-				sel := argmax(d.Q.Forward(tr.NextState))
-				y += d.cfg.Gamma * d.Target.Forward(tr.NextState)[sel]
-			} else {
-				y += d.cfg.Gamma * maxOf(d.Target.Forward(tr.NextState))
-			}
-		}
-		q := d.Q.Forward(tr.State)
-		diff := q[a] - y
-		loss += diff * diff * inv
-		grad := make([]float64, d.cfg.NumActions)
-		grad[a] = 2 * diff * inv
-		d.Q.Backward(grad)
-	}
-	d.opt.Step()
-	d.Target.SoftUpdateFrom(d.Q, d.cfg.Tau)
-	return loss
-}
+// Divergences reports how many updates were rolled back for producing a
+// non-finite loss or weights.
+func (d *DQN) Divergences() uint64 { return d.guard.divergences }
 
 // NumParams reports the Q-network parameter count.
 func (d *DQN) NumParams() int { return d.Q.NumParams() }
@@ -227,12 +207,13 @@ func (d *DQN) LoadPolicy(r io.Reader) error {
 	}
 	d.Q = mlp
 	d.Target = mlp.Clone()
-	d.opt = nn.NewAdam(d.Q.Layers, d.cfg.LR)
-	d.opt.MaxGradNorm = 5
+	d.rewire()
 	return nil
 }
 
-func argmax(xs []float64) int {
+// Argmax returns the index of a row's maximum element — the greedy action
+// over one Q-value row, with Act's first-max tie-breaking.
+func Argmax(xs []float64) int {
 	best := 0
 	for i, v := range xs {
 		if v > xs[best] {

@@ -1,0 +1,92 @@
+package rl
+
+import (
+	"math"
+
+	"github.com/deeppower/deeppower/internal/nn"
+)
+
+// maxGradNorm is the global gradient-norm clip every optimizer in this
+// package trains under; it stabilizes early critic training.
+const maxGradNorm = 5
+
+// newAdam is the one place a trainer's optimizer is built — construction,
+// divergence rollback, LoadPolicy and checkpoint load all come through here,
+// so none of them can resume with an unclipped optimizer.
+func newAdam(layers []*nn.Dense, lr float64) *nn.Adam {
+	opt := nn.NewAdam(layers, lr)
+	opt.MaxGradNorm = maxGradNorm
+	return opt
+}
+
+// guard is the divergence guard every trainer's Update runs under. A
+// pathological transition (possible when faulted telemetry slips one into
+// replay) can turn a gradient step into NaN weights that no later step
+// repairs; the guard snapshots every live and target weight before the step
+// and, if the step produced a non-finite loss or weight, restores them, has
+// the trainer rebuild its optimizers (their moments may carry the NaN) and
+// counts the skipped batch.
+//
+// The snapshot arena is preallocated by watch, so a guarded steady-state
+// train step stays allocation-free.
+type guard struct {
+	layers      []*nn.Dense // live layers first, then targets
+	live        int         // layers[:live] are trained directly
+	w, b        [][]float64 // flat copies of every layer's (W, B)
+	rebuild     func()      // rebuilds the trainer's optimizers
+	divergences uint64
+}
+
+// watch (re)points the guard at a trainer's networks — at construction and
+// whenever a load replaces the network objects.
+func (g *guard) watch(live, targets []*nn.Dense) {
+	g.layers = append(append(g.layers[:0], live...), targets...)
+	g.live = len(live)
+	g.w, g.b = g.w[:0], g.b[:0]
+	for _, l := range g.layers {
+		g.w = append(g.w, make([]float64, len(l.W)))
+		g.b = append(g.b, make([]float64, len(l.B)))
+	}
+}
+
+// snapshot records the pre-update weights.
+func (g *guard) snapshot() {
+	for i, l := range g.layers {
+		copy(g.w[i], l.W)
+		copy(g.b[i], l.B)
+	}
+}
+
+// diverged reports whether the step just taken must be undone — a loss or a
+// live weight is non-finite — and if so undoes it. Targets only ever blend
+// live weights in, so they are finite whenever the live weights are.
+func (g *guard) diverged(lossesFinite bool) bool {
+	if lossesFinite && g.weightsFinite() {
+		return false
+	}
+	for i, l := range g.layers {
+		copy(l.W, g.w[i])
+		copy(l.B, g.b[i])
+	}
+	g.rebuild()
+	g.divergences++
+	return true
+}
+
+func (g *guard) weightsFinite() bool {
+	for _, l := range g.layers[:g.live] {
+		for _, w := range l.W {
+			if !isFinite(w) {
+				return false
+			}
+		}
+		for _, b := range l.B {
+			if !isFinite(b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

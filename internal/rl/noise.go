@@ -16,8 +16,6 @@ type Noise interface {
 	// property the vectorized act path relies on to stay bit-identical to
 	// the inline one.
 	SampleInto(dst []float64)
-	// Reset restarts the process (relevant for temporally-correlated noise).
-	Reset()
 }
 
 // GaussianNoise is i.i.d. N(Mu, Sigma²) noise. The paper uses N(0.3, 1) by
@@ -47,47 +45,6 @@ func (g *GaussianNoise) SampleInto(dst []float64) {
 	}
 }
 
-// Reset implements Noise (no state).
-func (g *GaussianNoise) Reset() {}
-
-// OUNoise is an Ornstein-Uhlenbeck process — the temporally-correlated noise
-// of the original DDPG paper, provided as an alternative exploration scheme.
-type OUNoise struct {
-	Theta, Sigma, Mu float64
-	state            []float64
-	rng              *sim.RNG
-}
-
-// NewOUNoise returns an OU process with mean-reversion theta and volatility
-// sigma around mu.
-func NewOUNoise(theta, sigma, mu float64, rng *sim.RNG) *OUNoise {
-	return &OUNoise{Theta: theta, Sigma: sigma, Mu: mu, rng: rng}
-}
-
-// Sample implements Noise.
-func (o *OUNoise) Sample(dim int) []float64 {
-	out := make([]float64, dim)
-	o.SampleInto(out)
-	return out
-}
-
-// SampleInto implements Noise.
-func (o *OUNoise) SampleInto(dst []float64) {
-	if len(o.state) != len(dst) {
-		o.state = make([]float64, len(dst))
-		for i := range o.state {
-			o.state[i] = o.Mu
-		}
-	}
-	for i := range o.state {
-		o.state[i] += o.Theta*(o.Mu-o.state[i]) + o.Sigma*o.rng.NormFloat64()
-		dst[i] = o.state[i]
-	}
-}
-
-// Reset implements Noise.
-func (o *OUNoise) Reset() { o.state = nil }
-
 // DecayedNoise wraps another process, scaling its samples by a factor that
 // decays geometrically per draw — a common trick to anneal exploration as
 // training progresses.
@@ -116,9 +73,6 @@ func (d *DecayedNoise) SampleInto(dst []float64) {
 		d.Scale = d.Floor
 	}
 }
-
-// Reset implements Noise.
-func (d *DecayedNoise) Reset() { d.Inner.Reset() }
 
 // clip01 clamps every element of a into [0,1] — the actor's action range
 // (BaseFreq, ScalingCoef are sigmoid-bounded, §4.4.3).

@@ -71,39 +71,31 @@ func randStates(rng *sim.RNG, n, dim int) []float64 {
 	return out
 }
 
-func TestDDPGActBatchMatchesAct(t *testing.T) {
-	d, err := NewDDPG(DDPGConfig{StateDim: 8, ActionDim: 2, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	states := randStates(sim.NewRNG(32), n, 8)
-	rows := append([]float64(nil), d.ActBatch(states, n)...)
-	for i := 0; i < n; i++ {
-		single := d.Act(states[i*8 : (i+1)*8])
-		for j, v := range single {
-			if rows[i*2+j] != v {
-				t.Errorf("state %d dim %d: batch %v != single %v", i, j, rows[i*2+j], v)
-			}
+// TestActBatchMatchesAct: every row of the batched greedy forward is
+// bit-identical to Act on that state, for every actor–critic variant (SAC's
+// rows are the squashed means, not the raw head output).
+func TestActBatchMatchesAct(t *testing.T) {
+	for _, c := range learnerCases {
+		if c.discrete() {
+			continue // TestDQNActBatchArgmaxMatchesAct
 		}
-	}
-}
-
-func TestTD3ActBatchMatchesAct(t *testing.T) {
-	a, err := NewTD3(TD3Config{StateDim: 8, ActionDim: 2, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	states := randStates(sim.NewRNG(34), n, 8)
-	rows := append([]float64(nil), a.ActBatch(states, n)...)
-	for i := 0; i < n; i++ {
-		single := a.Act(states[i*8 : (i+1)*8])
-		for j, v := range single {
-			if rows[i*2+j] != v {
-				t.Errorf("state %d dim %d: batch %v != single %v", i, j, rows[i*2+j], v)
+		t.Run(c.name, func(t *testing.T) {
+			l := c.build(t, 8, false, 31).(acTrainer)
+			const n = 5
+			states := randStates(sim.NewRNG(32), n, 8)
+			rows := append([]float64(nil), l.ActBatch(states, n)...)
+			if len(rows) != n*caseActionDim {
+				t.Fatalf("ActBatch returned %d values for %d states", len(rows), n)
 			}
-		}
+			for i := 0; i < n; i++ {
+				single := l.Act(states[i*8 : (i+1)*8])
+				for j, v := range single {
+					if rows[i*caseActionDim+j] != v {
+						t.Errorf("state %d dim %d: batch %v != single %v", i, j, rows[i*caseActionDim+j], v)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,43 +33,137 @@ func bitEq(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestDenseBatchBitIdentity asserts ForwardBatch/BackwardBatch reproduce n
-// per-sample Forward/Backward calls bit-for-bit — outputs, accumulated
-// weight/bias gradients, and input gradients — for every activation and for
-// batch sizes around the blocking tile.
-func TestDenseBatchBitIdentity(t *testing.T) {
-	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
-		for _, n := range []int{1, 3, blockRows, blockRows + 5, 64} {
-			rng := sim.NewRNG(11)
-			ref := NewDense(9, 7, act, rng)
-			bat := ref.Clone()
-			x := randBatch(rng, n, ref.In)
-			dy := randBatch(rng, n, ref.Out)
-
-			// Per-sample reference: accumulate gradients across the batch.
-			refY := make([]float64, n*ref.Out)
-			refDX := make([]float64, n*ref.In)
-			for b := 0; b < n; b++ {
-				y := ref.Forward(x[b*ref.In : (b+1)*ref.In])
-				copy(refY[b*ref.Out:], y)
-				dx := ref.Backward(dy[b*ref.Out : (b+1)*ref.Out])
-				copy(refDX[b*ref.In:], dx)
+// deltaCases shape the [n×out] output gradient of TestDenseBatchBitIdentity
+// into the δ patterns the batched backward's zero-skip has to walk: its
+// survivors are paired, so what matters is how many there are in a row and
+// where the last one sits.
+var deltaCases = []struct {
+	name  string
+	shape func(dy []float64, n, out int)
+}{
+	{"dense", func([]float64, int, int) {}},
+	{"one sample all zero", func(dy []float64, n, out int) {
+		row := dy[(n/2)*out : (n/2+1)*out]
+		for o := range row {
+			row[o] = 0
+		}
+	}},
+	{"one active unit", func(dy []float64, _, out int) { keepUnits(dy, out, 2) }},
+	{"odd number of active units", func(dy []float64, _, out int) { keepUnits(dy, out, 0, 3, 4) }},
+	{"last unit the only active one", func(dy []float64, _, out int) { keepUnits(dy, out, out-1) }},
+	{"one-hot per row", func(dy []float64, _, out int) { // DQN's output gradient
+		for i := range dy {
+			if i%out != (i/out)%out {
+				dy[i] = 0
 			}
+		}
+	}},
+	{"negative zero on an active unit", func(dy []float64, _, out int) {
+		for b := 0; b*out < len(dy); b++ {
+			dy[b*out+b%out] = math.Copysign(0, -1)
+		}
+	}},
+}
 
-			gotY := bat.ForwardBatch(x, n)
-			gotDX := bat.BackwardBatch(dy, n)
+// keepUnits zeroes every column of dy but the listed ones.
+func keepUnits(dy []float64, out int, units ...int) {
+	for i := range dy {
+		keep := false
+		for _, u := range units {
+			keep = keep || i%out == u
+		}
+		if !keep {
+			dy[i] = 0
+		}
+	}
+}
 
-			bitEq(t, act.String()+" y", gotY, refY)
-			bitEq(t, act.String()+" dx", gotDX, refDX)
-			bitEq(t, act.String()+" GW", bat.GW, ref.GW)
-			bitEq(t, act.String()+" GB", bat.GB, ref.GB)
+// TestDenseBatchBitIdentity asserts ForwardBatch and the three batched
+// backward kernels reproduce n per-sample Forward/Backward calls bit-for-bit
+// — outputs, accumulated weight/bias gradients, and input gradients — for
+// every activation, for batch sizes around the blocking tile, and for every
+// δ pattern of deltaCases. Each pattern runs on the drawn biases (a ReLU
+// layer then adds its own inactive units to the zeros) and on biases pushed
+// so high every ReLU unit is active, where the dy pattern is the δ pattern.
+func TestDenseBatchBitIdentity(t *testing.T) {
+	const lo, hi = 3, 7 // a column range that starts and ends mid-row
+	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
+		for _, c := range deltaCases {
+			for _, lift := range []float64{0, 100} {
+				for _, n := range []int{1, 3, blockRows, blockRows + 5, 64} {
+					rng := sim.NewRNG(11)
+					ref := NewDense(9, 7, act, rng)
+					for o := range ref.B {
+						ref.B[o] += lift
+					}
+					x := randBatch(rng, n, ref.In)
+					dy := randBatch(rng, n, ref.Out)
+					c.shape(dy, n, ref.Out)
+					what := fmt.Sprintf("%s/%s/lift %v/n=%d ", act, c.name, lift, n)
+
+					// Per-sample reference: accumulate gradients across the batch.
+					refY := make([]float64, n*ref.Out)
+					refDX := make([]float64, n*ref.In)
+					for b := 0; b < n; b++ {
+						y := ref.Forward(x[b*ref.In : (b+1)*ref.In])
+						copy(refY[b*ref.Out:], y)
+						dx := ref.Backward(dy[b*ref.Out : (b+1)*ref.Out])
+						copy(refDX[b*ref.In:], dx)
+					}
+
+					full := ref.Clone()
+					bitEq(t, what+"y", full.ForwardBatch(x, n), refY)
+					bitEq(t, what+"dx", full.BackwardBatch(dy, n), refDX)
+					bitEq(t, what+"GW", full.GW, ref.GW)
+					bitEq(t, what+"GB", full.GB, ref.GB)
+
+					params := ref.Clone()
+					params.ForwardBatch(x, n)
+					params.ParamGradBatch(dy, n)
+					bitEq(t, what+"ParamGradBatch GW", params.GW, ref.GW)
+					bitEq(t, what+"ParamGradBatch GB", params.GB, ref.GB)
+
+					inputs := ref.Clone()
+					inputs.ForwardBatch(x, n)
+					bitEq(t, what+"InputGradBatch dx", inputs.InputGradBatch(dy, n, 0, ref.In), refDX)
+					cols := make([]float64, 0, n*(hi-lo))
+					for b := 0; b < n; b++ {
+						cols = append(cols, refDX[b*ref.In+lo:b*ref.In+hi]...)
+					}
+					bitEq(t, what+"InputGradBatch dx[:, 3:7]", inputs.InputGradBatch(dy, n, lo, hi), cols)
+					bitEq(t, what+"InputGradBatch GW", inputs.GW, make([]float64, len(ref.GW)))
+					bitEq(t, what+"InputGradBatch GB", inputs.GB, make([]float64, len(ref.GB)))
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchSpecialValues: the batched activation pass treats the
+// pre-activations a comparison could get wrong — NaN, ±0, ±Inf — exactly as
+// Apply does in the per-sample Forward, for every activation.
+func TestForwardBatchSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pre := []float64{math.NaN(), negZero, 0, -1, 2, math.Inf(-1), math.Inf(1), -math.SmallestNonzeroFloat64, -math.NaN()}
+	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
+		d := NewDense(2, len(pre), act, sim.NewRNG(53))
+		for i := range d.W {
+			d.W[i] = negZero // −0·x + b leaves b's bits alone, −0 included
+		}
+		copy(d.B, pre)
+		x := []float64{0.5, 1.5, 2.5, 0.25}
+		want := append(append([]float64(nil), d.Forward(x[:2])...), d.Forward(x[2:])...)
+		bitEq(t, act.String()+" y", d.ForwardBatch(x, 2), want)
+		if act == ReLU && (!math.IsNaN(want[0]) || math.Float64bits(want[1]) != math.Float64bits(negZero)) {
+			t.Fatalf("the reference ReLU turned NaN, −0 into %v, %v: the row tests nothing", want[0], want[1])
 		}
 	}
 }
 
 // netBitIdentity runs the per-sample and batched paths of two clones of the
-// same network and asserts outputs, input gradients, and every parameter
-// gradient agree bit-for-bit.
+// same network and asserts outputs and every parameter gradient agree
+// bit-for-bit. (A network's batched backward computes no dL/dinput; input
+// gradients are checked layer by layer in TestDenseBatchBitIdentity.)
 func netBitIdentity(t *testing.T, ref, bat Network, n int, seed int64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
@@ -77,19 +172,16 @@ func netBitIdentity(t *testing.T, ref, bat Network, n int, seed int64) {
 	dy := randBatch(rng, n, out)
 
 	refY := make([]float64, n*out)
-	refDX := make([]float64, n*in)
 	for b := 0; b < n; b++ {
 		y := ref.Forward(x[b*in : (b+1)*in])
 		copy(refY[b*out:], y)
-		dx := ref.Backward(dy[b*out : (b+1)*out])
-		copy(refDX[b*in:], dx)
+		ref.Backward(dy[b*out : (b+1)*out])
 	}
 
 	gotY := bat.ForwardBatch(x, n)
-	gotDX := bat.BackwardBatch(dy, n)
+	bat.BackwardBatch(dy, n)
 
 	bitEq(t, "y", gotY, refY)
-	bitEq(t, "dx", gotDX, refDX)
 	rp, bp := ref.Params(), bat.Params()
 	if len(rp) != len(bp) {
 		t.Fatalf("param count %d vs %d", len(rp), len(bp))
@@ -146,6 +238,20 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 			t.Errorf("%s: batched step allocates %v times, want 0", name, allocs)
 		}
 	}
+	// The two kernels no Network method reaches on every layer: they share
+	// the full kernel's scratch and must not grow any of their own.
+	d := NewDense(34, 24, ReLU, rng)
+	x, dy := randBatch(rng, n, d.In), randBatch(rng, n, d.Out)
+	d.ForwardBatch(x, n)
+	allocs := testing.AllocsPerRun(10, func() {
+		d.ForwardBatch(x, n)
+		d.ParamGradBatch(dy, n)
+		d.InputGradBatch(dy, n, 32, 34)
+		d.ZeroGrad()
+	})
+	if allocs != 0 {
+		t.Errorf("ParamGradBatch + InputGradBatch allocate %v times, want 0", allocs)
+	}
 }
 
 // TestBackwardScratchReused pins the documented Backward contract: the
@@ -168,5 +274,17 @@ func TestBackwardScratchReused(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("per-sample Forward/Backward allocates %v times, want 0", allocs)
+	}
+	// The batched kernels share one layer-owned dx scratch, whatever the
+	// column range asked for.
+	const n = 5
+	xb, dyb := randBatch(rng, n, d.In), randBatch(rng, n, d.Out)
+	d.ForwardBatch(xb, n)
+	full := d.BackwardBatch(dyb, n)
+	if again := d.BackwardBatch(dyb, n); &full[0] != &again[0] {
+		t.Error("BackwardBatch allocated a fresh dx instead of reusing scratch")
+	}
+	if part := d.InputGradBatch(dyb, n, 1, 3); &full[0] != &part[0] {
+		t.Error("InputGradBatch allocated its own dx instead of reusing BackwardBatch's scratch")
 	}
 }

@@ -185,15 +185,16 @@ func (d *Dense) ensureBatch(n int) {
 }
 
 // ForwardBatch computes the layer output for n row-major [n×In] inputs and
-// caches both sides for BackwardBatch. The returned [n×Out] slice is a
-// layer-owned buffer reused between calls.
+// caches both sides for the batched backward kernels. The returned [n×Out]
+// slice is a layer-owned buffer reused between calls.
 //
 // The kernel computes four output units at once per sample: four
 // independent accumulator chains hide the floating-point add latency that
 // serializes a single dot product, and each input element is loaded once
 // for all four units. Every accumulator still sums its row in the exact
 // index order of Forward (seeded from the bias), so a ForwardBatch over n
-// inputs is bit-identical to n Forward calls.
+// inputs is bit-identical to n Forward calls. The activation runs afterwards
+// as one pass over the whole output buffer (see applyAll).
 func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 || len(x) != n*d.In {
 		panic(fmt.Sprintf("nn: ForwardBatch input %d, want %d rows × %d", len(x), n, d.In))
@@ -217,10 +218,7 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 				s2 += r2[i] * xi
 				s3 += r3[i] * xi
 			}
-			yrow[o] = d.Act.Apply(s0)
-			yrow[o+1] = d.Act.Apply(s1)
-			yrow[o+2] = d.Act.Apply(s2)
-			yrow[o+3] = d.Act.Apply(s3)
+			yrow[o], yrow[o+1], yrow[o+2], yrow[o+3] = s0, s1, s2, s3
 		}
 		for ; o < out; o++ {
 			row := d.W[o*in : (o+1)*in : (o+1)*in]
@@ -228,70 +226,171 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 			for i, xi := range xrow {
 				sum += row[i] * xi
 			}
-			yrow[o] = d.Act.Apply(sum)
+			yrow[o] = sum
 		}
 	}
+	d.Act.applyAll(d.by)
 	return d.by
+}
+
+// applyAll overwrites every pre-activation in y with Apply of it. ReLU, the
+// activation of every hidden layer, is chosen once for the buffer instead of
+// once per element, and written as a select on the bit pattern: whether a
+// pre-activation is negative is close to a coin flip, which a branch
+// mispredicts and a conditional move does not. NaN and −0 are kept exactly
+// as Apply keeps them (neither is < 0).
+func (a Activation) applyAll(y []float64) {
+	switch a {
+	case Identity:
+	case ReLU:
+		for i, v := range y {
+			bits := math.Float64bits(v)
+			if v < 0 {
+				bits = 0
+			}
+			y[i] = math.Float64frombits(bits)
+		}
+	default:
+		for i, v := range y {
+			y[i] = a.Apply(v)
+		}
+	}
 }
 
 // BackwardBatch takes dL/dy for the most recent ForwardBatch ([n×Out],
 // row-major), accumulates dL/dW and dL/db, and returns dL/dx as an [n×In]
-// layer-owned scratch buffer.
+// layer-owned scratch buffer — the kernel of a layer whose input is another
+// layer's output.
 //
 // Accumulation order is preserved exactly: each gradient element receives
 // its per-sample contributions in ascending sample order, and each dx
 // element sums over output units in ascending order — matching n sequential
-// Backward calls bit-for-bit.
+// Backward calls bit-for-bit (see backwardBatch for the one difference,
+// which cannot change a bit either).
 func (d *Dense) BackwardBatch(dy []float64, n int) []float64 {
+	return d.backwardBatch(dy, n, true, 0, d.In)
+}
+
+// ParamGradBatch is BackwardBatch without the input gradient: it accumulates
+// dL/dW and dL/db only. It is the kernel of a network's first layer, whose
+// input is data — nobody reads dL/d(data).
+func (d *Dense) ParamGradBatch(dy []float64, n int) {
+	d.backwardBatch(dy, n, true, 0, 0)
+}
+
+// InputGradBatch is BackwardBatch without the parameter gradients, over the
+// input columns [lo, hi) only: it returns dL/dx[:, lo:hi] as an
+// [n×(hi−lo)] layer-owned scratch buffer and leaves GW and GB untouched —
+// the kernel for differentiating through a network that is not being
+// trained (the critic, in the policy step).
+func (d *Dense) InputGradBatch(dy []float64, n, lo, hi int) []float64 {
+	if lo < 0 || hi > d.In || lo >= hi {
+		panic(fmt.Sprintf("nn: InputGradBatch columns [%d,%d) of %d", lo, hi, d.In))
+	}
+	return d.backwardBatch(dy, n, false, lo, hi)
+}
+
+// backwardBatch is the one batched backward: parameter gradients when params
+// is set, input gradients over the columns [lo, hi) when that range is not
+// empty.
+//
+// Samples stay in the outer loop so every GW/GB element receives its
+// per-sample contributions in ascending sample order. Within a sample the
+// walk visits the output units in ascending order, computes δ = dy·σ′(y) as
+// Backward does, and skips the units whose δ is exactly zero: every inactive
+// ReLU unit, every row a caller masked out, all but one column of a one-hot
+// dy. A zero δ contributes δ·x = ±0 to a gradient and δ·w = ±0 to dx, and
+// adding ±0 cannot change an accumulator that started at +0 — such an
+// accumulator is never −0, because a sum is −0 only when both terms are —
+// so the skip is exact whenever x and w are finite. (When one is not, the
+// forward pass already produced a non-finite loss and the trainer's guard
+// undoes the whole step; see DESIGN.md §8.) The surviving units are taken
+// two at a time; the paired updates stay separate statements
+// (t += δ0·w0; t += δ1·w1) — four multiply-adds, never fused — preserving
+// the per-element rounding sequence of sequential Backward calls while
+// sharing each input load across both units.
+func (d *Dense) backwardBatch(dy []float64, n int, params bool, lo, hi int) []float64 {
 	if n != d.bn {
-		panic(fmt.Sprintf("nn: BackwardBatch rows %d, last ForwardBatch had %d", n, d.bn))
+		panic(fmt.Sprintf("nn: batched backward rows %d, last ForwardBatch had %d", n, d.bn))
 	}
 	if len(dy) != n*d.Out {
-		panic(fmt.Sprintf("nn: BackwardBatch gradient %d, want %d rows × %d", len(dy), n, d.Out))
+		panic(fmt.Sprintf("nn: batched backward gradient %d, want %d rows × %d", len(dy), n, d.Out))
 	}
-	bdx := d.bdx
+	in, out, cols := d.In, d.Out, hi-lo
+	bdx := d.bdx[:n*cols]
 	for i := range bdx {
 		bdx[i] = 0
 	}
-	in, out := d.In, d.Out
-	// Samples stay in the outer loop so every GW/GB element receives its
-	// per-sample contributions in ascending sample order; within a sample,
-	// output units are processed two at a time — the paired updates stay
-	// separate add statements (t += δ0·w0; t += δ1·w1), preserving the
-	// per-element rounding sequence of sequential Backward calls while
-	// sharing each input load across both units.
 	for b := 0; b < n; b++ {
 		xrow := d.bx[b*in : (b+1)*in : (b+1)*in]
-		dxrow := bdx[b*in : (b+1)*in : (b+1)*in]
-		yrow := d.by[b*out : (b+1)*out]
-		dyrow := dy[b*out : (b+1)*out]
-		o := 0
-		for ; o+2 <= out; o += 2 {
-			d0 := dyrow[o] * d.Act.DerivFromOutput(yrow[o])
-			d1 := dyrow[o+1] * d.Act.DerivFromOutput(yrow[o+1])
-			d.GB[o] += d0
-			d.GB[o+1] += d1
-			r0 := d.W[o*in : (o+1)*in : (o+1)*in]
-			r1 := d.W[(o+1)*in : (o+2)*in : (o+2)*in]
-			g0 := d.GW[o*in : (o+1)*in : (o+1)*in]
-			g1 := d.GW[(o+1)*in : (o+2)*in : (o+2)*in]
-			for i, xi := range xrow {
-				g0[i] += d0 * xi
-				g1[i] += d1 * xi
-				t := dxrow[i]
-				t += d0 * r0[i]
-				t += d1 * r1[i]
-				dxrow[i] = t
+		dxrow := bdx[b*cols:][:cols:cols]
+		yrow := d.by[b*out:][:out:out]
+		dyrow := dy[b*out:][:out:out]
+		// Each round scans to the next survivor, then to its partner. (One
+		// loop carrying the waiting survivor in a variable is shorter and
+		// read 1–5 % slower in BenchmarkTrainStep.)
+		for o := 0; ; o++ {
+			var d0, d1 float64
+			for ; o < out; o++ {
+				if d0 = dyrow[o] * d.Act.DerivFromOutput(yrow[o]); d0 != 0 {
+					break
+				}
 			}
-		}
-		for ; o < out; o++ {
-			delta := dyrow[o] * d.Act.DerivFromOutput(yrow[o])
-			d.GB[o] += delta
-			row := d.W[o*in : (o+1)*in : (o+1)*in]
-			grow := d.GW[o*in : (o+1)*in : (o+1)*in]
-			for i, xi := range xrow {
-				grow[i] += delta * xi
-				dxrow[i] += delta * row[i]
+			if o == out {
+				break
+			}
+			o0 := o
+			for o++; o < out; o++ {
+				if d1 = dyrow[o] * d.Act.DerivFromOutput(yrow[o]); d1 != 0 {
+					break
+				}
+			}
+			r0 := d.W[o0*in+lo:][:cols:cols]
+			if o == out { // an odd survivor
+				if params {
+					d.GB[o0] += d0
+					g0 := d.GW[o0*in : (o0+1)*in : (o0+1)*in]
+					for i, xi := range xrow {
+						g0[i] += d0 * xi
+					}
+				}
+				for i, w0 := range r0 {
+					dxrow[i] += d0 * w0
+				}
+				break
+			}
+			r1 := d.W[o*in+lo:][:cols:cols]
+			switch {
+			case !params:
+				for i, w0 := range r0 {
+					t := dxrow[i]
+					t += d0 * w0
+					t += d1 * r1[i]
+					dxrow[i] = t
+				}
+			case cols == 0:
+				d.GB[o0] += d0
+				d.GB[o] += d1
+				g0 := d.GW[o0*in : (o0+1)*in : (o0+1)*in]
+				g1 := d.GW[o*in : (o+1)*in : (o+1)*in]
+				for i, xi := range xrow {
+					g0[i] += d0 * xi
+					g1[i] += d1 * xi
+				}
+			default: // params and the full input row: cols == in
+				r0, r1, dxrow := r0[:in], r1[:in], dxrow[:in]
+				d.GB[o0] += d0
+				d.GB[o] += d1
+				g0 := d.GW[o0*in : (o0+1)*in : (o0+1)*in]
+				g1 := d.GW[o*in : (o+1)*in : (o+1)*in]
+				for i, xi := range xrow {
+					g0[i] += d0 * xi
+					g1[i] += d1 * xi
+					t := dxrow[i]
+					t += d0 * r0[i]
+					t += d1 * r1[i]
+					dxrow[i] = t
+				}
 			}
 		}
 	}

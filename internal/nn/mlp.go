@@ -53,14 +53,22 @@ func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
 }
 
 // BackwardBatch propagates dL/dy of the most recent ForwardBatch ([n×OutDim],
-// row-major) through the network, accumulating parameter gradients, and
-// returns dL/dinput as [n×InDim]. Bit-identical to n sequential
-// Forward/Backward pairs (see Dense.BackwardBatch).
-func (m *MLP) BackwardBatch(dy []float64, n int) []float64 {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dy = m.Layers[i].BackwardBatch(dy, n)
+// row-major) through the network, accumulating parameter gradients.
+// Bit-identical to n sequential Forward/Backward pairs (see
+// Dense.BackwardBatch). The network's input is data, so the first layer
+// computes no input gradient and nothing is returned.
+func (m *MLP) BackwardBatch(dy []float64, n int) {
+	backwardStack(m.Layers, dy, n)
+}
+
+// backwardStack backpropagates dy through a stack whose first layer reads
+// data: every layer accumulates its parameter gradients, every layer but the
+// first hands its input gradient down.
+func backwardStack(layers []*Dense, dy []float64, n int) {
+	for i := len(layers) - 1; i > 0; i-- {
+		dy = layers[i].BackwardBatch(dy, n)
 	}
-	return dy
+	layers[0].ParamGradBatch(dy, n)
 }
 
 // ZeroGrad clears gradients on every layer.

@@ -14,9 +14,9 @@ type Network interface {
 	ForwardBatch(x []float64, n int) []float64
 	// BackwardBatch propagates [n×OutDim] output gradients of the latest
 	// ForwardBatch, accumulating parameter gradients in ascending sample
-	// order (bit-identical to n Forward/Backward pairs), and returns
-	// dL/dinput as [n×InDim].
-	BackwardBatch(dy []float64, n int) []float64
+	// order (bit-identical to n Forward/Backward pairs). It computes no
+	// dL/dinput: a network's input is data.
+	BackwardBatch(dy []float64, n int)
 	// ZeroGrad clears accumulated gradients.
 	ZeroGrad()
 	// NumParams counts trainable parameters.

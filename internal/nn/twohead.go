@@ -179,10 +179,11 @@ func (t *TwoHead) ForwardBatch(x []float64, n int) []float64 {
 }
 
 // BackwardBatch implements Network: dy is [n×OutDim] for the most recent
-// ForwardBatch. Heads are replayed batch-wise before backprop (mirroring
-// Backward), and the trunk gradient sums head contributions in head order,
-// so the result is bit-identical to n per-sample Forward/Backward pairs.
-func (t *TwoHead) BackwardBatch(dy []float64, n int) []float64 {
+// ForwardBatch. Every head kept its own batch caches from that forward (a
+// head is its own stack of layers), so nothing is replayed; the trunk
+// gradient sums head contributions in head order, so the parameter gradients
+// are bit-identical to n per-sample Forward/Backward pairs.
+func (t *TwoHead) BackwardBatch(dy []float64, n int) {
 	if n != t.bn {
 		panic(fmt.Sprintf("nn: TwoHead.BackwardBatch rows %d, last ForwardBatch had %d", n, t.bn))
 	}
@@ -192,12 +193,12 @@ func (t *TwoHead) BackwardBatch(dy []float64, n int) []float64 {
 	}
 	var dTrunk []float64
 	for h, stack := range t.Heads {
-		y := t.trunkOutB
-		for _, l := range stack {
-			y = l.ForwardBatch(y, n)
-		}
 		for b := 0; b < n; b++ {
 			t.headDyB[b] = dy[b*heads+h]
+		}
+		if len(t.Trunk) == 0 { // the heads read the data themselves
+			backwardStack(stack, t.headDyB, n)
+			continue
 		}
 		g := t.headDyB
 		for i := len(stack) - 1; i >= 0; i-- {
@@ -211,11 +212,9 @@ func (t *TwoHead) BackwardBatch(dy []float64, n int) []float64 {
 			}
 		}
 	}
-	g := dTrunk
-	for i := len(t.Trunk) - 1; i >= 0; i-- {
-		g = t.Trunk[i].BackwardBatch(g, n)
+	if len(t.Trunk) > 0 {
+		backwardStack(t.Trunk, dTrunk, n)
 	}
-	return g
 }
 
 // ZeroGrad implements Network.

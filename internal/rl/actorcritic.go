@@ -273,6 +273,11 @@ func (l *ActorCritic) ActBatch(states []float64, n int) []float64 {
 // the per-sample reference (updatePerSample, in the tests), including the
 // order of the head's RNG draws.
 //
+// No pass opens by clearing gradients: every backward here is followed by
+// its optimizer's Step, which leaves them zero, and the policy step reads the
+// critic's action gradient without accumulating any weight gradient
+// (TestGradientsZeroBetweenUpdates).
+//
 // Update is divergence-guarded (see guard): a step that produces a
 // non-finite loss or weight is rolled back and skipped, and reports zero
 // losses.
@@ -309,7 +314,6 @@ func (l *ActorCritic) Update(batch []Transition) (criticLoss, actorLoss float64)
 
 	// Critics: each minimizes Σ (y_i − Q_w(s_i, a_i))².
 	for k, c := range l.Critics {
-		c.ZeroGrad()
 		q := c.ForwardBatch(ar.states, ar.actions, n)
 		var loss float64
 		for i := 0; i < n; i++ {

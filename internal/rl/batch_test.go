@@ -98,6 +98,47 @@ func TestBatchBitIdentity(t *testing.T) {
 	}
 }
 
+// TestActionGradMatchesFullBackward: the policy step's critic pass,
+// ActionGradBatch, returns exactly the action columns the full per-sample
+// backward produces — for dense rows, rows masked out with a zero dQ (SAC's
+// min-critic mask) and a −0 — and writes no weight gradient on the way.
+func TestActionGradMatchesFullBackward(t *testing.T) {
+	const n, stateDim, actionDim = 33, 6, 2
+	rng := sim.NewRNG(41)
+	ref := NewCritic(stateDim, actionDim, [3]int{32, 24, 16}, rng)
+	bat := ref.Clone()
+	states, actions := randStates(rng, n, stateDim), randStates(rng, n, actionDim)
+	dq := make([]float64, n)
+	for i := range dq {
+		dq[i] = rng.Uniform(-1, 1)
+		if i%3 == 1 {
+			dq[i] = 0
+		}
+	}
+	dq[5] = math.Copysign(0, -1)
+
+	var want []float64
+	for b := 0; b < n; b++ {
+		ref.Forward(states[b*stateDim:(b+1)*stateDim], actions[b*actionDim:(b+1)*actionDim])
+		_, da := ref.Backward(dq[b])
+		want = append(want, da...)
+	}
+	bat.ForwardBatch(states, actions, n)
+	bitEqSlice(t, "dQ/da", bat.ActionGradBatch(dq, n), want)
+	for i, l := range bat.Layers() {
+		bitEqSlice(t, fmt.Sprintf("layer %d GW", i), l.GW, make([]float64, len(l.GW)))
+		bitEqSlice(t, fmt.Sprintf("layer %d GB", i), l.GB, make([]float64, len(l.GB)))
+	}
+
+	// The regression backward on the same forward accumulates what the
+	// reference did, the action-gradient pass having left nothing behind.
+	bat.BackwardBatch(dq, n)
+	for i, l := range bat.Layers() {
+		bitEqSlice(t, fmt.Sprintf("layer %d GW", i), l.GW, ref.Layers()[i].GW)
+		bitEqSlice(t, fmt.Sprintf("layer %d GB", i), l.GB, ref.Layers()[i].GB)
+	}
+}
+
 // TestTrainStepZeroAllocs pins the batched path's guarantee: after a warm-up
 // has grown every scratch arena, a steady-state train step — divergence
 // snapshot included — performs zero heap allocations, for every trainer.

@@ -21,10 +21,9 @@ type Critic struct {
 
 	// Batched-path scratch ([n×dim] row-major), grown on demand and reused
 	// so a steady-state batched train step never allocates.
-	concatB  []float64
-	dh1B     []float64
-	dactionB []float64
-	bn       int
+	concatB []float64
+	dh1B    []float64
+	bn      int
 }
 
 // NewCritic builds a critic with hidden sizes (h1, h2, h3).
@@ -41,7 +40,8 @@ func NewCritic(stateDim, actionDim int, hidden [3]int, rng *sim.RNG) *Critic {
 }
 
 // ForwardBatch computes Q(s, a) for n row-major [n×stateDim] states and
-// [n×actionDim] actions, caching activations for BackwardBatch. The
+// [n×actionDim] actions, caching activations for BackwardBatch and
+// ActionGradBatch. The
 // returned [n] slice aliases an internal buffer. Bit-identical to the
 // per-sample forward, one state at a time (see nn.Dense.ForwardBatch).
 func (c *Critic) ForwardBatch(states, actions []float64, n int) []float64 {
@@ -51,11 +51,9 @@ func (c *Critic) ForwardBatch(states, actions []float64, n int) []float64 {
 	if cap(c.concatB) < n*cw {
 		c.concatB = make([]float64, n*cw)
 		c.dh1B = make([]float64, n*h1Dim)
-		c.dactionB = make([]float64, n*c.actionDim)
 	}
 	c.concatB = c.concatB[:n*cw]
 	c.dh1B = c.dh1B[:n*h1Dim]
-	c.dactionB = c.dactionB[:n*c.actionDim]
 	c.bn = n
 	for b := 0; b < n; b++ {
 		row := c.concatB[b*cw : (b+1)*cw]
@@ -68,10 +66,11 @@ func (c *Critic) ForwardBatch(states, actions []float64, n int) []float64 {
 }
 
 // BackwardBatch propagates dL/dQ for the most recent ForwardBatch (dq is
-// [n]), accumulating weight gradients in ascending sample order, and
-// returns ([n×stateDim], [n×actionDim]) input gradients aliasing internal
-// scratch. Bit-identical to n per-sample forward/backward pairs.
-func (c *Critic) BackwardBatch(dq []float64, n int) (dstate, daction []float64) {
+// [n]), accumulating weight gradients in ascending sample order —
+// bit-identical to n per-sample forward/backward pairs. It is the regression
+// step's backward: no gradient with respect to the state or the action
+// leaves the critic.
+func (c *Critic) BackwardBatch(dq []float64, n int) {
 	if n != c.bn {
 		panic(fmt.Sprintf("rl: Critic.BackwardBatch rows %d, last ForwardBatch had %d", n, c.bn))
 	}
@@ -81,25 +80,30 @@ func (c *Critic) BackwardBatch(dq []float64, n int) (dstate, daction []float64) 
 	h1Dim := c.l1.Out
 	cw := h1Dim + c.actionDim
 	for b := 0; b < n; b++ {
-		row := dconcat[b*cw : (b+1)*cw]
-		copy(c.dh1B[b*h1Dim:], row[:h1Dim])
-		copy(c.dactionB[b*c.actionDim:], row[h1Dim:])
+		copy(c.dh1B[b*h1Dim:(b+1)*h1Dim], dconcat[b*cw:])
 	}
-	dstate = c.l1.BackwardBatch(c.dh1B, n)
-	return dstate, c.dactionB
+	c.l1.ParamGradBatch(c.dh1B, n)
+}
+
+// ActionGradBatch returns dL/da for the most recent ForwardBatch given dL/dQ
+// (dq is [n]) as [n×actionDim] rows aliasing layer scratch — the policy
+// step's backward. The action enters at the second layer, so only the input
+// gradients of out, l3 and the action columns of l2 are computed; no weight
+// gradient is touched. Each row is bit-identical to the action gradient of
+// the per-sample backward.
+func (c *Critic) ActionGradBatch(dq []float64, n int) []float64 {
+	if n != c.bn {
+		panic(fmt.Sprintf("rl: Critic.ActionGradBatch rows %d, last ForwardBatch had %d", n, c.bn))
+	}
+	dh3 := c.out.InputGradBatch(dq, n, 0, c.out.In)
+	dh2 := c.l3.InputGradBatch(dh3, n, 0, c.l3.In)
+	return c.l2.InputGradBatch(dh2, n, c.l1.Out, c.l2.In)
 }
 
 // Layers exposes the trainable layers for optimizers. The slice is cached
 // at construction so hot paths (soft updates, finiteness sweeps) don't
 // allocate.
 func (c *Critic) Layers() []*nn.Dense { return c.layers }
-
-// ZeroGrad clears accumulated gradients.
-func (c *Critic) ZeroGrad() {
-	for _, l := range c.Layers() {
-		l.ZeroGrad()
-	}
-}
 
 // Clone deep-copies the critic.
 func (c *Critic) Clone() *Critic {

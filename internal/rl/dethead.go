@@ -51,17 +51,13 @@ func (h *detHead) target(l *ActorCritic, n int) (actions, logPi []float64) {
 func (h *detHead) improve(l *ActorCritic, n int) (loss float64) {
 	ar, critic := &l.arena, l.Critics[0]
 	inv := 1 / float64(n)
-	l.Actor.ZeroGrad()
 	a := l.Actor.ForwardBatch(ar.states, n)
 	q := critic.ForwardBatch(ar.states, a, n)
 	for i := 0; i < n; i++ {
 		loss += -q[i] * inv
 		ar.dq[i] = -inv // dL_a/dQ per sample
 	}
-	_, da := critic.BackwardBatch(ar.dq, n)
-	l.Actor.BackwardBatch(da, n)
-	// The actor pass accumulated unwanted critic gradients; drop them.
-	critic.ZeroGrad()
+	l.Actor.BackwardBatch(critic.ActionGradBatch(ar.dq, n), n)
 	l.actorOpt.Step()
 	l.ActorTarget.SoftUpdateNet(l.Actor, l.cfg.Tau)
 	return loss

@@ -122,7 +122,9 @@ func (d *DQN) ActBatch(states []float64, n int) []float64 {
 // bit-identical to the per-sample reference (updatePerSample, in the tests)
 // and allocation-free at steady state. Like the actor–critic Update it is
 // divergence-guarded (see guard): a step that produces a non-finite loss or
-// weight is rolled back and skipped, and reports a zero loss.
+// weight is rolled back and skipped, and reports a zero loss; and like it, it
+// opens no pass by clearing gradients — the Step that closed the previous
+// update left them zero.
 func (d *DQN) Update(batch []Transition) (loss float64) {
 	if len(batch) == 0 {
 		return 0
@@ -160,7 +162,6 @@ func (d *DQN) Update(batch []Transition) (loss float64) {
 		ar.y[i] = y
 	}
 
-	d.Q.ZeroGrad()
 	q := d.Q.ForwardBatch(ar.states, n)
 	for i := range ar.grad {
 		ar.grad[i] = 0

@@ -120,16 +120,14 @@ func (h *gaussHead) target(l *ActorCritic, n int) (actions, logPi []float64) {
 
 // improve minimizes E[α·logπ(ã|s) − min_k Q_k(s, ã)] with the
 // reparameterization trick through the tanh squash. Per sample, only the
-// smaller critic backpropagates: both critics run BackwardBatch with
-// complementary 1/0 masks (a masked row's backward contributes exact zeros,
-// and the unwanted critic weight gradients are zeroed below anyway), and each
-// sample reads dQ/da from its min critic's input-gradient row —
+// smaller critic backpropagates: both critics run ActionGradBatch with
+// complementary 1/0 masks (a masked row's δ is zero in every layer, so the
+// kernel skips it), and each sample reads dQ/da from its min critic's row —
 // bit-identical to backpropagating 1 through the min critic alone.
 func (h *gaussHead) improve(l *ActorCritic, n int) (loss float64) {
 	ar, d, alpha := &l.arena, l.cfg.ActionDim, l.v.alpha
 	c1, c2 := l.Critics[0], l.Critics[1]
 	inv := 1 / float64(n)
-	l.Actor.ZeroGrad()
 	h.drawBatch(l, l.Actor.ForwardBatch(ar.states, n), n, nil)
 	q1 := c1.ForwardBatch(ar.states, h.a01, n)
 	q2 := c2.ForwardBatch(ar.states, h.a01, n)
@@ -142,8 +140,8 @@ func (h *gaussHead) improve(l *ActorCritic, n int) (loss float64) {
 			loss += (alpha*h.logPi[i] - q1[i]) * inv
 		}
 	}
-	_, da1 := c1.BackwardBatch(h.dq1, n)
-	_, da2 := c2.BackwardBatch(h.dq2, n)
+	da1 := c1.ActionGradBatch(h.dq1, n)
+	da2 := c2.ActionGradBatch(h.dq2, n)
 	for b := 0; b < n; b++ {
 		dqda := da1[b*d : (b+1)*d]
 		if h.dq2[b] == 1 {
@@ -166,9 +164,6 @@ func (h *gaussHead) improve(l *ActorCritic, n int) (loss float64) {
 		}
 	}
 	l.Actor.BackwardBatch(ar.grad, n)
-	// Drop critic gradients accumulated during the actor pass.
-	c1.ZeroGrad()
-	c2.ZeroGrad()
 	l.actorOpt.Step()
 	return loss
 }

@@ -187,8 +187,22 @@ func weightBits(tr trainer) []uint64 {
 	return out
 }
 
-// TestDivergenceGuard: a minibatch carrying a NaN reward must leave every
-// live and target weight bit-equal to its pre-update value, count one
+// poisons are the pathological transitions TestDivergenceGuard slips into a
+// minibatch. A NaN reward reaches the loss through the bootstrap target. A
+// NaN state component reaches it through every forward pass — and is the
+// operand the batched backward's zero-skip never multiplies: the per-sample
+// kernel wrote 0·NaN = NaN into the gradients of inactive units, the batched
+// one skips them, and the guard must undo the step either way.
+var poisons = []struct {
+	name   string
+	poison func(tr *Transition)
+}{
+	{"NaN reward", func(tr *Transition) { tr.Reward = math.NaN() }},
+	{"NaN state component", func(tr *Transition) { tr.State[2] = math.NaN() }},
+}
+
+// TestDivergenceGuard: a minibatch carrying a poisoned transition must leave
+// every live and target weight bit-equal to its pre-update value, count one
 // divergence, rebuild the optimizers, and let the next clean update proceed —
 // for every trainer, on both an actor step and (TD3) a delayed one, whose
 // NaN "no actor loss" must not trip the guard on clean data either.
@@ -204,11 +218,13 @@ func TestDivergenceGuard(t *testing.T) {
 			if n := tr.Divergences(); n != 0 {
 				t.Fatalf("%d divergences on clean data (a skipped actor step must not count)", n)
 			}
-			for round := uint64(1); round <= 2; round++ { // TD3: one delayed, one actor step
+			// Two rounds per poison — TD3: one delayed, one actor step.
+			rounds := uint64(2 * len(poisons))
+			for round := uint64(1); round <= rounds; round++ {
 				before := weightBits(tr)
 				optsBefore := tr.opts()
 				poisoned := clean()
-				poisoned[3].Reward = math.NaN()
+				poisons[(round-1)/2].poison(&poisoned[3])
 				if cl, al := tr.update(poisoned); cl != 0 || al != 0 {
 					t.Errorf("round %d: rolled-back update reported losses (%v, %v), want zeros", round, cl, al)
 				}
@@ -257,9 +273,72 @@ func TestDivergenceGuard(t *testing.T) {
 				}
 				div = l.Divergences()
 			}
-			if div != 2 {
-				t.Errorf("checkpoint round trip restored %d divergences, want 2", div)
+			if div != rounds {
+				t.Errorf("checkpoint round trip restored %d divergences, want %d", div, rounds)
 			}
+		})
+	}
+}
+
+// TestGradientsZeroBetweenUpdates pins the invariant that lets no pass of
+// Update open by clearing gradients: every backward is followed by its
+// optimizer's Step, which leaves the gradients zero, and the policy step's
+// critic pass accumulates none. After construction, after every update —
+// clean, policy-delayed (TD3's odd steps) and rolled back — and after both
+// loaders, every GW and GB of every live network is exactly zero.
+func TestGradientsZeroBetweenUpdates(t *testing.T) {
+	for _, c := range learnerCases {
+		t.Run(c.name, func(t *testing.T) {
+			gradsZero := func(when string, tr trainer) {
+				t.Helper()
+				for ni, layers := range tr.nets() {
+					for li, l := range layers {
+						for _, g := range append(append([]float64(nil), l.GW...), l.GB...) {
+							if math.Float64bits(g) != 0 {
+								t.Fatalf("%s: network %d layer %d holds a gradient %v", when, ni, li, g)
+							}
+						}
+					}
+				}
+			}
+			tr := c.build(t, 6, false, 9)
+			gradsZero("after construction", tr)
+			rng := sim.NewRNG(10)
+			batch := func() []Transition { return mkTransitions(rng, 16, 6, caseActionDim, c.discrete(), caseNumActions) }
+			for step := 1; step <= 4; step++ { // TD3: two delayed, two policy steps
+				tr.update(batch())
+				gradsZero(fmt.Sprintf("after clean update %d", step), tr)
+			}
+			for _, p := range poisons {
+				for step := 1; step <= 2; step++ {
+					poisoned := batch()
+					p.poison(&poisoned[3])
+					tr.update(poisoned)
+					gradsZero(fmt.Sprintf("after rolled-back update %d (%s)", step, p.name), tr)
+				}
+			}
+			if tr.Divergences() != uint64(2*len(poisons)) {
+				t.Fatalf("%d divergences, want every poisoned update rolled back", tr.Divergences())
+			}
+
+			var policy bytes.Buffer
+			if err := tr.SavePolicy(&policy); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.LoadPolicy(&policy); err != nil {
+				t.Fatal(err)
+			}
+			gradsZero("after LoadPolicy", tr)
+			tr.update(batch())
+			gradsZero("after an update on the loaded policy", tr)
+
+			loaded, _, err := c.loadTrainer(tr.Checkpoint(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gradsZero("after LoadCheckpoint", loaded)
+			loaded.update(batch())
+			gradsZero("after an update on the loaded checkpoint", loaded)
 		})
 	}
 }

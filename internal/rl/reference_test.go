@@ -174,6 +174,14 @@ func (c *Critic) Backward(dq float64) (dstate, daction []float64) {
 	return c.l1.Backward(dconcat[:h1Dim]), daction
 }
 
+// ZeroGrad clears accumulated gradients. Only the references open a pass
+// with it; Update relies on Adam.Step having left them zero.
+func (c *Critic) ZeroGrad() {
+	for _, l := range c.Layers() {
+		l.ZeroGrad()
+	}
+}
+
 // updatePerSample is the DQN/DDQN reference.
 func (d *DQN) updatePerSample(batch []Transition) (loss float64) {
 	if len(batch) == 0 {

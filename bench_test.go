@@ -7,26 +7,60 @@ package deeppower
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"runtime"
+	"math"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/exp"
-	"github.com/deeppower/deeppower/internal/results"
+	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 )
-
-// -update-bench rewrites results/BENCH_vec.json from the measurements of
-// BenchmarkVectorTrainer, via the shared internal/results snapshot writer.
-var updateBench = flag.Bool("update-bench", false,
-	"rewrite results/BENCH_vec.json from this BenchmarkVectorTrainer run")
 
 func benchScale() exp.Scale {
 	s := exp.Quick()
 	s.TrainEpisodes = 6
 	return s
+}
+
+// maxOffDiagonal is the largest cell of a square matrix outside its
+// diagonal: Fig. 2's cross-load degradation.
+func maxOffDiagonal(m [][]float64) float64 {
+	worst := 0.0
+	for i := range m {
+		for j, v := range m[i] {
+			if i != j && v > worst {
+				worst = v
+			}
+		}
+	}
+	return worst
+}
+
+// freqChanges counts tick-to-tick frequency changes summed over cores — the
+// granularity that separates per-request policies from per-millisecond ones
+// (Figs. 9 and 10).
+func freqChanges(ft *server.FreqTrace) int {
+	n := 0
+	for i := 1; i < len(ft.Freqs); i++ {
+		for c, f := range ft.Freqs[i] {
+			if f != ft.Freqs[i-1][c] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// minFreq is the lowest frequency anywhere in the trace.
+func minFreq(ft *server.FreqTrace) float64 {
+	m := math.Inf(1)
+	for _, row := range ft.Freqs {
+		for _, f := range row {
+			m = math.Min(m, f)
+		}
+	}
+	return m
 }
 
 // BenchmarkFig1ServiceTimeCDF regenerates the normalized service-time CDFs
@@ -55,7 +89,7 @@ func BenchmarkFig2RelativeRMSE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		worst = r.MaxOffDiagonal()
+		worst = maxOffDiagonal(r.RelRMSE)
 	}
 	b.ReportMetric(worst, "max-rel-rmse")
 }
@@ -167,7 +201,7 @@ func BenchmarkFig9FreqTraceXapian(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		changes = r.Trace.Changes()
+		changes = freqChanges(r.Trace)
 	}
 	b.ReportMetric(float64(changes), "freq-changes")
 }
@@ -182,7 +216,7 @@ func BenchmarkFig10FreqTraceSphinx(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		changes = r.Trace.Changes()
+		changes = freqChanges(r.Trace)
 	}
 	b.ReportMetric(float64(changes), "freq-changes")
 }
@@ -197,7 +231,7 @@ func BenchmarkFig11FixedParams(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spread = r.Traces[2].MinFreq() - r.Traces[0].MinFreq()
+		spread = minFreq(r.Traces[2]) - minFreq(r.Traces[0])
 	}
 	b.ReportMetric(spread, "floor-spread-ghz")
 }
@@ -217,86 +251,38 @@ func BenchmarkOverheadTrainStep(b *testing.B) {
 // BenchmarkVectorTrainer compares experience throughput — transitions into
 // the replay pool per wall second — of the single-env trainer against the
 // vectorized trainer at E ∈ {4, 8, 16} lockstep environments, training the
-// same quick-scale Xapian configuration for the same episode count. With
-// -update-bench it rewrites results/BENCH_vec.json.
+// same quick-scale Xapian configuration for the same episode count.
 func BenchmarkVectorTrainer(b *testing.B) {
 	scale := benchScale()
-	var rows []results.Bench
-	derived := map[string]float64{}
-	var singleTPS float64
-
-	runConfig := func(b *testing.B, envs int) {
-		setup, err := exp.NewSetup(app.Xapian, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var trans uint64
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var dp *DeepPowerPolicy
-			if envs <= 1 {
-				dp, err = setup.TrainDeepPower()
-			} else {
-				dp, err = setup.TrainDeepPowerVector(envs, 0)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			trans = dp.Experience()
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&m1)
-		tps := float64(trans) * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(tps, "transitions/sec")
-		b.ReportMetric(float64(trans), "transitions")
-
-		name := "single"
-		if envs > 1 {
-			name = fmt.Sprintf("E%d", envs)
-		}
-		rows = append(rows, results.Bench{
-			Name:    "VectorTrainer/" + name,
-			NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-			Extra: map[string]float64{
-				"envs":                float64(envs),
-				"transitions":         float64(trans),
-				"transitions_per_sec": tps,
-			},
-			BytesPerOp:  (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N),
-			AllocsPerOp: (m1.Mallocs - m0.Mallocs) / uint64(b.N),
-		})
-		if envs <= 1 {
-			singleTPS = tps
-		} else if singleTPS > 0 {
-			derived[fmt.Sprintf("speedup_e%d_vs_single", envs)] = tps / singleTPS
-		}
-	}
-
 	for _, envs := range []int{1, 4, 8, 16} {
 		name := "single"
 		if envs > 1 {
 			name = fmt.Sprintf("E%d", envs)
 		}
 		envs := envs
-		b.Run(name, func(b *testing.B) { runConfig(b, envs) })
-	}
-
-	if *updateBench {
-		derived["target_e8_speedup"] = 3.0
-		snap := results.Snapshot{
-			Command: "go test . -run '^$' -bench BenchmarkVectorTrainer -benchtime=1x -update-bench",
-			CPU:     results.CPUModel(),
-			Note: "experience throughput (replay transitions/sec) of vectorized lockstep training " +
-				"vs the single-env trainer, quick-scale xapian, equal episode count",
-			Benchmarks: rows,
-			Derived:    derived,
-		}
-		if err := results.Write("results/BENCH_vec.json", snap); err != nil {
-			b.Fatal(err)
-		}
-		b.Log("wrote results/BENCH_vec.json")
+		b.Run(name, func(b *testing.B) {
+			setup, err := exp.NewSetup(app.Xapian, scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var trans uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var dp *DeepPowerPolicy
+				if envs <= 1 {
+					dp, err = setup.TrainDeepPower()
+				} else {
+					dp, err = setup.TrainDeepPowerVector(envs, 0)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				trans = dp.Experience()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(trans)*float64(b.N)/b.Elapsed().Seconds(), "transitions/sec")
+			b.ReportMetric(float64(trans), "transitions")
+		})
 	}
 }
 

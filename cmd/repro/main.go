@@ -132,13 +132,8 @@ func main() {
 		timings = append(timings, harnessTiming{Name: h.Name, Elapsed: elapsed, Artifacts: len(arts)})
 		log.Printf("done %s (%v)", h.Name, elapsed.Round(time.Millisecond))
 	}
-	if len(timings) > 0 {
-		tbl := timingTable(timings, *scaleName, *parallel)
-		fmt.Println(tbl)
-		path := filepath.Join(*outDir, "runner_timing.txt")
-		if err := os.WriteFile(path, []byte(tbl), 0o644); err != nil {
-			log.Fatalf("runner_timing: %v", err)
-		}
+	if err := w.timing(timingTable(timings, *scaleName, *parallel), len(selected) == 0); err != nil {
+		log.Fatalf("runner_timing: %v", err)
 	}
 	log.Printf("artifacts written to %s", *outDir)
 }
@@ -171,6 +166,17 @@ func timingTable(timings []harnessTiming, scale string, parallel int) string {
 
 // writer renders artifacts to stdout (tables) and files.
 type writer struct{ dir string }
+
+// timing prints the run's timing table and, for a run of the whole suite,
+// records it as runner_timing.txt. A run narrowed with -only prints only:
+// its one-harness table must not replace the suite's record.
+func (w *writer) timing(tbl string, wholeSuite bool) error {
+	fmt.Println(tbl)
+	if !wholeSuite {
+		return nil
+	}
+	return os.WriteFile(filepath.Join(w.dir, "runner_timing.txt"), []byte(tbl), 0o644)
+}
 
 func (w *writer) write(a exp.Artifact) error {
 	if a.Ext == "txt" {

@@ -103,6 +103,21 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 	}
 }
 
+func TestTimingFileOnlyForWholeSuite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "runner_timing.txt")
+	w := &writer{dir: dir}
+	if err := w.timing("suite", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.timing("one harness", false); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "suite" {
+		t.Errorf("runner_timing.txt = %q, %v; a run with -only must leave the suite's record alone", got, err)
+	}
+}
+
 func TestTimingTable(t *testing.T) {
 	tbl := timingTable([]harnessTiming{
 		{Name: "fig4", Elapsed: 120 * time.Millisecond, Artifacts: 2},

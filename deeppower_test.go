@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/deeppower/deeppower/internal/power"
 )
 
 func quickCfg() Config {
@@ -254,5 +256,85 @@ func TestNewDQNPowerFacade(t *testing.T) {
 	}
 	if res.Requests == 0 {
 		t.Error("no completions under DQN power policy")
+	}
+}
+
+func TestDefaultPowerModel(t *testing.T) {
+	m := DefaultPowerModel()
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if m != power.DefaultModel() {
+		t.Errorf("DefaultPowerModel = %+v, want power.DefaultModel() %+v", m, power.DefaultModel())
+	}
+}
+
+// One plan serves both entries: NewFaultInjector realizes it for a server
+// built by hand, Config.FaultPlan for a Run — and either way the run's
+// fault counters move.
+func TestNewFaultInjector(t *testing.T) {
+	const dropped = "fault.dropped_transitions"
+	plan := FaultPlan{Seed: 3, Actuation: ActuationPlan{DropProb: 0.5}}
+	if _, err := NewFaultInjector(FaultPlan{Actuation: ActuationPlan{DropProb: 2}}, 4); err == nil {
+		t.Error("DropProb 2 accepted")
+	}
+
+	prof, err := AppByName(Masstree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Workers = 4
+	inj, err := NewFaultInjector(plan, prof.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(NewEngine(), ServerConfig{App: prof, Seed: 1, Faults: inj}, &maxPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.Run(ConstantTrace(1000), 2*Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultStats[dropped] == 0 {
+		t.Errorf("ServerConfig.Faults: no governor write dropped at DropProb 0.5: %v", res.FaultStats)
+	}
+
+	cfg := quickCfg()
+	cfg.Method = "controller:0.5,0.8"
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FaultPlan = &plan
+	faulted, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Raw.FaultStats != nil || faulted.Raw.FaultStats[dropped] == 0 {
+		t.Errorf("Config.FaultPlan: fault counters clean %v, faulted %v", clean.Raw.FaultStats, faulted.Raw.FaultStats)
+	}
+}
+
+func TestTrainVectorWorkerCountInvisible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	cfg := quickCfg()
+	cfg.TrainEpisodes = 1
+	saved := func(workers int) []byte {
+		dp, err := TrainVector(cfg, 2, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SavePolicy(dp, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := saved(1), saved(4)
+	if len(one) == 0 || !bytes.Equal(one, four) {
+		t.Errorf("TrainVector policies differ: workers=1 %d bytes, workers=4 %d bytes", len(one), len(four))
 	}
 }

@@ -95,7 +95,7 @@ func TestObserverNormalization(t *testing.T) {
 	s1 := o.Observe(server.Snapshot{QueueLen: 50, Counters: server.Counters{Arrivals: 100}})
 	for i, v := range s1 {
 		if v < 0 || v > 1 {
-			t.Errorf("dim %s = %v outside [0,1]", StateNames[i], v)
+			t.Errorf("dim %d = %v outside [0,1]", i, v)
 		}
 	}
 	// Arrival delta: second observation with 150 cumulative = 50 new.
@@ -481,7 +481,15 @@ func TestFlatModeBypassesController(t *testing.T) {
 	}
 	// And the frequency only changes at agent steps — far fewer changes
 	// than hierarchical control would make under load.
-	if ch := ft.Changes(); ch > 20*len(ft.Freqs[0]) {
+	ch := 0
+	for i := 1; i < len(ft.Freqs); i++ {
+		for c, f := range ft.Freqs[i] {
+			if f != ft.Freqs[i-1][c] {
+				ch++
+			}
+		}
+	}
+	if ch > 20*len(ft.Freqs[0]) {
 		t.Errorf("flat mode changed frequency %d times, expected one per agent step", ch)
 	}
 }

@@ -167,9 +167,6 @@ func New(cfg Config) (*DeepPower, error) {
 	return &DeepPower{newCore("deeppower", full, k.seeded(full.Seed), replay)}, nil
 }
 
-// Agent exposes the underlying learner (diagnostics, ablations).
-func (dp *DeepPower) Agent() *rl.ActorCritic { return dp.codec.(*pairCodec).ActorCritic }
-
 // StepCount reports completed agent steps across all episodes.
 func (dp *DeepPower) StepCount() int { return dp.step }
 

@@ -98,9 +98,6 @@ func NewDQNPower(cfg DQNPowerConfig) (*DQNPower, error) {
 	return &DQNPower{newCore(name, loop, k.seeded(loop.Seed), replay)}, nil
 }
 
-// Agent exposes the underlying DQN learner.
-func (dq *DQNPower) Agent() *rl.DQN { return dq.codec.(*lattice).DQN }
-
 // lattice is the discrete action space: the action is one index into a
 // grid×grid lattice over [0,1]² (stored, as rl.DQN reads it, as a one-element
 // vector), explored ε-greedily on a decaying ε.

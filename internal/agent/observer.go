@@ -23,12 +23,6 @@ const (
 	StateCore75
 )
 
-// StateNames labels the vector components for diagnostics.
-var StateNames = [StateDim]string{
-	"NumReq", "QueueLen", "Queue25", "Queue50", "Queue75",
-	"Core25", "Core50", "Core75",
-}
-
 // Observer converts server snapshots into the paper's 8-dimensional
 // normalized state vector. Each component is divided by a running maximum so
 // the representation stays in [0,1] without application-specific tuning.

@@ -10,8 +10,17 @@ import (
 	"github.com/deeppower/deeppower/internal/stats"
 )
 
+// all returns fresh profiles for every built-in application.
+func all() []*Profile {
+	var out []*Profile
+	for _, n := range Names() {
+		out = append(out, MustByName(n))
+	}
+	return out
+}
+
 func TestAllProfilesValid(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range all() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -134,7 +143,7 @@ func TestSamplerDeterminism(t *testing.T) {
 }
 
 func TestSamplerPositiveService(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range all() {
 		r := sim.NewRNG(3)
 		for i := 0; i < 10000; i++ {
 			w := p.Sampler.Sample(r)
@@ -149,7 +158,7 @@ func TestSamplerPositiveService(t *testing.T) {
 // (the paper reports its tail ≈ 8× mean), Img-dnn nearly deterministic.
 func TestFig1TailShape(t *testing.T) {
 	ratios := map[string]float64{}
-	for _, p := range All() {
+	for _, p := range all() {
 		r := sim.NewRNG(5)
 		xs := make([]float64, 50000)
 		for i := range xs {

@@ -1,10 +1,6 @@
 package app
 
-import (
-	"fmt"
-
-	"github.com/deeppower/deeppower/internal/sim"
-)
+import "github.com/deeppower/deeppower/internal/sim"
 
 // TailedSampler is the request population generator shared by all profiles.
 //
@@ -85,21 +81,4 @@ func (s *TailedSampler) typeMul(typ int) float64 {
 		return s.TypeMuls[typ]
 	}
 	return 1
-}
-
-// Validate reports an error for malformed samplers.
-func (s *TailedSampler) Validate() error {
-	switch {
-	case s.BaseUS < 0 || s.CoefUS < 0:
-		return fmt.Errorf("app: negative service coefficients")
-	case s.Sigma1 < 0 || s.NoiseSigma < 0:
-		return fmt.Errorf("app: negative sigma")
-	case s.TailProb < 0 || s.TailProb > 1:
-		return fmt.Errorf("app: TailProb outside [0,1]")
-	case s.TailProb > 0 && (s.TailScale <= 0 || s.TailAlpha <= 0):
-		return fmt.Errorf("app: tail enabled with invalid Pareto parameters")
-	case len(s.TypeMuls) != len(s.TypeProbs):
-		return fmt.Errorf("app: TypeMuls/TypeProbs length mismatch")
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -49,15 +48,6 @@ func MustByName(name string) *Profile {
 		panic(err)
 	}
 	return p
-}
-
-// All returns fresh profiles for every built-in application.
-func All() []*Profile {
-	out := make([]*Profile, 0, len(Names()))
-	for _, n := range Names() {
-		out = append(out, MustByName(n))
-	}
-	return out
 }
 
 const refFreq = 2.1 // GHz, the testbed's non-turbo maximum
@@ -202,21 +192,4 @@ var PaperTable3 = map[string]struct {
 	Moses:    {120, [3]float64{30.99, 77.92, 100.49}},
 	Sphinx:   {4000, [3]float64{1759.8, 2040.7, 2292.8}},
 	ImgDNN:   {5, [3]float64{2.302, 2.295, 2.476}},
-}
-
-// ServiceQuantiles samples n requests and returns the requested quantiles of
-// ServiceRef in milliseconds (helper for calibration and Fig. 1).
-func (p *Profile) ServiceQuantiles(seed int64, n int, qs ...float64) []float64 {
-	r := sim.NewRNG(seed).Stream("quantiles-" + p.Name)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = p.Sampler.Sample(r).ServiceRef.Milliseconds()
-	}
-	sort.Float64s(xs)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(n-1))
-		out[i] = xs[idx]
-	}
-	return out
 }

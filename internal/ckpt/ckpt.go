@@ -46,10 +46,10 @@ type Kind uint8
 
 // Registered payload kinds.
 const (
-	KindInvalid Kind = iota
 	// KindPolicy is an exported actor/Q network — the unit the registry
-	// stores and the serving/hot-swap path consumes.
-	KindPolicy
+	// stores and the serving/hot-swap path consumes. Kinds start at 1: a
+	// zeroed header names no kind.
+	KindPolicy Kind = iota + 1
 	// KindDDPG..KindDQN are full trainer checkpoints: config shape header,
 	// every live and target network, optimizer moments, RNG positions, and
 	// optional replay contents.
@@ -219,12 +219,6 @@ func (e *Enc) Ints(vs []int) {
 	}
 }
 
-// String appends a length-prefixed UTF-8 string.
-func (e *Enc) String(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
 // Dec reads primitive values from a payload with sticky-error semantics:
 // after the first failure every further read returns zero values, and Err
 // reports the failure. Decoders can therefore read an entire structure
@@ -390,17 +384,4 @@ func (d *Dec) Ints() []int {
 		out[i] = d.Int()
 	}
 	return out
-}
-
-// String reads a length-prefixed string.
-func (d *Dec) String() string {
-	n := int(d.U32())
-	if d.err != nil {
-		return ""
-	}
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
 }

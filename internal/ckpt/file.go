@@ -54,11 +54,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// WriteFile seals payload under kind and writes it crash-safely to path.
-func WriteFile(path string, kind Kind, payload []byte) error {
-	return WriteFileAtomic(path, Seal(kind, payload))
-}
-
 // ReadFile reads path and validates the container, returning its kind and
 // payload.
 func ReadFile(path string) (Kind, []byte, error) {

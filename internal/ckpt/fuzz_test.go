@@ -44,7 +44,7 @@ func FuzzDec(f *testing.F) {
 	var e Enc
 	e.U32(3)
 	e.F64s([]float64{1, 2, 3})
-	e.String("actor")
+	e.Ints([]int{8, 6, 2})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
@@ -68,7 +68,7 @@ func FuzzDec(f *testing.F) {
 			case 6:
 				d.F64s()
 			case 7:
-				_ = d.String()
+				d.Ints()
 			}
 		}
 	})

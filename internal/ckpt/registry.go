@@ -62,9 +62,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the registry's root directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // scan lists the stored version numbers in ascending order.
 func (r *Registry) scan() ([]int, error) {
 	entries, err := os.ReadDir(r.dir)

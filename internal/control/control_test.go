@@ -124,7 +124,8 @@ func TestIdleCoresSitAtBaseFreq(t *testing.T) {
 	if _, err := s.Run(workload.Constant(0.0001, sim.Second), sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	want := float64(cpu.DefaultLadder().Interpolate(0.5))
+	l := cpu.DefaultLadder()
+	want := float64(l.Quantize(l.Min + 0.5*(l.Max-l.Min))) // Algorithm 1 line 9 at score 0.5
 	for _, row := range ft.Freqs {
 		for _, f := range row {
 			if f != want {

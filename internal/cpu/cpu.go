@@ -17,9 +17,6 @@ import (
 // Freq is a core frequency in GHz.
 type Freq float64
 
-// GHz returns the frequency as a plain float64 in GHz.
-func (f Freq) GHz() float64 { return float64(f) }
-
 // String formats the frequency, e.g. "2.1GHz".
 func (f Freq) String() string { return fmt.Sprintf("%.2gGHz", float64(f)) }
 
@@ -126,14 +123,6 @@ func (l Ladder) quantizeExact(f Freq) Freq {
 	return Freq(math.Round(float64(f)*1e6) / 1e6)
 }
 
-// Interpolate maps a score in [0,1] onto the ladder linearly:
-// 0 → Min, 1 → Max, then quantizes. Scores outside [0,1] are clamped.
-// This is the interpolation step of the paper's thread controller
-// (Algorithm 1, line 9).
-func (l Ladder) Interpolate(score float64) Freq {
-	return l.Quantize(l.atScore(score))
-}
-
 // atScore is Interpolate before quantization.
 func (l Ladder) atScore(score float64) Freq {
 	if math.IsNaN(score) || score < 0 {
@@ -185,9 +174,6 @@ func (c *Core) ID() int { return c.id }
 
 // Ladder returns the core's frequency ladder.
 func (c *Core) Ladder() Ladder { return c.ladder }
-
-// Transitions reports how many effective frequency changes were requested.
-func (c *Core) Transitions() int { return c.transitions }
 
 // Target returns the most recently requested frequency (which may not yet be
 // effective).
@@ -258,22 +244,6 @@ func (c *Core) settle(now sim.Time) {
 	}
 }
 
-// Cycles returns how many billions of cycles (GHz·seconds) the core retires
-// between from and to, integrating across a pending frequency switch.
-func (c *Core) Cycles(from, to sim.Time) float64 {
-	if to < from {
-		panic(fmt.Sprintf("cpu: Cycles interval reversed: %v > %v", from, to))
-	}
-	if c.pendingAt > 0 && c.pendingAt < to {
-		split := c.pendingAt
-		if split < from {
-			split = from
-		}
-		return float64(c.cur)*(split-from).Seconds() + float64(c.pending)*(to-split).Seconds()
-	}
-	return float64(c.FreqAt(from)) * (to - from).Seconds()
-}
-
 // PendingSwitch reports an in-flight DVFS transition: the time it matures
 // and the frequency it switches to. ok is false when no switch is pending.
 func (c *Core) PendingSwitch() (at sim.Time, f Freq, ok bool) {
@@ -287,16 +257,6 @@ func (c *Core) PendingSwitch() (at sim.Time, f Freq, ok bool) {
 type Segment struct {
 	From, To sim.Time
 	F        Freq
-}
-
-// Segments splits [from, to] into spans of constant frequency (one span, or
-// two if a pending DVFS transition matures inside the interval).
-func (c *Core) Segments(from, to sim.Time) []Segment {
-	var buf [2]Segment
-	n := c.SegmentsInto(from, to, &buf)
-	out := make([]Segment, n)
-	copy(out, buf[:n])
-	return out
 }
 
 // SegmentsInto is the allocation-free form of Segments: it writes the spans
@@ -313,30 +273,4 @@ func (c *Core) SegmentsInto(from, to sim.Time, out *[2]Segment) int {
 	}
 	out[0] = Segment{From: from, To: to, F: c.FreqAt(from)}
 	return 1
-}
-
-// TimeFor returns how long the core needs, starting at from, to retire
-// gcycles billions of cycles, accounting for a pending frequency switch.
-// It returns sim.MaxTime if the work can never finish (zero frequency).
-func (c *Core) TimeFor(from sim.Time, gcycles float64) sim.Time {
-	if gcycles <= 0 {
-		return 0
-	}
-	f0 := c.FreqAt(from)
-	if c.pendingAt > from {
-		// Work done before the switch matures.
-		head := float64(f0) * (c.pendingAt - from).Seconds()
-		if head >= gcycles {
-			return sim.Seconds(gcycles / float64(f0))
-		}
-		rest := gcycles - head
-		if c.pending <= 0 {
-			return sim.MaxTime
-		}
-		return (c.pendingAt - from) + sim.Seconds(rest/float64(c.pending))
-	}
-	if f0 <= 0 {
-		return sim.MaxTime
-	}
-	return sim.Seconds(gcycles / float64(f0))
 }

@@ -65,16 +65,6 @@ func (c CState) PowerFactor() float64 {
 // CState returns the core's current sleep state.
 func (c *Core) CState() CState { return c.cstate }
 
-// AwakeAt returns the time the core can next execute instructions: zero for
-// an awake core, otherwise the end of the in-flight wake-up.
-func (c *Core) AwakeAt() sim.Time { return c.awakeAt }
-
-// Asleep reports whether the core is in a sleep state (or still waking) at
-// time now.
-func (c *Core) Asleep(now sim.Time) bool {
-	return c.cstate != C0 || now < c.awakeAt
-}
-
 // Sleep puts the core into state at time now. Only the simulation layer
 // should call this for idle cores; sleeping a busy core is a caller bug and
 // panics.

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/deeppower/deeppower/internal/pool"
 	"github.com/deeppower/deeppower/internal/server"
@@ -91,14 +90,4 @@ func (r *ColocationResult) Table() *Table {
 			f3(res.TimeoutRate*100), fmt.Sprint(res.SLAMet))
 	}
 	return t
-}
-
-// TimeoutRatio returns a method's timeout rate relative to DeepPower's
-// (NaN when DeepPower was not run or had zero timeouts).
-func (r *ColocationResult) TimeoutRatio(method string) float64 {
-	dp, ok := r.Results[MethodDeepPower]
-	if !ok || dp.TimeoutRate == 0 {
-		return math.NaN()
-	}
-	return r.Results[method].TimeoutRate / dp.TimeoutRate
 }

@@ -68,7 +68,8 @@ type Table struct {
 // AddRow appends a row of stringified cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Render returns an aligned text table.
+// Render returns an aligned text table. Cells beyond the header's width
+// are written unpadded.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -90,7 +91,11 @@ func (t *Table) Render() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			if i < len(widths) {
+				fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			} else {
+				b.WriteString(cell)
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -23,6 +23,21 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(csv, `"x,y"`) {
 		t.Errorf("csv cell with comma not quoted:\n%s", csv)
 	}
+
+	// A row wider than the header renders its extra cells unpadded; a
+	// shorter one simply ends early, in text and in CSV.
+	tbl.AddRow("w", "x", "extra", "cells")
+	tbl.AddRow("short")
+	out = tbl.Render()
+	if !strings.Contains(out, "w          x    extra  cells\n") {
+		t.Errorf("wide row not rendered:\n%q", out)
+	}
+	if !strings.HasSuffix(out, "short    \n") {
+		t.Errorf("short row not rendered:\n%q", out)
+	}
+	if csv := tbl.CSV(); !strings.HasSuffix(csv, "w,x,extra,cells\nshort\n") {
+		t.Errorf("csv of ragged rows:\n%q", csv)
+	}
 }
 
 func TestFig1(t *testing.T) {
@@ -279,8 +294,8 @@ func TestFig11FixedParams(t *testing.T) {
 	// Higher BaseFreq settings have a higher idle-floor frequency: the
 	// minimum frequency seen in setting 3 (base 0.6) must exceed that of
 	// setting 1 (base 0.4).
-	min1 := r.Traces[0].MinFreq()
-	min3 := r.Traces[2].MinFreq()
+	min1 := minFreq(r.Traces[0])
+	min3 := minFreq(r.Traces[2])
 	if min3 <= min1 {
 		t.Errorf("base 0.6 floor %v not above base 0.4 floor %v", min3, min1)
 	}
@@ -326,7 +341,7 @@ func TestFig9MethodsDiffer(t *testing.T) {
 	}
 	// DeepPower's fine-grained ramping changes frequency much more often
 	// than ReTail's per-request selection.
-	if dp.Trace.Changes() == 0 {
+	if freqChanges(dp.Trace) == 0 {
 		t.Error("DeepPower trace has no frequency changes")
 	}
 }

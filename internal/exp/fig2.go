@@ -82,20 +82,6 @@ func Fig2(ctx context.Context, appName string, scale Scale, workers int) (*Fig2R
 	return &Fig2Result{App: appName, Loads: Fig2Loads, RelRMSE: rel}, nil
 }
 
-// MaxOffDiagonal returns the largest relative RMSE outside the diagonal —
-// the headline number showing cross-load degradation.
-func (r *Fig2Result) MaxOffDiagonal() float64 {
-	worst := 0.0
-	for i := range r.RelRMSE {
-		for j := range r.RelRMSE[i] {
-			if i != j && r.RelRMSE[i][j] > worst {
-				worst = r.RelRMSE[i][j]
-			}
-		}
-	}
-	return worst
-}
-
 // Table renders the heatmap.
 func (r *Fig2Result) Table() *Table {
 	t := &Table{

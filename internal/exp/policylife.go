@@ -185,25 +185,6 @@ func policyLifeUnit(mode, appName string, scale Scale) (*PolicyLifeCell, error) 
 	return cell, nil
 }
 
-// RollbackBeforeSafe reports whether, in the rollback mode, the guard tried
-// at least one registry rollback strictly before its first transition into
-// max-frequency safe mode — the escalation-ladder ordering contract.
-func (r *PolicyLifeResult) RollbackBeforeSafe() bool {
-	cell := r.Cells[PolicyLifeRollback]
-	if cell == nil || cell.Stats.Rollbacks == 0 {
-		return false
-	}
-	for _, tr := range cell.Transitions {
-		if tr.RolledBack {
-			return true
-		}
-		if tr.ToSafe {
-			return false
-		}
-	}
-	return false
-}
-
 // Table renders the mode comparison.
 func (r *PolicyLifeResult) Table() *Table {
 	t := &Table{

@@ -268,9 +268,6 @@ func NewInjector(plan Plan, numCores int) (*Injector, error) {
 	return in, nil
 }
 
-// Plan returns the campaign this injector realizes.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats implements server.FaultInjector.
 func (in *Injector) Stats() map[string]uint64 { return in.stats.Map() }
 

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
 )
@@ -251,24 +250,5 @@ func (a *Adam) RestoreState(dec *ckpt.Dec) error {
 	}
 	a.t = t
 	a.MaxGradNorm = maxNorm
-	return nil
-}
-
-// CheckFinite verifies every weight and bias in the network is finite —
-// the last line of defense before a loaded policy starts actuating
-// frequencies.
-func CheckFinite(n Network) error {
-	for li, l := range n.Params() {
-		for _, v := range l.W {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: weight in layer %d", ckpt.ErrNonFinite, li)
-			}
-		}
-		for _, v := range l.B {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: bias in layer %d", ckpt.ErrNonFinite, li)
-			}
-		}
-	}
 	return nil
 }

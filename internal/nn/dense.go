@@ -164,11 +164,6 @@ func (d *Dense) Backward(dy []float64) []float64 {
 	return dx
 }
 
-// blockRows is the historical batch-tile height; the bit-identity tests
-// still probe batch sizes around it to catch edge effects at tile
-// boundaries.
-const blockRows = 8
-
 // ensureBatch grows the batched caches to hold n rows.
 func (d *Dense) ensureBatch(n int) {
 	if cap(d.bx) < n*d.In {

@@ -102,16 +102,6 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// CopyFrom overwrites weights with src's (hard target update).
-func (m *MLP) CopyFrom(src *MLP) {
-	if len(m.Layers) != len(src.Layers) {
-		panic("nn: CopyFrom layer count mismatch")
-	}
-	for i, l := range m.Layers {
-		l.CopyFrom(src.Layers[i])
-	}
-}
-
 // SoftUpdateFrom blends src into the network: θ ← τ·θ_src + (1-τ)·θ.
 func (m *MLP) SoftUpdateFrom(src *MLP, tau float64) {
 	if len(m.Layers) != len(src.Layers) {

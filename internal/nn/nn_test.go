@@ -217,7 +217,9 @@ func TestCopyFrom(t *testing.T) {
 	rng := sim.NewRNG(6)
 	a := NewMLP([]int{2, 3, 1}, ReLU, Identity, rng)
 	b := NewMLP([]int{2, 3, 1}, ReLU, Identity, rng)
-	b.CopyFrom(a)
+	for i, l := range b.Layers {
+		l.CopyFrom(a.Layers[i])
+	}
 	x := []float64{1, 2}
 	if a.Forward(x)[0] != b.Forward(x)[0] {
 		t.Error("CopyFrom did not equalize outputs")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Unit is one independent piece of work. The context is the pool's run
@@ -67,10 +68,13 @@ func RunNotify(ctx context.Context, units []Unit, workers int, notify func(Progr
 	}
 
 	var (
-		mu     sync.Mutex
-		done   int
-		failed bool
+		mu   sync.Mutex
+		done int
+		// failedAt is the lowest index that has failed, len(units) while
+		// none has. Written under mu.
+		failedAt atomic.Int64
 	)
+	failedAt.Store(int64(len(units)))
 	errs := make([]error, len(units))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -79,12 +83,19 @@ func RunNotify(ctx context.Context, units []Unit, workers int, notify func(Progr
 		go func() {
 			defer wg.Done()
 			for i := range next {
+				// The dispatcher may already be committed to handing out a
+				// unit when an earlier one fails; it is not started. A unit
+				// below the failed index always is, so the lowest-indexed
+				// failure is found whatever the scheduling.
+				if int64(i) > failedAt.Load() {
+					continue
+				}
 				err := runUnit(ctx, units[i])
 				mu.Lock()
 				errs[i] = err
 				done++
-				if err != nil {
-					failed = true
+				if err != nil && int64(i) < failedAt.Load() {
+					failedAt.Store(int64(i))
 				}
 				if notify != nil {
 					notify(Progress{Index: i, Done: done, Total: len(units), Err: err})
@@ -96,10 +107,7 @@ func RunNotify(ctx context.Context, units []Unit, workers int, notify func(Progr
 
 dispatch:
 	for i := range units {
-		mu.Lock()
-		stop := failed
-		mu.Unlock()
-		if stop {
+		if failedAt.Load() < int64(len(units)) {
 			break
 		}
 		select {

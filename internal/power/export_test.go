@@ -1,0 +1,30 @@
+// Observers and oracles only this package's tests read: the reachability
+// fence (internal/reach, DESIGN.md "What ships") keeps them out of the
+// shipped files.
+package power
+
+import (
+	"github.com/deeppower/deeppower/internal/cpu"
+	"github.com/deeppower/deeppower/internal/sim"
+)
+
+// SocketPower returns total package power given each core's frequency and
+// activity. The two slices must have equal length.
+func (m Model) SocketPower(freqs []cpu.Freq, active []bool) float64 {
+	if len(freqs) != len(active) {
+		panic("power: freqs/active length mismatch")
+	}
+	p := m.Uncore
+	for i, f := range freqs {
+		p += m.CorePower(f, active[i])
+	}
+	return p
+}
+
+// EnergyFor returns the energy (joules) one core consumes running at f for d.
+//
+// Parked, not an observer: only its own tests read it. ROADMAP's
+// reachability item deletes it with those tests.
+func (m Model) EnergyFor(f cpu.Freq, active bool, d sim.Time) float64 {
+	return m.CorePower(f, active) * d.Seconds()
+}

@@ -10,7 +10,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -97,45 +96,15 @@ func (m Model) CorePowerScaled(f cpu.Freq, active bool, dynScale, leakScale floa
 	return m.LeakPerCore*leakScale + dyn
 }
 
-// SocketPower returns total package power given each core's frequency and
-// activity. The two slices must have equal length.
-func (m Model) SocketPower(freqs []cpu.Freq, active []bool) float64 {
-	if len(freqs) != len(active) {
-		panic("power: freqs/active length mismatch")
-	}
-	p := m.Uncore
-	for i, f := range freqs {
-		p += m.CorePower(f, active[i])
-	}
-	return p
-}
-
-// EnergyFor returns the energy (joules) one core consumes running at f for d.
-func (m Model) EnergyFor(f cpu.Freq, active bool, d sim.Time) float64 {
-	return m.CorePower(f, active) * d.Seconds()
-}
-
 // Meter is a RAPL-like socket energy counter. Components report power-state
 // intervals through Accrue; experiments read energy deltas exactly the way
 // the paper reads the MSR_PKG_ENERGY_STATUS counter.
 type Meter struct {
-	energy  float64  // joules since construction
-	last    sim.Time // end of the last accrued interval
-	samples []sample // optional window series for time plots
-	record  bool
-}
-
-type sample struct {
-	at    sim.Time
-	joule float64 // cumulative
+	energy float64 // joules since construction
 }
 
 // NewMeter returns a meter whose counter starts at zero.
 func NewMeter() *Meter { return &Meter{} }
-
-// EnableSeries makes the meter retain a cumulative-energy series for
-// time-resolved plots (Fig. 8). Off by default to keep long runs lean.
-func (mt *Meter) EnableSeries() { mt.record = true }
 
 // Accrue adds watts·(to-from) joules to the counter. Intervals must be
 // non-negative but may be reported out of order by different components.
@@ -147,44 +116,7 @@ func (mt *Meter) Accrue(from, to sim.Time, watts float64) {
 		panic("power: negative power")
 	}
 	mt.energy += watts * (to - from).Seconds()
-	if to > mt.last {
-		mt.last = to
-	}
-	if mt.record {
-		mt.samples = append(mt.samples, sample{at: to, joule: mt.energy})
-	}
 }
 
 // Energy returns cumulative joules.
 func (mt *Meter) Energy() float64 { return mt.energy }
-
-// LastUpdate returns the end of the latest accrued interval.
-func (mt *Meter) LastUpdate() sim.Time { return mt.last }
-
-// WindowPower returns the average power over [from, to] using the recorded
-// series; it requires EnableSeries. Returns NaN when the window is empty.
-func (mt *Meter) WindowPower(from, to sim.Time) float64 {
-	if !mt.record || to <= from {
-		return math.NaN()
-	}
-	eFrom := mt.energyAt(from)
-	eTo := mt.energyAt(to)
-	return (eTo - eFrom) / (to - from).Seconds()
-}
-
-func (mt *Meter) energyAt(t sim.Time) float64 {
-	// Binary search over cumulative samples.
-	lo, hi := 0, len(mt.samples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if mt.samples[mid].at <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return mt.samples[lo-1].joule
-}

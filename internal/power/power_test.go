@@ -131,9 +131,6 @@ func TestMeterAccrue(t *testing.T) {
 	if got := mt.Energy(); math.Abs(got-200) > 1e-9 {
 		t.Errorf("Energy = %v, want 200", got)
 	}
-	if mt.LastUpdate() != 3*sim.Second {
-		t.Errorf("LastUpdate = %v", mt.LastUpdate())
-	}
 }
 
 func TestMeterReversedPanics(t *testing.T) {
@@ -154,32 +151,6 @@ func TestMeterNegativePowerPanics(t *testing.T) {
 		}
 	}()
 	mt.Accrue(0, 1, -1)
-}
-
-func TestMeterWindowPower(t *testing.T) {
-	mt := NewMeter()
-	mt.EnableSeries()
-	for i := 0; i < 10; i++ {
-		from := sim.Time(i) * sim.Second
-		mt.Accrue(from, from+sim.Second, float64(100+i))
-	}
-	got := mt.WindowPower(0, 10*sim.Second)
-	want := 104.5 // mean of 100..109
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("WindowPower = %v, want %v", got, want)
-	}
-	sub := mt.WindowPower(5*sim.Second, 6*sim.Second)
-	if math.Abs(sub-105) > 1e-9 {
-		t.Errorf("sub-window power = %v, want 105", sub)
-	}
-}
-
-func TestMeterWindowWithoutSeries(t *testing.T) {
-	mt := NewMeter()
-	mt.Accrue(0, sim.Second, 10)
-	if !math.IsNaN(mt.WindowPower(0, sim.Second)) {
-		t.Error("WindowPower without series should be NaN")
-	}
 }
 
 // Energy accrual must be additive regardless of how an interval is split.

@@ -1,105 +1,12 @@
-// Package results writes the benchmark snapshots kept under results/
-// (BENCH_nn.json, BENCH_sim.json, BENCH_vec.json): small JSON documents
-// recording a benchmark command, the CPU it ran on, per-benchmark metrics,
-// and derived ratios. Before this package the snapshots were maintained by
-// hand; benchmarks now regenerate them with Write behind an opt-in flag so
-// the checked-in numbers always match a command that actually ran.
+// Package results names the machine a measurement ran on, for the
+// benchmark's fingerprint.
 package results
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 )
-
-// Bench is one benchmark's metrics row.
-type Bench struct {
-	// Name is the benchmark name, without the Benchmark prefix.
-	Name string
-	// NsPerOp is wall nanoseconds per benchmark operation.
-	NsPerOp float64
-	// Extra holds named metrics beyond the standard trio (throughputs,
-	// counts); keys marshal in sorted order between ns_per_op and
-	// bytes_per_op.
-	Extra map[string]float64
-	// BytesPerOp and AllocsPerOp are the allocation metrics.
-	BytesPerOp  uint64
-	AllocsPerOp uint64
-}
-
-// MarshalJSON keeps the snapshot field order of the hand-written
-// predecessors: name, ns_per_op, extras (sorted), bytes_per_op,
-// allocs_per_op.
-func (b Bench) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	name, err := json.Marshal(b.Name)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&buf, `{"name":%s,"ns_per_op":%s`, name, jsonNum(b.NsPerOp))
-	keys := make([]string, 0, len(b.Extra))
-	for k := range b.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&buf, `,%s:%s`, kb, jsonNum(b.Extra[k]))
-	}
-	fmt.Fprintf(&buf, `,"bytes_per_op":%d,"allocs_per_op":%d}`, b.BytesPerOp, b.AllocsPerOp)
-	return buf.Bytes(), nil
-}
-
-func jsonNum(v float64) string {
-	out, err := json.Marshal(v)
-	if err != nil {
-		// NaN/Inf have no JSON encoding; snapshots record them as null.
-		return "null"
-	}
-	return string(out)
-}
-
-// Snapshot is one results/BENCH_*.json document.
-type Snapshot struct {
-	// Command reproduces the run.
-	Command string `json:"command"`
-	// CPU identifies the machine (CPUModel()).
-	CPU string `json:"cpu"`
-	// Note summarizes what the snapshot demonstrates.
-	Note string `json:"note,omitempty"`
-	// Benchmarks are the measured rows.
-	Benchmarks []Bench `json:"benchmarks"`
-	// Derived holds ratios computed from the rows (speedups vs a baseline);
-	// map keys marshal sorted.
-	Derived map[string]float64 `json:"derived,omitempty"`
-}
-
-// Write marshals the snapshot with two-space indentation and a trailing
-// newline — the format of the checked-in snapshots — and atomically
-// replaces path.
-func Write(path string, s Snapshot) error {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: marshal %s: %w", path, err)
-	}
-	out = append(out, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("results: %w", err)
-	}
-	return nil
-}
 
 // CPUModel reports the processor model (from /proc/cpuinfo on Linux),
 // falling back to the GOARCH name.

@@ -1,73 +1,6 @@
 package results
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-func TestWriteSnapshotFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_x.json")
-	snap := Snapshot{
-		Command: "go test -bench X",
-		CPU:     "test-cpu",
-		Benchmarks: []Bench{
-			{
-				Name:        "VectorTrainer/E8",
-				NsPerOp:     1234.5,
-				Extra:       map[string]float64{"transitions_per_sec": 100, "envs": 8},
-				BytesPerOp:  64,
-				AllocsPerOp: 2,
-			},
-		},
-		Derived: map[string]float64{"speedup_e8_vs_single": 3.5},
-	}
-	if err := Write(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
-	if !strings.HasSuffix(text, "\n") {
-		t.Error("snapshot missing trailing newline")
-	}
-	// Extras must land between ns_per_op and bytes_per_op, sorted.
-	iNs := strings.Index(text, `"ns_per_op"`)
-	iEnvs := strings.Index(text, `"envs"`)
-	iTps := strings.Index(text, `"transitions_per_sec"`)
-	iBytes := strings.Index(text, `"bytes_per_op"`)
-	if !(iNs < iEnvs && iEnvs < iTps && iTps < iBytes) {
-		t.Errorf("field order wrong: ns=%d envs=%d tps=%d bytes=%d", iNs, iEnvs, iTps, iBytes)
-	}
-
-	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if back.Command != snap.Command || back.CPU != snap.CPU {
-		t.Errorf("round-trip header mismatch: %+v", back)
-	}
-	if back.Derived["speedup_e8_vs_single"] != 3.5 {
-		t.Errorf("derived lost: %+v", back.Derived)
-	}
-
-	// Deterministic output: same snapshot, same bytes.
-	path2 := filepath.Join(t.TempDir(), "BENCH_y.json")
-	if err := Write(path2, snap); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data2) != text {
-		t.Error("Write is not deterministic")
-	}
-}
+import "testing"
 
 func TestCPUModelNonEmpty(t *testing.T) {
 	if CPUModel() == "" {

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
-	"os"
 	"time"
 
 	"github.com/deeppower/deeppower/internal/server"
@@ -33,9 +30,9 @@ type BackendStats struct {
 //
 // The simulated backend (SimActuator) maps offsets one-to-one onto virtual
 // time, so the full reproduction stack — server, policy, guard, power
-// meter — executes unmodified under real traffic. A future hardware backend
-// (SysfsActuator) would instead actuate /sys/devices/system/cpu cpufreq
-// knobs and read per-request completions from the application.
+// meter — executes unmodified under real traffic. A hardware backend would
+// instead actuate /sys/devices/system/cpu cpufreq knobs and read
+// per-request completions from the application.
 //
 // All methods are called from the single bridge goroutine; implementations
 // need no internal locking.
@@ -152,49 +149,3 @@ func (t *tapPolicy) OnComplete(r *server.Request, core int) {
 	t.p99.Add(lat)
 	t.inner.OnComplete(r, core)
 }
-
-// ErrNoCpufreq marks a sysfs actuator built on a machine without an
-// accessible cpufreq interface.
-var ErrNoCpufreq = errors.New("serve: sysfs cpufreq interface not available")
-
-// SysfsActuator is the placeholder hardware backend: it actuates the Linux
-// cpufreq sysfs knobs instead of simulated cores. Only construction is
-// implemented — it probes for the interface and refuses to build without
-// one — so the daemon's plumbing is already shaped for real hardware while
-// the execution path remains simulation-only.
-type SysfsActuator struct {
-	root string
-}
-
-// NewSysfsActuator probes root (default /sys/devices/system/cpu) for a
-// cpufreq interface and fails with ErrNoCpufreq when absent.
-func NewSysfsActuator(root string) (*SysfsActuator, error) {
-	if root == "" {
-		root = "/sys/devices/system/cpu"
-	}
-	if _, err := os.Stat(root + "/cpu0/cpufreq"); err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoCpufreq, root)
-	}
-	return &SysfsActuator{root: root}, nil
-}
-
-// Begin implements Actuator. Hardware actuation is not yet wired up.
-func (a *SysfsActuator) Begin(time.Duration) error {
-	return errors.New("serve: sysfs actuator not implemented; use the simulated backend")
-}
-
-// Inject implements Actuator.
-func (a *SysfsActuator) Inject(time.Duration) error {
-	return errors.New("serve: sysfs actuator not implemented")
-}
-
-// Advance implements Actuator.
-func (a *SysfsActuator) Advance(time.Duration) error {
-	return errors.New("serve: sysfs actuator not implemented")
-}
-
-// Stats implements Actuator.
-func (a *SysfsActuator) Stats(*BackendStats) {}
-
-// End implements Actuator.
-func (a *SysfsActuator) End() *server.Result { return nil }

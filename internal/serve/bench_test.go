@@ -2,23 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"flag"
 	"runtime"
 	"testing"
 	"time"
 
-	"github.com/deeppower/deeppower/internal/results"
 	"github.com/deeppower/deeppower/internal/sim"
 	"github.com/deeppower/deeppower/internal/workload"
 )
-
-// -update-bench rewrites results/BENCH_serve.json from the measurements of
-// BenchmarkServe, via the shared internal/results snapshot writer. The
-// snapshot is the serving mode's acceptance record: admission at zero
-// allocations, closed-loop throughput past the 100k req/s bar, and the
-// replayed diurnal day under the guarded policy inside the SLA budget.
-var updateBench = flag.Bool("update-bench", false,
-	"rewrite results/BENCH_serve.json from this BenchmarkServe run")
 
 // benchGen runs a generator against a fresh daemon and returns the summary
 // plus the daemon's telemetry. With drain set it first waits until every
@@ -68,9 +58,6 @@ func benchGen(b *testing.B, method string, cfg GenConfig, drain bool) (*GenSumma
 //   - OpenLoopDiurnal: one replayed diurnal period at cloud-trace rates
 //     (trough 90k, crest 135k req/s) — the SLA-violation acceptance run.
 func BenchmarkServe(b *testing.B) {
-	var rows []results.Bench
-	derived := map[string]float64{}
-
 	b.Run("AdmissionPath", func(b *testing.B) {
 		d, err := NewDaemon(DaemonConfig{Method: "maxfreq"})
 		if err != nil {
@@ -79,13 +66,6 @@ func BenchmarkServe(b *testing.B) {
 		const batch = 32
 		in := bytes.Repeat(reqBytes, batch)
 		out := make([]byte, 0, connWriteBuf)
-		allocs := testing.AllocsPerRun(100, func() {
-			out = out[:0]
-			_, admitted, _, _ := d.processBuffer(in, &out, 1)
-			d.wire.Accepted.Add(1, uint64(admitted))
-			d.bridge.Admit(0, uint32(admitted))
-			d.bridge.stamps.Drain()
-		})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -101,52 +81,22 @@ func BenchmarkServe(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(nsPerOp/batch, "ns/req")
-		rows = append(rows, results.Bench{
-			Name:    "Serve/AdmissionPath",
-			NsPerOp: nsPerOp,
-			Extra: map[string]float64{
-				"requests_per_batch": batch,
-				"ns_per_request":     nsPerOp / batch,
-			},
-			AllocsPerOp: uint64(allocs),
-		})
-		derived["admission_allocs_per_op"] = allocs
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/req")
 	})
 
 	b.Run("ClosedLoop", func(b *testing.B) {
-		dur := time.Second
-		if *updateBench {
-			dur = 3 * time.Second
-		}
 		var sum *GenSummary
 		for i := 0; i < b.N; i++ {
 			sum, _ = benchGen(b, "controller:0.4,0.5", GenConfig{
-				Conns: 2, Pipeline: 32, Duration: dur,
+				Conns: 2, Pipeline: 32, Duration: time.Second,
 			}, false)
 		}
 		b.ReportMetric(sum.AchievedRPS, "req/s")
 		b.ReportMetric(sum.SustainedRPS, "sustained-req/s")
-		rows = append(rows, results.Bench{
-			Name:    "Serve/ClosedLoop",
-			NsPerOp: 1e9 / sum.AchievedRPS,
-			Extra: map[string]float64{
-				"req_per_sec":           sum.AchievedRPS,
-				"sustained_req_per_sec": sum.SustainedRPS,
-				"completed":             float64(sum.Completed),
-				"rtt_p99_ms":            sum.RTTP99MS,
-			},
-		})
-		derived["closed_loop_req_per_sec"] = sum.AchievedRPS
-		derived["closed_loop_sustained_req_per_sec"] = sum.SustainedRPS
 	})
 
 	b.Run("OpenLoopDiurnal", func(b *testing.B) {
 		period := 4 * time.Second
-		if *updateBench {
-			period = 12 * time.Second
-		}
 		// Reclaim the closed-loop run's simulated backlog up front; on a
 		// small box a concurrent GC mid-replay shows up as arrival bunching
 		// and phantom SLA violations.
@@ -170,39 +120,5 @@ func BenchmarkServe(b *testing.B) {
 		}
 		b.ReportMetric(sum.AchievedRPS, "req/s")
 		b.ReportMetric(slaRate*100, "sla-viol-%")
-		rows = append(rows, results.Bench{
-			Name:    "Serve/OpenLoopDiurnal",
-			NsPerOp: 1e9 / sum.AchievedRPS,
-			Extra: map[string]float64{
-				"req_per_sec":        sum.AchievedRPS,
-				"base_rps":           dc.BaseRPS,
-				"peak_rps":           dc.PeakRPS,
-				"completed":          float64(sum.Completed),
-				"sla_violation_rate": slaRate,
-				"latency_dropped":    float64(tel.LatencyDropped),
-				"avg_freq_ghz":       tel.AvgFreqGHz,
-				"rtt_p99_ms":         sum.RTTP99MS,
-			},
-		})
-		derived["open_loop_sla_violation_rate"] = slaRate
-		derived["open_loop_req_per_sec"] = sum.AchievedRPS
 	})
-
-	if *updateBench {
-		derived["target_req_per_sec"] = 100000
-		derived["target_sla_violation_rate"] = 0.01
-		snap := results.Snapshot{
-			Command: "go test ./internal/serve -run '^$' -bench BenchmarkServe -benchtime=1x -update-bench",
-			CPU:     results.CPUModel(),
-			Note: "live serving over loopback: zero-alloc admission path, closed-loop peak " +
-				"throughput, and one diurnal period (90k-135k req/s) replayed open-loop against " +
-				"the guarded thread-controller policy on simulated cores",
-			Benchmarks: rows,
-			Derived:    derived,
-		}
-		if err := results.Write("../../results/BENCH_serve.json", snap); err != nil {
-			b.Fatal(err)
-		}
-		b.Log("wrote results/BENCH_serve.json")
-	}
 }

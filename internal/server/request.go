@@ -37,9 +37,6 @@ type Request struct {
 	job *job
 }
 
-// Dispatched reports whether a worker has started the request.
-func (r *Request) Dispatched() bool { return r.Start >= 0 }
-
 // Done reports whether processing completed.
 func (r *Request) Done() bool { return r.Finish >= 0 }
 
@@ -52,22 +49,11 @@ func (r *Request) Latency() sim.Time {
 	return r.Finish - r.Arrive
 }
 
-// QueueWait returns time spent waiting before dispatch.
-func (r *Request) QueueWait() sim.Time {
-	if !r.Dispatched() {
-		panic("server: QueueWait of undispatched request")
-	}
-	return r.Start - r.Arrive
-}
-
 // SLARemaining returns how much of the SLA budget is left at time now
 // (negative once the request has already exceeded its deadline).
 func (r *Request) SLARemaining(now, sla sim.Time) sim.Time {
 	return sla - (now - r.Arrive)
 }
-
-// Elapsed returns how long the request has been in the system at now.
-func (r *Request) Elapsed(now sim.Time) sim.Time { return now - r.Arrive }
 
 // fifo is a FIFO queue of requests backed by a power-of-two ring buffer.
 // Pushes and pops move two monotone counters over a fixed ring — no

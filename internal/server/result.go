@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -267,46 +266,4 @@ func (ft *FreqTrace) markEnd(now sim.Time, core int) {
 	if ft.inWindow(now) {
 		ft.Ends = append(ft.Ends, FreqMark{At: now, Core: core})
 	}
-}
-
-// MinFreq returns the lowest frequency observed anywhere in the trace
-// (+Inf for an empty trace).
-func (ft *FreqTrace) MinFreq() float64 {
-	m := math.Inf(1)
-	for _, row := range ft.Freqs {
-		for _, f := range row {
-			if f < m {
-				m = f
-			}
-		}
-	}
-	return m
-}
-
-// MaxFreq returns the highest frequency observed (-Inf for an empty trace).
-func (ft *FreqTrace) MaxFreq() float64 {
-	m := math.Inf(-1)
-	for _, row := range ft.Freqs {
-		for _, f := range row {
-			if f > m {
-				m = f
-			}
-		}
-	}
-	return m
-}
-
-// Changes counts tick-to-tick frequency changes summed over cores — a
-// granularity measure separating per-request policies from per-millisecond
-// ones (Figs. 9 and 10).
-func (ft *FreqTrace) Changes() int {
-	n := 0
-	for i := 1; i < len(ft.Freqs); i++ {
-		for c := range ft.Freqs[i] {
-			if ft.Freqs[i][c] != ft.Freqs[i-1][c] {
-				n++
-			}
-		}
-	}
-	return n
 }

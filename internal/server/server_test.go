@@ -525,37 +525,27 @@ func TestFIFOPeek(t *testing.T) {
 
 func TestRequestAccessors(t *testing.T) {
 	r := &Request{ID: 1, Arrive: 100, Start: -1, Finish: -1, CoreID: -1}
-	if r.Dispatched() || r.Done() {
-		t.Error("fresh request should be neither dispatched nor done")
+	if r.Done() {
+		t.Error("fresh request should not be done")
 	}
 	r.Start = 150
 	r.Finish = 250
-	if r.Latency() != 150 || r.QueueWait() != 50 {
-		t.Errorf("latency %v wait %v", r.Latency(), r.QueueWait())
+	if r.Latency() != 150 {
+		t.Errorf("latency %v", r.Latency())
 	}
 	if r.SLARemaining(200, 300) != 200 {
 		t.Errorf("SLARemaining = %v", r.SLARemaining(200, 300))
-	}
-	if r.Elapsed(400) != 300 {
-		t.Errorf("Elapsed = %v", r.Elapsed(400))
 	}
 }
 
 func TestRequestPanicsBeforeDone(t *testing.T) {
 	r := &Request{Start: -1, Finish: -1}
-	for name, fn := range map[string]func(){
-		"Latency":   func() { r.Latency() },
-		"QueueWait": func() { r.QueueWait() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on unfinished request did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Latency on unfinished request did not panic")
+		}
+	}()
+	r.Latency()
 }
 
 func BenchmarkServerSecond(b *testing.B) {

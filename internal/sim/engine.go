@@ -15,9 +15,6 @@ type Event struct {
 	gen uint32 // must match the slot's generation to be live
 }
 
-// At reports when the event was scheduled to fire.
-func (ev Event) At() Time { return ev.at }
-
 // Cancelled reports whether the event is no longer pending: it fired, was
 // cancelled, or the engine was reset. The zero Event reports true.
 func (ev Event) Cancelled() bool {
@@ -73,9 +70,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.nodes) }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
 // events, counters cleared — while keeping the event arena, free list, and
@@ -230,12 +224,6 @@ func (e *Engine) RunUntil(t Time) {
 		e.Step()
 	}
 	e.now = t
-}
-
-// Run fires events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
 }
 
 // nodeLess orders heap nodes by (at, seq): earliest time first, FIFO among

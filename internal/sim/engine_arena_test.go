@@ -51,7 +51,7 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 				if !old.Cancelled() {
 					t.Fatalf("trial %d: rescheduled handle still reports pending", trial)
 				}
-				if handles[id].Cancelled() || handles[id].At() != at {
+				if handles[id].Cancelled() || handles[id].at != at {
 					t.Fatalf("trial %d: new handle %+v not pending at %v", trial, handles[id], at)
 				}
 				entries[id] = entry{at, order, true}

@@ -26,9 +26,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := Seconds(1.5); got != 1500*Millisecond {
 		t.Errorf("Seconds(1.5) = %v", got)
 	}
-	if got := Millis(2); got != 2*Millisecond {
-		t.Errorf("Millis(2) = %v", got)
-	}
 	if got := Micros(3); got != 3*Microsecond {
 		t.Errorf("Micros(3) = %v", got)
 	}

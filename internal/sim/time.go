@@ -8,10 +8,7 @@
 // paper.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point (or span) of virtual time in nanoseconds.
 //
@@ -26,7 +23,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 	Minute           = 60 * Second
-	Hour             = 60 * Minute
 )
 
 // MaxTime is the largest representable virtual time.
@@ -34,9 +30,6 @@ const MaxTime = Time(1<<63 - 1)
 
 // Seconds converts a float64 number of seconds into a Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Millis converts a float64 number of milliseconds into a Time.
-func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
 // Micros converts a float64 number of microseconds into a Time.
 func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
@@ -49,10 +42,6 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 
 // Microseconds reports t as a float64 number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Duration converts t into a time.Duration for interoperability with
-// formatting helpers. Virtual and wall durations share the nanosecond unit.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the time with an adaptive unit, e.g. "1.5ms" or "2.25s".
 func (t Time) String() string {

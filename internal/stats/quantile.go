@@ -114,6 +114,3 @@ func (q *P2Quantile) Value() float64 {
 	}
 	return q.q[2]
 }
-
-// N reports how many observations were added.
-func (q *P2Quantile) N() int { return q.count }

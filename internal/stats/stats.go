@@ -134,27 +134,6 @@ func CDF(xs []float64, points int) []CDFPoint {
 	return out
 }
 
-// Histogram bins xs into n equal-width buckets over [lo, hi] and returns the
-// counts. Values outside the range are clamped into the edge buckets.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Summary is a digest of a sample set.
 type Summary struct {
 	N                  int

@@ -2,7 +2,6 @@ package agent
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -109,13 +108,13 @@ func TestObserverNormalization(t *testing.T) {
 }
 
 func TestRewardBreakdown(t *testing.T) {
-	rw := NewReward(RewardConfig{Alpha: 1, Beta: 10, Gamma: 1, Eta: 100, RefPowerW: 100})
+	rw := NewReward(RewardConfig{Beta: 10, Gamma: 1, Eta: 100})
 	// Priming call.
 	if b := rw.Step(0, 0, 0, sim.Second); b.Total != 0 {
 		t.Errorf("priming step reward = %v, want 0", b.Total)
 	}
-	// 50 J over 1 s at 100 W reference → R_energy = 0.5.
-	b := rw.Step(50, 0, 0, sim.Second)
+	// 150 J over 1 s at the 300 W reference → R_energy = 0.5.
+	b := rw.Step(150, 0, 0, sim.Second)
 	if math.Abs(b.Energy-0.5) > 1e-12 {
 		t.Errorf("R_energy = %v, want 0.5", b.Energy)
 	}
@@ -174,8 +173,8 @@ func TestConfigDefaults(t *testing.T) {
 	if dp.cfg.NoiseMu != 0.3 || dp.cfg.NoiseSigma != 1.0 {
 		t.Errorf("noise defaults = %v/%v, want paper's 0.3/1", dp.cfg.NoiseMu, dp.cfg.NoiseSigma)
 	}
-	if dp.cfg.BatchSize != 64 {
-		t.Errorf("batch = %d, want 64", dp.cfg.BatchSize)
+	if dp.cfg.batchSize != 64 {
+		t.Errorf("batch = %d, want 64", dp.cfg.batchSize)
 	}
 	if dp.Name() != "deeppower" {
 		t.Errorf("name = %q", dp.Name())
@@ -234,8 +233,8 @@ func buildContinuous(backend BackendName) func(Config) (VectorPolicy, error) {
 func buildLattice(double bool) func(Config) (VectorPolicy, error) {
 	return func(cfg Config) (VectorPolicy, error) {
 		return NewDQNPower(DQNPowerConfig{
-			Double: double, Seed: cfg.Seed, Train: cfg.Train,
-			LongTime: cfg.LongTime, WarmupSteps: cfg.WarmupSteps,
+			double: double, Seed: cfg.Seed, Train: cfg.Train,
+			loop: Config{LongTime: cfg.LongTime, WarmupSteps: cfg.WarmupSteps},
 		})
 	}
 }
@@ -260,7 +259,7 @@ func TestDivergenceCountEveryAgent(t *testing.T) {
 		t.Run(kind.name, func(t *testing.T) {
 			c := mustBuild(t)(kind.build(Config{Seed: 4, Train: true})).agentCore()
 			action := c.codec.act(actWarmup, nil, nil)
-			for i := 0; i < c.cfg.BatchSize; i++ {
+			for i := 0; i < c.cfg.batchSize; i++ {
 				c.replay.Push(rl.Transition{
 					State: make([]float64, StateDim), Action: action,
 					Reward: math.NaN(), NextState: make([]float64, StateDim),
@@ -325,7 +324,7 @@ func TestDeepPowerRunsAndActs(t *testing.T) {
 				}
 			case *lattice:
 				// Epsilon must have decayed from its start.
-				if k.eps >= k.cfg.EpsStart {
+				if k.eps >= epsStart {
 					t.Errorf("epsilon never decayed: %v", k.eps)
 				}
 			}
@@ -441,7 +440,7 @@ func TestTrainConfigValidation(t *testing.T) {
 
 func TestInitialParamsApplied(t *testing.T) {
 	want := control.Params{BaseFreq: 0.9, ScalingCoef: 0.1}
-	dp, err := New(Config{Seed: 7, InitialParams: want})
+	dp, err := New(Config{Seed: 7, initialParams: want})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,8 +526,8 @@ func TestUnknownBackendRejected(t *testing.T) {
 }
 
 // TestBackendHonoursLearnerConfig: Config.Backend only picks the variant —
-// the two-head topology and non-default hidden sizes in Config.DDPG reach
-// whichever learner runs them (the TD3 backend used to drop all three).
+// the two-head topology in Config.DDPG reaches whichever learner runs it
+// (the TD3 backend used to drop it).
 func TestBackendHonoursLearnerConfig(t *testing.T) {
 	for backend := range backends {
 		cfg := Config{Seed: 10, Backend: backend}
@@ -539,27 +538,6 @@ func TestBackendHonoursLearnerConfig(t *testing.T) {
 		}
 		if _, ok := dp.Agent().Actor.(*nn.TwoHead); !ok {
 			t.Errorf("%s: TwoHeadActor built a %T", backend, dp.Agent().Actor)
-		}
-
-		cfg = Config{Seed: 10, Backend: backend}
-		cfg.DDPG.ActorHidden = []int{8, 6}
-		cfg.DDPG.CriticHidden = [3]int{10, 7, 5}
-		if dp, err = New(cfg); err != nil {
-			t.Fatal(err)
-		}
-		widths := func(layers []*nn.Dense) (out []int) {
-			for _, l := range layers {
-				out = append(out, l.Out)
-			}
-			return out
-		}
-		if got := fmt.Sprint(widths(dp.Agent().Actor.Params())); got != "[8 6 2]" {
-			t.Errorf("%s: ActorHidden {8,6} built actor widths %s", backend, got)
-		}
-		for _, c := range dp.Agent().Critics {
-			if got := fmt.Sprint(widths(c.Layers())); got != "[10 7 5 1]" {
-				t.Errorf("%s: CriticHidden {10,7,5} built critic widths %s", backend, got)
-			}
 		}
 	}
 }

@@ -65,8 +65,9 @@ type LogPoint struct {
 type core struct {
 	server.BasePolicy
 	name string
-	// cfg is the loop's configuration: the core reads the fields DQNPowerConfig
-	// shares (NewDQNPower translates them); the rest is the continuous codec's.
+	// cfg is the loop's configuration: the core reads the loop fields both
+	// variants share (NewDQNPower fills them); the rest is the continuous
+	// codec's.
 	cfg   Config
 	codec codec
 
@@ -120,7 +121,7 @@ func newCore(name string, cfg Config, k codec, replay *rl.Replay) core {
 		name:   name,
 		cfg:    cfg,
 		codec:  k,
-		tc:     control.NewThreadController(cfg.InitialParams),
+		tc:     control.NewThreadController(cfg.initialParams),
 		replay: replay,
 		reward: NewReward(cfg.Reward),
 	}
@@ -161,7 +162,7 @@ func (c *core) Init(ctl server.Control) {
 	c.lastAction = nil
 	c.EpisodeReturn = 0
 	c.nextAct = ctl.Now() // act immediately on the first tick
-	c.tc.SetParams(c.cfg.InitialParams)
+	c.tc.SetParams(c.cfg.initialParams)
 }
 
 // OnTick implements server.Policy: Algorithm 1 every tick, Algorithm 2 every
@@ -192,7 +193,7 @@ func (c *core) OnDispatch(r *server.Request, worker int) {
 func (c *core) agentStep(now sim.Time) {
 	state, rew := c.observeStep()
 	if c.pushTransition(state, rew) &&
-		c.step >= c.cfg.WarmupSteps && c.replay.Len() >= c.cfg.BatchSize {
+		c.step >= c.cfg.WarmupSteps && c.replay.Len() >= c.cfg.batchSize {
 		c.learnStep()
 	}
 	c.EpisodeReturn += rew.Total
@@ -240,7 +241,7 @@ func (c *core) pushTransition(state []float64, rew Breakdown) bool {
 // learnStep runs the configured gradient updates from the replay pool.
 func (c *core) learnStep() {
 	if c.batchBuf == nil {
-		c.batchBuf = make([]rl.Transition, c.cfg.BatchSize)
+		c.batchBuf = make([]rl.Transition, c.cfg.batchSize)
 	}
 	for u := 0; u < c.cfg.UpdatesPerStep; u++ {
 		c.replay.SampleInto(c.batchBuf)
@@ -352,7 +353,7 @@ func (c *core) vecActRow(now sim.Time, row []float64) {
 // environments' next segment.
 func (c *core) vecLearn() {
 	c.vecSteps++
-	if !c.cfg.Train || c.vecSteps <= c.cfg.WarmupSteps || c.replay.Len() < c.cfg.BatchSize {
+	if !c.cfg.Train || c.vecSteps <= c.cfg.WarmupSteps || c.replay.Len() < c.cfg.batchSize {
 		return
 	}
 	c.learnStep()

@@ -55,14 +55,10 @@ type Config struct {
 	// WarmupSteps selects random actions before learning starts
 	// (Algorithm 2 line 7; default 20).
 	WarmupSteps int
-	// BatchSize is the replay minibatch (default 64, §5.5).
-	BatchSize int
 	// UpdatesPerStep is how many gradient updates run per agent step
 	// (default 1, as in Algorithm 2; quick-scale experiments raise it to
 	// compensate for fewer steps).
 	UpdatesPerStep int
-	// ReplayCap bounds the experience pool (default 100000).
-	ReplayCap int
 	// Train enables exploration and network updates. Off = pure inference
 	// with the current actor.
 	Train bool
@@ -81,16 +77,19 @@ type Config struct {
 	// server topology's placement ladder. Requires Classes > 0 and uses
 	// the plain MLP actor (the paper's two-head actor is 2-dim only).
 	Placement bool
-	// InitialParams seeds the thread controller before the first action.
-	InitialParams control.Params
 	// RecordLog retains per-step actions and rewards (Fig. 8).
 	RecordLog bool
 	// Seed drives exploration and initialization.
 	Seed int64
+	// batchSize is the replay minibatch (default 64, §5.5), replayCap
+	// bounds the experience pool (default 100000), and initialParams seeds
+	// the thread controller before the first action (default 0.6, 0.6);
+	// only this package's tests change them.
+	batchSize, replayCap int
+	initialParams        control.Params
 }
 
-// withDefaults fills the agent loop's defaults — the fields DQNPowerConfig
-// shares.
+// withDefaults fills the agent loop's defaults, which DQNPower shares.
 func (c Config) withDefaults() Config {
 	if c.LongTime == 0 {
 		c.LongTime = sim.Second
@@ -98,17 +97,17 @@ func (c Config) withDefaults() Config {
 	if c.WarmupSteps == 0 {
 		c.WarmupSteps = 20
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
+	if c.batchSize == 0 {
+		c.batchSize = 64
 	}
 	if c.UpdatesPerStep == 0 {
 		c.UpdatesPerStep = 1
 	}
-	if c.ReplayCap == 0 {
-		c.ReplayCap = 100000
+	if c.replayCap == 0 {
+		c.replayCap = 100000
 	}
-	if c.InitialParams == (control.Params{}) {
-		c.InitialParams = control.Params{BaseFreq: 0.6, ScalingCoef: 0.6}
+	if c.initialParams == (control.Params{}) {
+		c.initialParams = control.Params{BaseFreq: 0.6, ScalingCoef: 0.6}
 	}
 	return c
 }
@@ -163,7 +162,7 @@ func New(cfg Config) (*DeepPower, error) {
 		return nil, err
 	}
 	k := &pairCodec{ActorCritic: learner, cfg: full}
-	replay := rl.NewReplay(full.ReplayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
+	replay := rl.NewReplay(full.replayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
 	return &DeepPower{newCore("deeppower", full, k.seeded(full.Seed), replay)}, nil
 }
 

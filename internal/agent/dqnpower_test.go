@@ -7,7 +7,7 @@ import (
 )
 
 func TestDQNPowerParamsLattice(t *testing.T) {
-	dq, err := NewDQNPower(DQNPowerConfig{GridSize: 5, Seed: 1})
+	dq, err := NewDQNPower(DQNPowerConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,8 @@ func TestDQNPowerParamsLattice(t *testing.T) {
 	}
 }
 
-func TestDQNPowerRejectsTinyGrid(t *testing.T) {
-	if _, err := NewDQNPower(DQNPowerConfig{GridSize: 1}); err == nil {
-		t.Error("grid size 1 accepted")
-	}
-}
-
 func TestDDQNPowerName(t *testing.T) {
-	dq, err := NewDQNPower(DQNPowerConfig{Double: true, Seed: 3})
+	dq, err := NewDQNPower(DQNPowerConfig{double: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 // RewardConfig weights the three penalty terms of §4.4.2:
 //
 //	R_total = -(α·R_energy + β·R_timeout + γ·R_queue)
+//
+// The energy weight α is the constant alpha.
 type RewardConfig struct {
-	// Alpha weights energy (default 1).
-	Alpha float64
 	// Beta weights timeouts (default 10) — raise it if tail latency sits
 	// above the SLA, per the paper's tuning note.
 	Beta float64
@@ -20,9 +20,6 @@ type RewardConfig struct {
 	// Eta is the scaleFunc threshold: queues shorter than Eta are barely
 	// punished, longer queues strongly (default 100, Fig. 5).
 	Eta float64
-	// RefPowerW normalizes R_energy: the energy of one step is divided by
-	// RefPowerW·step so a fully-loaded baseline scores ≈ 1.
-	RefPowerW float64
 	// ClassRefPowerW, when set, makes StepClasses normalize each core
 	// class's energy delta by its own reference power (one entry per
 	// class); R_energy becomes the mean of the per-class terms, so waste
@@ -31,20 +28,22 @@ type RewardConfig struct {
 	ClassRefPowerW []float64
 }
 
+const (
+	// alpha weights energy.
+	alpha = 1
+	// RefPowerW normalizes R_energy: the energy of one step is divided by
+	// RefPowerW·step so a fully-loaded baseline scores ≈ 1.
+	RefPowerW = 300
+)
+
 // Weights set to a negative value disable the corresponding term (zero
 // selects the default) — the sentinel the reward ablations use.
 func (c RewardConfig) withDefaults() RewardConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 1
-	}
 	if c.Beta == 0 {
 		c.Beta = 10
 	}
 	if c.Gamma == 0 {
 		c.Gamma = 1
-	}
-	if c.Alpha < 0 {
-		c.Alpha = 0
 	}
 	if c.Beta < 0 {
 		c.Beta = 0
@@ -54,9 +53,6 @@ func (c RewardConfig) withDefaults() RewardConfig {
 	}
 	if c.Eta == 0 {
 		c.Eta = 100
-	}
-	if c.RefPowerW == 0 {
-		c.RefPowerW = 300
 	}
 	return c
 }
@@ -94,9 +90,6 @@ type Reward struct {
 func NewReward(cfg RewardConfig) *Reward {
 	return &Reward{cfg: cfg.withDefaults()}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (rw *Reward) Config() RewardConfig { return rw.cfg }
 
 // Reset clears inter-step state at episode boundaries.
 func (rw *Reward) Reset() { rw.primed = false }
@@ -136,9 +129,9 @@ func (rw *Reward) Step(energyJ float64, timeouts uint64, queueLen int, step sim.
 	if math.IsNaN(energyJ) || math.IsInf(energyJ, 0) {
 		energyJ = rw.lastEnergy
 	}
-	denom := rw.cfg.RefPowerW * step.Seconds()
+	denom := RefPowerW * step.Seconds()
 	if denom > 0 {
-		b.Energy = rw.cfg.Alpha * dE / denom
+		b.Energy = alpha * dE / denom
 	}
 	// R_timeout: timeouts in the interval, compressed with log1p so a
 	// thousand-timeout burst does not dwarf every other signal.
@@ -183,7 +176,7 @@ func (rw *Reward) StepClasses(energyJ float64, classEnergy []float64, timeouts u
 		}
 		if n > 0 {
 			b.Total += b.Energy // retract the total-energy term
-			b.Energy = rw.cfg.Alpha * sum / float64(n)
+			b.Energy = alpha * sum / float64(n)
 			b.Total -= b.Energy
 		}
 	}

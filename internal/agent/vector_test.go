@@ -28,8 +28,8 @@ func vecTestConfig(seed int64) Config {
 		Train:       true,
 		LongTime:    500 * sim.Millisecond,
 		WarmupSteps: 4,
-		BatchSize:   16,
-		ReplayCap:   48,
+		batchSize:   16,
+		replayCap:   48,
 	}
 }
 
@@ -141,13 +141,15 @@ func TestVectorTrainerWorkerEquivalence(t *testing.T) {
 // pool that wraps within the vector tests' runs.
 func vecTestDQNConfig(double bool) DQNPowerConfig {
 	return DQNPowerConfig{
-		Seed:        22,
-		Double:      double,
-		Train:       true,
-		LongTime:    500 * sim.Millisecond,
-		WarmupSteps: 3,
-		BatchSize:   8,
-		ReplayCap:   32,
+		Seed:   22,
+		double: double,
+		Train:  true,
+		loop: Config{
+			LongTime:    500 * sim.Millisecond,
+			WarmupSteps: 3,
+			batchSize:   8,
+			replayCap:   32,
+		},
 	}
 }
 

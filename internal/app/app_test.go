@@ -210,14 +210,6 @@ func TestMaxCapacityScalesWithFrequency(t *testing.T) {
 	}
 }
 
-func TestServiceQuantilesSorted(t *testing.T) {
-	p := MustByName(Xapian)
-	qs := p.ServiceQuantiles(1, 10000, 0.5, 0.9, 0.99)
-	if !(qs[0] < qs[1] && qs[1] < qs[2]) {
-		t.Errorf("quantiles not increasing: %v", qs)
-	}
-}
-
 func TestTailedSamplerValidate(t *testing.T) {
 	bad := []TailedSampler{
 		{BaseUS: -1},

@@ -3,12 +3,7 @@
 // shipped files.
 package app
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/deeppower/deeppower/internal/sim"
-)
+import "fmt"
 
 // Validate reports an error for malformed samplers.
 func (s *TailedSampler) Validate() error {
@@ -25,24 +20,4 @@ func (s *TailedSampler) Validate() error {
 		return fmt.Errorf("app: TypeMuls/TypeProbs length mismatch")
 	}
 	return nil
-}
-
-// ServiceQuantiles samples n requests and returns the requested quantiles of
-// ServiceRef in milliseconds (helper for calibration and Fig. 1).
-//
-// Parked, not an observer: only its own tests read it. ROADMAP's
-// reachability item deletes it with those tests.
-func (p *Profile) ServiceQuantiles(seed int64, n int, qs ...float64) []float64 {
-	r := sim.NewRNG(seed).Stream("quantiles-" + p.Name)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = p.Sampler.Sample(r).ServiceRef.Milliseconds()
-	}
-	sort.Float64s(xs)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(n-1))
-		out[i] = xs[idx]
-	}
-	return out
 }

@@ -13,10 +13,11 @@
 //
 // Decoding is defensive by construction: every read is bounds-checked
 // (ErrTruncated), the header is validated field by field (ErrBadMagic,
-// ErrVersion, ErrKind), the checksum must match (ErrChecksum), and
-// higher-level decoders reject impossible shapes (ErrMalformed) and
-// non-finite weights (ErrNonFinite) — a corrupt checkpoint must fail loudly
-// at load time, never silently actuate garbage frequencies.
+// ErrKind, then ErrVersion against the kind's version), the checksum must
+// match (ErrChecksum), and higher-level decoders reject impossible shapes
+// (ErrMalformed) and non-finite weights (ErrNonFinite) — a corrupt
+// checkpoint must fail loudly at load time, never silently actuate garbage
+// frequencies.
 package ckpt
 
 import (
@@ -29,10 +30,6 @@ import (
 
 // Magic identifies a ckpt container file.
 const Magic = "DPCK"
-
-// Version is the current container format version. Decoders accept exactly
-// this version; the version/compat policy is documented in DESIGN.md.
-const Version uint16 = 1
 
 // headerLen is magic(4) + version(2) + kind(1) + payloadLen(8) + crc(4).
 const headerLen = 4 + 2 + 1 + 8 + 4
@@ -78,6 +75,16 @@ func (k Kind) String() string {
 
 func (k Kind) valid() bool { return k >= KindPolicy && k <= KindDQN }
 
+// version is the format version a kind is sealed at: the header layout and
+// that kind's payload layout. Decoders accept exactly this version; the
+// version/compat policy is documented in DESIGN.md.
+func (k Kind) version() uint16 {
+	if k == KindPolicy {
+		return 1
+	}
+	return 2 // the trainer-state config header lost the learning rates, γ and τ
+}
+
 // Typed decode errors. Callers branch with errors.Is; every error carries a
 // human-readable detail via %w wrapping.
 var (
@@ -110,7 +117,7 @@ func Seal(kind Kind, payload []byte) []byte {
 // reuse a buffer across periodic checkpoints.
 func SealInto(dst []byte, kind Kind, payload []byte) []byte {
 	dst = append(dst, Magic...)
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
+	dst = binary.LittleEndian.AppendUint16(dst, kind.version())
 	dst = append(dst, byte(kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
@@ -127,13 +134,12 @@ func Open(data []byte) (Kind, []byte, error) {
 	if string(data[:4]) != Magic {
 		return 0, nil, fmt.Errorf("%w: %q", ErrBadMagic, data[:4])
 	}
-	v := binary.LittleEndian.Uint16(data[4:6])
-	if v != Version {
-		return 0, nil, fmt.Errorf("%w: %d (decoder speaks %d)", ErrVersion, v, Version)
-	}
 	kind := Kind(data[6])
 	if !kind.valid() {
 		return 0, nil, fmt.Errorf("%w: %s", ErrKind, kind)
+	}
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != kind.version() {
+		return 0, nil, fmt.Errorf("%w: %s %d (decoder speaks %d)", ErrVersion, kind, v, kind.version())
 	}
 	plen := binary.LittleEndian.Uint64(data[7:15])
 	if plen > maxPayload {
@@ -323,8 +329,8 @@ func (d *Dec) Bool() bool {
 	}
 }
 
-// F64 reads an IEEE-754 bit pattern (NaN/Inf pass through; use FiniteF64 or
-// CheckFinite where non-finite values must be rejected).
+// F64 reads an IEEE-754 bit pattern (NaN/Inf pass through; use FiniteF64
+// where non-finite values must be rejected).
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // FiniteF64 reads a float64 and rejects NaN and ±Inf.

@@ -53,6 +53,22 @@ func TestSealIntoMatchesSeal(t *testing.T) {
 	}
 }
 
+// TestSealVersions: the policy layout is still at version 1, so exported
+// policies keep their bytes; the trainer-state layouts moved to version 2
+// when their config header lost the learning rates, γ and τ.
+func TestSealVersions(t *testing.T) {
+	for k := KindPolicy; k <= KindDQN; k++ {
+		want := uint16(2)
+		if k == KindPolicy {
+			want = 1
+		}
+		b := Seal(k, nil)
+		if v := uint16(b[4]) | uint16(b[5])<<8; v != want {
+			t.Errorf("%s sealed at version %d, want %d", k, v, want)
+		}
+	}
+}
+
 // TestOpenRejectsHeaderTampering flips each header field in turn and checks
 // the decoder reports the right typed error.
 func TestOpenRejectsHeaderTampering(t *testing.T) {
@@ -64,8 +80,9 @@ func TestOpenRejectsHeaderTampering(t *testing.T) {
 	}{
 		{"magic byte 0", func(b []byte) { b[0] = 'X' }, ErrBadMagic},
 		{"magic byte 3", func(b []byte) { b[3] ^= 0xFF }, ErrBadMagic},
-		{"version bump", func(b []byte) { b[4] = 2 }, ErrVersion},
+		{"version bump", func(b []byte) { b[4]++ }, ErrVersion},
 		{"version zero", func(b []byte) { b[4], b[5] = 0, 0 }, ErrVersion},
+		{"trainer state at version 1", func(b []byte) { b[4], b[5] = 1, 0 }, ErrVersion},
 		{"kind zero", func(b []byte) { b[6] = 0 }, ErrKind},
 		{"kind unknown", func(b []byte) { b[6] = 99 }, ErrKind},
 		{"length short", func(b []byte) { b[7]-- }, ErrTruncated},

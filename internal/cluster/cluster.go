@@ -178,10 +178,6 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		inj := &capInjector{inner: sc.Server.Faults}
 		scfg := sc.Server
 		scfg.Faults = inj
-		lad := scfg.Ladder
-		if lad == (cpu.Ladder{}) {
-			lad = cpu.DefaultLadder()
-		}
 		pm := scfg.Power
 		if pm == (power.Model{}) {
 			pm = power.DefaultModel()
@@ -194,6 +190,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		if err := srv.BeginExternal(full.Duration); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
+		lad := srv.Ladder()
 		effCost := pm.CorePower(lad.Max, true)
 		floorW := pm.Uncore + float64(srv.NumCores())*pm.CorePower(lad.Min, false)
 		if t := scfg.Topology; t != nil {

@@ -18,28 +18,24 @@ import (
 type GlobalConfig struct {
 	// Every is the reassignment cadence in control epochs (default 10).
 	Every int
-	// TimeoutBudget is the per-shard window timeout-rate budget that
-	// triggers load shedding (default 0.01, the paper's Eq. 2 rate).
-	TimeoutBudget float64
 	// PowerBudgetW is the fleet-wide average power budget (0 = uncapped).
 	// Shards drawing more than their load-proportional slice get their
 	// frequency ceiling stepped down one ladder notch; shards comfortably
 	// under it get the ceiling stepped back up.
 	PowerBudgetW float64
-	// Adapt is the share adaptation rate per reassignment in (0, 1]
-	// (default 0.25).
-	Adapt float64
 }
+
+const (
+	// timeoutBudget is the per-shard window timeout-rate budget that
+	// triggers load shedding: the paper's Eq. 2 rate.
+	timeoutBudget = 0.01
+	// adapt is the share adaptation rate per reassignment, in (0, 1].
+	adapt = 0.25
+)
 
 func (c GlobalConfig) withDefaults() GlobalConfig {
 	if c.Every <= 0 {
 		c.Every = 10
-	}
-	if c.TimeoutBudget <= 0 {
-		c.TimeoutBudget = 0.01
-	}
-	if c.Adapt <= 0 || c.Adapt > 1 {
-		c.Adapt = 0.25
 	}
 	return c
 }
@@ -100,15 +96,14 @@ func newGlobalTier(cfg GlobalConfig, shards []*shard) *globalTier {
 // per-shard frequency ceilings. Deterministic: pure arithmetic over the
 // snapshots in shard order.
 func (g *globalTier) reassign(states []ShardState) {
-	a := g.cfg.Adapt
 	for i := range states {
-		if states[i].WindowTimeoutRate > g.cfg.TimeoutBudget {
+		if states[i].WindowTimeoutRate > timeoutBudget {
 			// The shard is breaching: shed load multiplicatively. The local
 			// guard (when configured) handles the latency emergency; the
 			// global tier just stops feeding it.
-			g.share[i] *= 1 - a
+			g.share[i] *= 1 - adapt
 		} else {
-			g.share[i] += a * (g.target[i] - g.share[i])
+			g.share[i] += adapt * (g.target[i] - g.share[i])
 		}
 		g.share[i] = math.Min(math.Max(g.share[i], minShare), maxShare)
 	}
@@ -157,7 +152,7 @@ func (g *globalTier) rebudget(states []ShardState, shards []*shard) {
 		}
 		lad := shards[i].ladder
 		switch {
-		case states[i].WindowTimeoutRate > g.cfg.TimeoutBudget:
+		case states[i].WindowTimeoutRate > timeoutBudget:
 			// QoS override: never tighten the ceiling on a shard already
 			// breaching its timeout window. A capped shard cannot burn down
 			// backlog, the backlog keeps its power at the slice, and the

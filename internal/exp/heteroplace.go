@@ -176,8 +176,7 @@ func heteroPlaceCell(method string, scale Scale) (*server.Result, error) {
 
 	acfg := setup.agentConfig()
 	acfg.Classes = len(topo.Classes)
-	acfg.Reward.ClassRefPowerW = classRefPowerW(power.DefaultModel(), topo,
-		agent.NewReward(acfg.Reward).Config().RefPowerW)
+	acfg.Reward.ClassRefPowerW = classRefPowerW(power.DefaultModel(), topo, agent.RefPowerW)
 	if method == PlaceLearned {
 		acfg.Placement = true
 	}

@@ -9,30 +9,22 @@ import (
 )
 
 // GuardConfig tunes the guarded-policy watchdog. The zero value selects the
-// defaults below.
+// defaults below; the health window, the p99 limit, the invalid-action
+// limit and the backoff cap are the constants after it.
 type GuardConfig struct {
 	// CheckEvery is how often health is evaluated (default 50 ms).
 	CheckEvery sim.Time
-	// Window is the sliding window health is computed over (default 1 s).
-	Window sim.Time
 	// TimeoutRateLimit trips the guard when the windowed timeout rate
 	// exceeds it (default 0.02 — twice the paper's Eq. 2 budget, so a
 	// policy that merely skirts the 1% budget is not preempted).
 	TimeoutRateLimit float64
-	// P99Factor trips the guard when the windowed p99 latency exceeds
-	// P99Factor x SLA (default 1.5).
-	P99Factor float64
 	// MinSamples is the minimum completions in the window before latency
 	// health is judged (default 32).
 	MinSamples int
-	// MaxInvalid trips the guard after this many invalid inner-policy
-	// actions within one window (default 3).
-	MaxInvalid int
 	// Backoff is the initial safe-mode dwell before the inner policy is
 	// retried (default 1 s); it doubles per consecutive failed retry up
-	// to MaxBackoff (default 16 s).
-	Backoff    sim.Time
-	MaxBackoff sim.Time
+	// to maxBackoff.
+	Backoff sim.Time
 	// Rollback, when non-nil, inserts a rung into the escalation ladder:
 	// on a health breach it is invoked before the guard pins max
 	// frequency, and should restore the inner policy to its last
@@ -47,30 +39,31 @@ type GuardConfig struct {
 	MaxRollbacks int
 }
 
+const (
+	// window is the sliding window health is computed over.
+	window = sim.Second
+	// p99Factor trips the guard when the windowed p99 latency exceeds
+	// p99Factor x SLA.
+	p99Factor = 1.5
+	// maxInvalid trips the guard after this many invalid inner-policy
+	// actions within one window.
+	maxInvalid = 3
+	// maxBackoff caps the doubling safe-mode dwell.
+	maxBackoff = 16 * sim.Second
+)
+
 func (c GuardConfig) withDefaults() GuardConfig {
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 50 * sim.Millisecond
 	}
-	if c.Window <= 0 {
-		c.Window = sim.Second
-	}
 	if c.TimeoutRateLimit <= 0 {
 		c.TimeoutRateLimit = 0.02
-	}
-	if c.P99Factor <= 0 {
-		c.P99Factor = 1.5
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
 	}
-	if c.MaxInvalid <= 0 {
-		c.MaxInvalid = 3
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = sim.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 16 * sim.Second
 	}
 	if c.MaxRollbacks <= 0 {
 		c.MaxRollbacks = 3
@@ -234,7 +227,7 @@ func (g *GuardedPolicy) Stats() GuardStats { return g.stats }
 func (g *GuardedPolicy) SafeMode() bool { return g.safeMode }
 
 func (g *GuardedPolicy) prune(now sim.Time) {
-	cut := now - g.cfg.Window
+	cut := now - window
 	i := 0
 	for i < len(g.completions) && g.completions[i].at < cut {
 		i++
@@ -264,7 +257,7 @@ func (g *GuardedPolicy) windowHealth() (rate float64, p99 sim.Time, ok bool) {
 	rate = float64(timeouts) / float64(n)
 	// Exact p99 over the window (windows are small; sorting is cheap).
 	p99 = sim.Time(quickSelect(lats, int(math.Ceil(0.99*float64(n)))-1))
-	ok = rate <= g.cfg.TimeoutRateLimit && p99 <= sim.Time(g.cfg.P99Factor*float64(g.sla))
+	ok = rate <= g.cfg.TimeoutRateLimit && p99 <= sim.Time(p99Factor*float64(g.sla))
 	return rate, p99, ok
 }
 
@@ -281,7 +274,7 @@ func (g *GuardedPolicy) checkHealth(now sim.Time) {
 		}
 		return
 	}
-	if !g.windowHealthy() || int(g.stats.InvalidActions)-g.invalidAtWindowStart() > g.cfg.MaxInvalid {
+	if !g.windowHealthy() || int(g.stats.InvalidActions)-g.invalidAtWindowStart() > maxInvalid {
 		g.fallback(now)
 	} else if g.rollbacks > 0 && len(g.completions) >= g.cfg.MinSamples {
 		// A rolled-back policy survived a full-sample healthy window; its
@@ -316,7 +309,7 @@ func (g *GuardedPolicy) fallback(now sim.Time) {
 	g.Transitions = append(g.Transitions, GuardTransition{
 		At: now, ToSafe: true, WindowTimeoutRate: rate, WindowP99: p99})
 	g.retryAt = now + g.backoff
-	if g.backoff < g.cfg.MaxBackoff {
+	if g.backoff < maxBackoff {
 		g.backoff *= 2
 	}
 	// Clear the window so safe mode is judged on its own completions.

@@ -31,11 +31,10 @@ func (f *fakeCtl) SetFreq(i int, fr cpu.Freq) { f.freqs[i] = fr }
 func (f *fakeCtl) Topology() *cpu.Topology    { return nil }
 
 // rollbackGuardConfig is shared by the ladder tests: checks every 10 ms over
-// a 100 ms window, trips at a 10% timeout rate after 4 samples.
+// the 1 s window, trips at a 10% timeout rate after 4 samples.
 func rollbackGuardConfig(hook func() bool, maxRollbacks int) GuardConfig {
 	return GuardConfig{
 		CheckEvery:       10 * sim.Millisecond,
-		Window:           100 * sim.Millisecond,
 		TimeoutRateLimit: 0.10,
 		MinSamples:       4,
 		Rollback:         hook,

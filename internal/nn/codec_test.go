@@ -181,15 +181,3 @@ func TestAdamStateRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch: got %v", err)
 	}
 }
-
-func TestCheckFinite(t *testing.T) {
-	rng := sim.NewRNG(2)
-	n := NewMLP([]int{2, 2}, ReLU, Identity, rng)
-	if err := CheckFinite(n); err != nil {
-		t.Fatalf("fresh network: %v", err)
-	}
-	n.Layers[0].B[0] = math.Inf(1)
-	if err := CheckFinite(n); !errors.Is(err, ckpt.ErrNonFinite) {
-		t.Fatalf("got %v", err)
-	}
-}

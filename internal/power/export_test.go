@@ -3,10 +3,7 @@
 // shipped files.
 package power
 
-import (
-	"github.com/deeppower/deeppower/internal/cpu"
-	"github.com/deeppower/deeppower/internal/sim"
-)
+import "github.com/deeppower/deeppower/internal/cpu"
 
 // SocketPower returns total package power given each core's frequency and
 // activity. The two slices must have equal length.
@@ -19,12 +16,4 @@ func (m Model) SocketPower(freqs []cpu.Freq, active []bool) float64 {
 		p += m.CorePower(f, active[i])
 	}
 	return p
-}
-
-// EnergyFor returns the energy (joules) one core consumes running at f for d.
-//
-// Parked, not an observer: only its own tests read it. ROADMAP's
-// reachability item deletes it with those tests.
-func (m Model) EnergyFor(f cpu.Freq, active bool, d sim.Time) float64 {
-	return m.CorePower(f, active) * d.Seconds()
 }

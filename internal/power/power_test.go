@@ -116,14 +116,6 @@ func TestCalibrationRoughlyXeon(t *testing.T) {
 	}
 }
 
-func TestEnergyFor(t *testing.T) {
-	m := DefaultModel()
-	e := m.EnergyFor(2.1, true, 2*sim.Second)
-	if math.Abs(e-2*m.CorePower(2.1, true)) > 1e-9 {
-		t.Errorf("EnergyFor = %v", e)
-	}
-}
-
 func TestMeterAccrue(t *testing.T) {
 	mt := NewMeter()
 	mt.Accrue(0, sim.Second, 100)

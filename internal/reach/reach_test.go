@@ -15,6 +15,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -33,14 +34,19 @@ type config struct {
 	// exported declarations are roots ("." for the module root).
 	apiPkg   string
 	deferred []deferredRoot
+	// decoders are functions that rebuild a configuration from bytes: their
+	// writes restore a value some program once chose rather than choose one,
+	// so the field pass does not count them.
+	decoders []string
 }
 
-// deferredRoot is the fence's only escape: a symbol treated as an extra
-// root, so what it uses is reached through it. The list can only shrink —
-// analyze refuses a deferred root that no longer exists or that the other
-// roots already reach.
+// deferredRoot is the fence's only escape: a declaration treated as an
+// extra root, so what it uses is reached through it, or a configuration
+// field treated as turned. The list can only shrink — both passes refuse a
+// deferred root that no longer exists or that the other roots already reach
+// or turn.
 type deferredRoot struct {
-	symbol string // as report prints it: "internal/rl.LoadCheckpoint", "internal/rl.DQN.Checkpoint"
+	symbol string // as report prints it: "internal/rl.LoadCheckpoint", "internal/rl.DQN.Checkpoint", "internal/serve.DaemonConfig.GuardConfig"
 	reason string
 }
 
@@ -75,10 +81,12 @@ var stdInterfaces = []struct {
 }
 
 // One file set and one standard-library importer for every analysis in
-// this test binary, so the standard library is type-checked once.
+// this test binary, so the standard library is type-checked once, and one
+// loaded module per directory, so each package is.
 var (
-	fset = token.NewFileSet()
-	std  = newStdImporter()
+	fset    = token.NewFileSet()
+	std     = newStdImporter()
+	modules = map[string]*module{}
 )
 
 func newStdImporter() types.Importer {
@@ -91,7 +99,7 @@ func newStdImporter() types.Importer {
 // module is the module being analysed: its packages, type-checked once
 // each, and the reference graph over their package-level declarations.
 type module struct {
-	cfg  config
+	dir  string
 	path string // module path from go.mod
 	pkgs map[string]*pkg
 	info *types.Info
@@ -105,6 +113,14 @@ type module struct {
 	// module; stdIfaces the linked standard-library interfaces.
 	ifaceNames map[string]bool
 	stdIfaces  []*types.Interface
+	// bodies are the syntax trees the edges were read from, each with the
+	// declarations it belongs to; the field pass reads its writes there.
+	bodies []body
+}
+
+type body struct {
+	owners []types.Object
+	tree   ast.Node
 }
 
 type pkg struct {
@@ -155,16 +171,19 @@ func (m *module) check(p *pkg) {
 	p.types, p.err = conf.Check(path.Join(m.path, p.rel), fset, p.files, m.info)
 }
 
-// load parses the non-test files of every package directory under cfg.dir
-// (build constraints applied, testdata and nested modules skipped) and
-// type-checks them.
-func load(cfg config) (*module, error) {
-	gomod, err := os.ReadFile(filepath.Join(cfg.dir, "go.mod"))
+// load parses the non-test files of every package directory under dir
+// (build constraints applied, testdata and nested modules skipped),
+// type-checks them and builds the graph — once per directory.
+func load(dir string) (*module, error) {
+	if m := modules[dir]; m != nil {
+		return m, nil
+	}
+	gomod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	m := &module{
-		cfg:  cfg,
+		dir:  dir,
 		pkgs: map[string]*pkg{},
 		info: &types.Info{
 			Defs:  map[*ast.Ident]types.Object{},
@@ -178,22 +197,22 @@ func load(cfg config) (*module, error) {
 		}
 	}
 	if m.path == "" {
-		return nil, fmt.Errorf("%s/go.mod names no module", cfg.dir)
+		return nil, fmt.Errorf("%s/go.mod names no module", dir)
 	}
-	err = filepath.WalkDir(cfg.dir, func(dir string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(dir, func(sub string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if dir != cfg.dir {
+		if sub != dir {
 			name := d.Name()
 			if name == "testdata" || name[0] == '.' || name[0] == '_' {
 				return filepath.SkipDir
 			}
-			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			if _, err := os.Stat(filepath.Join(sub, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 		}
-		bp, err := build.Default.ImportDir(dir, 0)
+		bp, err := build.Default.ImportDir(sub, 0)
 		if err != nil {
 			if _, none := err.(*build.NoGoError); none {
 				return nil
@@ -203,13 +222,13 @@ func load(cfg config) (*module, error) {
 		if len(bp.GoFiles) == 0 {
 			return nil // a test-only package ships nothing
 		}
-		rel, err := filepath.Rel(cfg.dir, dir)
+		rel, err := filepath.Rel(dir, sub)
 		if err != nil {
 			return err
 		}
 		p := &pkg{rel: filepath.ToSlash(rel)}
 		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, filepath.Join(sub, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
@@ -227,6 +246,8 @@ func load(cfg config) (*module, error) {
 			return nil, p.err
 		}
 	}
+	m.build()
+	modules[dir] = m
 	return m, nil
 }
 
@@ -249,14 +270,9 @@ func (m *module) build() {
 
 	// Nodes first, so an edge can tell a package-level declaration from a
 	// local, a field or an interface method by looking its target up.
-	type body struct {
-		owners []types.Object
-		tree   ast.Node
-	}
-	var bodies []body
 	walk := func(tree ast.Node, owners ...types.Object) {
 		if tree != nil && len(owners) > 0 {
-			bodies = append(bodies, body{owners, tree})
+			m.bodies = append(m.bodies, body{owners, tree})
 		}
 	}
 	for _, rel := range m.sortedPkgs() {
@@ -282,7 +298,7 @@ func (m *module) build() {
 			}
 		}
 	}
-	for _, b := range bodies {
+	for _, b := range m.bodies {
 		ast.Inspect(b.tree, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -510,16 +526,16 @@ func (m *module) reach(roots []types.Object) map[types.Object]bool {
 // its receiver type are both exported. An exported alias is a root like
 // any type, and like any type it does not by itself reach the methods of
 // what it names.
-func (m *module) roots() []types.Object {
+func (m *module) roots(cfg config) []types.Object {
 	roots := []types.Object{m.program}
 	for obj, n := range m.nodes {
 		if n.pkg == nil {
 			continue
 		}
 		switch {
-		case m.underRootDir(n.pkg.rel):
+		case cfg.underRootDir(n.pkg.rel):
 			roots = append(roots, obj)
-		case n.pkg.rel == m.cfg.apiPkg && obj.Exported():
+		case n.pkg.rel == cfg.apiPkg && obj.Exported():
 			if fn, ok := obj.(*types.Func); ok {
 				if recv := receiver(fn); recv != nil && !recv.Exported() {
 					continue
@@ -531,8 +547,8 @@ func (m *module) roots() []types.Object {
 	return roots
 }
 
-func (m *module) underRootDir(rel string) bool {
-	for _, dir := range m.cfg.rootDirs {
+func (cfg config) underRootDir(rel string) bool {
+	for _, dir := range cfg.rootDirs {
 		if rel == dir || strings.HasPrefix(rel, dir+"/") {
 			return true
 		}
@@ -540,53 +556,61 @@ func (m *module) underRootDir(rel string) bool {
 	return false
 }
 
-// analyze loads the module under cfg.dir and returns the declarations no
-// root reaches, in file and line order. A deferred root that names nothing,
-// or that is reached without its own entry, is an error.
-func analyze(cfg config) ([]unreached, error) {
-	m, err := load(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.build()
-
+// reached returns what the roots and the deferred declarations reach. A
+// deferred entry that names neither a declaration nor a configuration
+// field, or a declaration reached without its own entry, is an error.
+func (m *module) reached(cfg config) (map[types.Object]bool, error) {
 	bySymbol := map[string]types.Object{}
 	for obj, n := range m.nodes {
 		if n.pkg != nil {
 			bySymbol[n.symbol] = obj
 		}
 	}
-	roots := m.roots()
+	fields := m.configFields(cfg)
+	roots := m.roots(cfg)
 	var deferred []types.Object
+	var names []string
 	for _, d := range cfg.deferred {
 		obj := bySymbol[d.symbol]
 		if obj == nil {
-			return nil, fmt.Errorf("deferred root %s no longer exists: drop it from the list", d.symbol)
+			if fieldNamed(fields, d.symbol) == nil {
+				return nil, fmt.Errorf("deferred root %s no longer exists: drop it from the list", d.symbol)
+			}
+			continue // the field pass's
 		}
 		deferred = append(deferred, obj)
+		names = append(names, d.symbol)
 	}
 	for i, obj := range deferred {
 		others := append(append([]types.Object(nil), roots...), deferred[:i]...)
 		others = append(others, deferred[i+1:]...)
 		if m.reach(others)[obj] {
-			return nil, fmt.Errorf("deferred root %s is reached without its entry: drop it from the list", cfg.deferred[i].symbol)
+			return nil, fmt.Errorf("deferred root %s is reached without its entry: drop it from the list", names[i])
 		}
 	}
+	return m.reach(append(roots, deferred...)), nil
+}
 
-	reached := m.reach(append(roots, deferred...))
+// analyze loads the module under cfg.dir and returns the declarations no
+// root reaches, in file and line order.
+func analyze(cfg config) ([]unreached, error) {
+	m, err := load(cfg.dir)
+	if err != nil {
+		return nil, err
+	}
+	reached, err := m.reached(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var out []unreached
 	for obj, n := range m.nodes {
 		if reached[obj] || n.pkg == nil {
 			continue
 		}
 		start, end := fset.Position(n.pos), fset.Position(n.end)
-		file, err := filepath.Rel(cfg.dir, start.Filename)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, unreached{
 			symbol: n.symbol,
-			file:   filepath.ToSlash(file),
+			file:   m.rel(start.Filename),
 			line:   start.Line,
 			lines:  end.Line - start.Line + 1,
 		})
@@ -603,11 +627,286 @@ func analyze(cfg config) ([]unreached, error) {
 	return out, nil
 }
 
-// The three reasons a symbol may be a deferred root.
+func (m *module) rel(file string) string {
+	rel, err := filepath.Rel(m.dir, file)
+	if err != nil {
+		return file
+	}
+	return filepath.ToSlash(rel)
+}
+
+// knob is one exported field of a struct type named *Config: an option.
+type knob struct {
+	symbol string // "internal/rl.DQNConfig.Tau"
+	file   string // module-relative
+	line   int
+	// api marks a field of a struct declared in the API package: library
+	// surface, set by callers the module cannot see.
+	api    bool
+	turned bool
+}
+
+func (k knob) String() string { return fmt.Sprintf("%s:%d: %s", k.file, k.line, k.symbol) }
+
+// configFields returns the options: every exported field of every struct
+// type named *Config. A type alias declares no fields, so an alias in the
+// API package does not make another package's fields library surface.
+func (m *module) configFields(cfg config) map[*types.Var]*knob {
+	fields := map[*types.Var]*knob{}
+	for obj, n := range m.nodes {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() || !strings.HasSuffix(tn.Name(), "Config") {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
+			}
+			pos := fset.Position(f.Pos())
+			fields[f] = &knob{
+				symbol: n.symbol + "." + f.Name(),
+				file:   m.rel(pos.Filename),
+				line:   pos.Line,
+				api:    n.pkg.rel == cfg.apiPkg,
+			}
+		}
+	}
+	return fields
+}
+
+func fieldNamed(fields map[*types.Var]*knob, symbol string) *types.Var {
+	for f, k := range fields {
+		if k.symbol == symbol {
+			return f
+		}
+	}
+	return nil
+}
+
+// analyzeFields is the field pass: it returns every option in file and line
+// order, each marked turned when a root, a deferred entry or reached code
+// sets it. Code sets a field by naming it in a keyed composite literal (or
+// by position in an unkeyed one), by assigning, incrementing or taking the
+// address of a selector ending in it — x.A.B = v sets B and A — except in a
+// with*Defaults or validate* function or a decoder. A value copied from
+// another option, as in Config{N: full.N}, sets its target only if its
+// source is set: the copies are solved to a fixpoint. A deferred field turned
+// without its entry is an error.
+func analyzeFields(cfg config) ([]knob, error) {
+	m, err := load(cfg.dir)
+	if err != nil {
+		return nil, err
+	}
+	reached, err := m.reached(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fields := m.configFields(cfg)
+	set := map[*types.Var]bool{}
+	for f, k := range fields {
+		set[f] = k.api
+	}
+	copies := map[*types.Var][]*types.Var{}
+	write := func(dst []*types.Var, src ast.Expr) {
+		from := m.copied(src, fields)
+		for _, f := range dst {
+			switch {
+			case fields[f] == nil:
+			case from != nil:
+				copies[f] = append(copies[f], from)
+			default:
+				set[f] = true
+			}
+		}
+	}
+	for _, b := range m.bodies {
+		if !m.live(b, reached) || m.quiet(cfg, b) {
+			continue
+		}
+		ast.Inspect(b.tree, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				t := m.info.Types[n].Type // *T for an elided &T{...}
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, _ := t.Underlying().(*types.Struct)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && m.field(id) != nil {
+							write([]*types.Var{m.field(id)}, kv.Value)
+						}
+					} else if st != nil {
+						write([]*types.Var{st.Field(i)}, elt)
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					break
+				}
+				for i, lhs := range n.Lhs {
+					var src ast.Expr // an operator assignment computes its value
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						src = n.Rhs[i]
+					}
+					write(m.writePath(lhs), src)
+				}
+			case *ast.IncDecStmt:
+				write(m.writePath(n.X), nil)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(m.writePath(n.X), nil)
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, e := range []ast.Expr{n.Key, n.Value} {
+						write(m.writePath(e), nil)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var deferred []*types.Var
+	for _, d := range cfg.deferred {
+		if f := fieldNamed(fields, d.symbol); f != nil {
+			deferred = append(deferred, f)
+		}
+	}
+	for i, f := range deferred {
+		seeds := maps.Clone(set)
+		for j, g := range deferred {
+			seeds[g] = seeds[g] || i != j
+		}
+		if fixpoint(seeds, copies)[f] {
+			return nil, fmt.Errorf("deferred field root %s is turned without its entry: drop it from the list", fields[f].symbol)
+		}
+	}
+	for _, f := range deferred {
+		set[f] = true
+	}
+	turned := fixpoint(set, copies)
+	out := make([]knob, 0, len(fields))
+	for f, k := range fields {
+		k.turned = turned[f]
+		out = append(out, *k)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].file != out[j].file {
+			return out[i].file < out[j].file
+		}
+		return out[i].line < out[j].line
+	})
+	return out, nil
+}
+
+// fixpoint extends set along copies until no copy's source is set while
+// its target is not.
+func fixpoint(set map[*types.Var]bool, copies map[*types.Var][]*types.Var) map[*types.Var]bool {
+	turned := maps.Clone(set)
+	for changed := true; changed; {
+		changed = false
+		for dst, srcs := range copies {
+			for _, src := range srcs {
+				if turned[src] && !turned[dst] {
+					turned[dst], changed = true, true
+				}
+			}
+		}
+	}
+	return turned
+}
+
+// live reports whether reached code owns the body.
+func (m *module) live(b body, reached map[types.Object]bool) bool {
+	for _, owner := range b.owners {
+		if reached[owner] {
+			return true
+		}
+	}
+	return false
+}
+
+// quiet reports whether the body's writes restore or fill in a field rather
+// than choose it: a with*Defaults or validate* function, or a decoder.
+func (m *module) quiet(cfg config, b body) bool {
+	fd, ok := b.tree.(*ast.FuncDecl)
+	if !ok {
+		return false
+	}
+	name := fd.Name.Name
+	if strings.HasPrefix(name, "validate") || strings.HasPrefix(name, "with") && strings.HasSuffix(name, "Defaults") {
+		return true
+	}
+	for _, d := range cfg.decoders {
+		if m.nodes[b.owners[0]].symbol == d {
+			return true
+		}
+	}
+	return false
+}
+
+// field returns the struct field an identifier names, nil if it names none.
+func (m *module) field(id *ast.Ident) *types.Var {
+	if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
+}
+
+// writePath returns the fields a write to e sets: x.A[i].B sets B and A.
+func (m *module) writePath(e ast.Expr) []*types.Var {
+	var fields []*types.Var
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			f := m.field(x.Sel)
+			if f == nil { // a package-qualified name
+				return fields
+			}
+			fields = append(fields, f)
+			e = x.X
+		default:
+			return fields
+		}
+	}
+}
+
+// copied returns the option e reads verbatim, nil if e is anything else.
+func (m *module) copied(e ast.Expr, fields map[*types.Var]*knob) *types.Var {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		e = p.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if f := m.field(sel.Sel); f != nil && fields[f] != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// The four reasons a symbol may be a deferred root.
 const (
 	resume   = "trainer-state resume entry point: recovery code pinned by TestBitwiseResumeEquivalence and the ckpt fuzzers; ROADMAP's training-state-checkpoints item wires or deletes it"
 	fuzzed   = "fuzzed fixture constructor that tests of other packages build their DAGs with, waiting for a program caller"
-	crossPkg = "read or called by a test in another package, out of reach of an export_test.go"
+	crossPkg = "read, called or set by a test in another package, out of reach of an export_test.go"
+	benchPin = "named by bench/, whose sources stay fixed so the benchmark compares like with like across commits"
 )
 
 // repo is the fence's configuration for this module.
@@ -623,7 +922,10 @@ var repo = config{
 		{"internal/app.ParseDAG", fuzzed},
 		{"internal/rl.Replay.At", crossPkg + ": internal/agent's worker-equivalence tests compare replay contents"},
 		{"internal/ckpt.Enc.Reset", crossPkg + ": internal/rl's TestCheckpointEncodeAllocFree reuses one encoder"},
+		{"internal/server.Config.RecordJobs", crossPkg + ": internal/exp's DAG invariant tests record job traces"},
+		{"internal/serve.DaemonConfig.GuardConfig", benchPin + ": bench/serve.go builds its guard from it"},
 	},
+	decoders: []string{"internal/rl.LoadCheckpoint", "internal/rl.LoadDQNCheckpoint"},
 }
 
 // TestReachability is the fence: nothing ships that no program, example,
@@ -633,7 +935,7 @@ func TestReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d deferred roots", len(repo.deferred))
+	t.Logf("%d deferred roots, declarations and fields together", len(repo.deferred))
 	if len(repo.deferred) > 12 {
 		t.Errorf("%d deferred roots: the list is capped at 12 and only shrinks", len(repo.deferred))
 	}
@@ -651,6 +953,38 @@ func TestReachability(t *testing.T) {
 	}
 }
 
+// TestReachabilityFields is the knob fence: every option — an exported
+// field of a *Config struct — is set by some program, example or benchmark,
+// or is library surface of the root package. An option nothing sets is a
+// constant (DESIGN.md, What ships).
+func TestReachabilityFields(t *testing.T) {
+	knobs, err := analyzeFields(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgTypes, api, unturned := map[string]bool{}, 0, 0
+	for _, k := range knobs {
+		for _, d := range repo.deferred {
+			if d.symbol == k.symbol {
+				t.Logf("deferred field root: %s — %s", d.symbol, d.reason)
+			}
+		}
+		cfgTypes[k.symbol[:strings.LastIndex(k.symbol, ".")]] = true
+		if k.api {
+			api++
+		}
+		if !k.turned {
+			t.Errorf("unturned: %s", k)
+			unturned++
+		}
+	}
+	t.Logf("%d exported fields on %d *Config types: %d root-API, %d unturned", len(knobs), len(cfgTypes), api, unturned)
+	if unturned > 0 {
+		t.Errorf("%d options that nothing under cmd/, examples/ or bench/ sets: make each a named constant, "+
+			"unexport it if only its own package's tests set it, or defer it with a reason (DESIGN.md, What ships)", unturned)
+	}
+}
+
 // fixture is the synthetic module under testdata: one declaration per case
 // of the analysis (see its lib.go), with the same root rules as the repo.
 func fixture(deferred ...deferredRoot) config {
@@ -659,6 +993,7 @@ func fixture(deferred ...deferredRoot) config {
 		rootDirs: []string{"cmd"},
 		apiPkg:   ".",
 		deferred: deferred,
+		decoders: []string{"internal/lib.Decode"},
 	}
 }
 
@@ -734,5 +1069,89 @@ func TestDeferredRoots(t *testing.T) {
 	))
 	if err == nil || !strings.Contains(err.Error(), "usedByDeferred") {
 		t.Errorf("redundant deferred root accepted: %v", err)
+	}
+}
+
+// outcomes renders the field pass's verdict on each option: "root" for
+// library surface of the API package, else "turned" or "unturned".
+func outcomes(knobs []knob) map[string]string {
+	out := map[string]string{}
+	for _, k := range knobs {
+		switch {
+		case k.api:
+			out[k.symbol] = "root"
+		case k.turned:
+			out[k.symbol] = "turned"
+		default:
+			out[k.symbol] = "unturned"
+		}
+	}
+	return out
+}
+
+// TestFieldsOnFixture states the field pass's verdict on every option of
+// the fixture (see its internal/lib/config.go).
+func TestFieldsOnFixture(t *testing.T) {
+	knobs, err := analyzeFields(fixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"internal/lib.Config.TestOnly":    "unturned", // only lib_test.go sets it
+		"internal/lib.Config.Flagged":     "turned",   // flag.IntVar(&cfg.Flagged, …) in cmd/
+		"internal/lib.Config.Defaulted":   "unturned", // only withDefaults sets it
+		"internal/lib.Config.Decoded":     "unturned", // only a decoder sets it
+		"internal/lib.Config.Inner":       "turned",   // cfg.Inner.X = 2 writes through it
+		"internal/lib.InnerConfig.X":      "turned",   // … and sets X
+		"internal/lib.Config.FromCold":    "unturned", // copied from an unturned option
+		"internal/lib.Config.FromHot":     "turned",   // copied from a turned one
+		"internal/lib.SourceConfig.Hot":   "turned",   // a keyed literal in cmd/
+		"internal/lib.SourceConfig.Cold":  "unturned", // nobody sets it
+		"internal/lib.AliasedConfig.Knob": "unturned", // the API alias does not make it a root
+		"APIConfig.Level":                 "root",     // declared in the API package
+	}
+	got := outcomes(knobs)
+	for sym, w := range want {
+		if got[sym] != w {
+			t.Errorf("%s: got %q, want %q", sym, got[sym], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d options, want %d: %v", len(got), len(want), got)
+	}
+}
+
+// TestDeferredFieldRoots: a deferred field root is turned, and so is what
+// copies it; an entry for a field that is gone, already turned or library
+// surface fails, as does one that another entry turns.
+func TestDeferredFieldRoots(t *testing.T) {
+	knobs, err := analyzeFields(fixture(
+		deferredRoot{"internal/lib.Config.TestOnly", "test"},
+		deferredRoot{"internal/lib.SourceConfig.Cold", "test"},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := outcomes(knobs)
+	for _, sym := range []string{"internal/lib.Config.TestOnly", "internal/lib.SourceConfig.Cold", "internal/lib.Config.FromCold"} {
+		if got[sym] != "turned" {
+			t.Errorf("%s %s although deferred", sym, got[sym])
+		}
+	}
+	for _, stale := range []string{
+		"internal/lib.Config.Gone",    // no such field
+		"internal/lib.Config.Flagged", // turned by the program
+		"APIConfig.Level",             // library surface
+	} {
+		if _, err := analyzeFields(fixture(deferredRoot{stale, "test"})); err == nil {
+			t.Errorf("stale deferred field root %s accepted", stale)
+		}
+	}
+	_, err = analyzeFields(fixture(
+		deferredRoot{"internal/lib.SourceConfig.Cold", "test"},
+		deferredRoot{"internal/lib.Config.FromCold", "test"},
+	))
+	if err == nil || !strings.Contains(err.Error(), "FromCold") {
+		t.Errorf("redundant deferred field root accepted: %v", err)
 	}
 }

@@ -9,6 +9,14 @@ import "fixture/internal/lib"
 // the methods of what it names: nobody calls lib.Hidden.Secret.
 type Hidden = lib.Hidden
 
+// AliasedConfig names lib.AliasedConfig: the alias reaches the type, but
+// does not make Knob library surface.
+type AliasedConfig = lib.AliasedConfig
+
+// APIConfig is declared in the API package: its fields are set by callers
+// outside the module.
+type APIConfig struct{ Level int }
+
 // Version is an exported function of the API package: a root.
 func Version() string { return lib.ViaAPI() }
 

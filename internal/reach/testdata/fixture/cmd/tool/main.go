@@ -2,6 +2,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"fixture/internal/lib"
@@ -17,6 +18,12 @@ func main() {
 
 	lib.NewHooks().OnDone()
 	fmt.Println(lib.Map([]int{1, 2}, func(i int) string { return fmt.Sprint(i) }))
+
+	var cfg lib.Config
+	flag.IntVar(&cfg.Flagged, "flagged", 0, "an option bound to a flag")
+	flag.Parse()
+	cfg.Inner.X = 2
+	fmt.Println(lib.Size(cfg), lib.Size(lib.Derive(lib.SourceConfig{Hot: 1})), lib.Size(lib.Decode([]byte{1})))
 }
 
 // unused is referenced by nothing, but a program's declarations are roots.

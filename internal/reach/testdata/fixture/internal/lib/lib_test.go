@@ -7,3 +7,9 @@ func TestOnlyTested(t *testing.T) {
 		t.Fatal("OnlyTested")
 	}
 }
+
+func TestOnlyTestSetsIt(t *testing.T) {
+	if Size(Config{TestOnly: 1}) != 4 {
+		t.Fatal("Size")
+	}
+}

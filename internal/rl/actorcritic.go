@@ -11,21 +11,16 @@ import (
 )
 
 // DDPGConfig parameterizes the actor–critic learner. It is named for the
-// paper's algorithm; NewTD3 and NewSAC take the same configuration. Zero
-// values select the paper's defaults (§4.6): 32-24-16 ReLU networks, and for
-// the deterministic variants a sigmoid output bounding actions to [0,1].
+// paper's algorithm; NewTD3 and NewSAC take the same configuration. The
+// networks are the paper's (§4.6): 32-24-16 ReLU, and for the deterministic
+// variants a sigmoid output bounding actions to [0,1]; learningRate, gamma
+// and tau are constants.
 type DDPGConfig struct {
 	StateDim, ActionDim int
-	// ActorHidden defaults to [32, 24, 16] (§4.6).
-	ActorHidden []int
-	// CriticHidden defaults to [32, 24, 16].
-	CriticHidden [3]int
-	// ActorLR and CriticLR default to 1e-3.
-	ActorLR, CriticLR float64
-	// Gamma is the discount factor (default 0.95).
-	Gamma float64
-	// Tau is the soft target-update coefficient (default 0.01).
-	Tau float64
+	// actorHidden and criticHidden default to [32, 24, 16]; only this
+	// package's tests shrink them.
+	actorHidden  []int
+	criticHidden [3]int
 	// TwoHeadActor selects the paper's §4.6 actor topology: a shared
 	// fully-connected trunk feeding two separate per-parameter heads
 	// (~2k parameters). Off = a plain sequential MLP. Deterministic
@@ -40,26 +35,11 @@ func (c DDPGConfig) withDefaults(algo string) (DDPGConfig, error) {
 		return c, fmt.Errorf("rl: %s needs positive state/action dims, got %d/%d",
 			algo, c.StateDim, c.ActionDim)
 	}
-	if c.ActorHidden == nil {
-		c.ActorHidden = []int{32, 24, 16}
+	if c.actorHidden == nil {
+		c.actorHidden = []int{32, 24, 16}
 	}
-	if c.CriticHidden == [3]int{} {
-		c.CriticHidden = [3]int{32, 24, 16}
-	}
-	if c.ActorLR == 0 {
-		c.ActorLR = 1e-3
-	}
-	if c.CriticLR == 0 {
-		c.CriticLR = 1e-3
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.95
-	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
-		return c, fmt.Errorf("rl: gamma %v outside [0,1)", c.Gamma)
-	}
-	if c.Tau == 0 {
-		c.Tau = 0.01
+	if c.criticHidden == [3]int{} {
+		c.criticHidden = [3]int{32, 24, 16}
 	}
 	return c, nil
 }
@@ -174,7 +154,7 @@ func newActorCritic(cfg DDPGConfig, v *variant) (*ActorCritic, error) {
 		return nil, err
 	}
 	for k := 0; k < v.critics; k++ {
-		c := NewCritic(full.StateDim, full.ActionDim, full.CriticHidden, rng)
+		c := NewCritic(full.StateDim, full.ActionDim, full.criticHidden, rng)
 		if v.finalInit > 0 {
 			shrinkFinalLayer(c.out, v.finalInit)
 		}
@@ -206,10 +186,10 @@ func (l *ActorCritic) rewire() {
 }
 
 func (l *ActorCritic) resetOptimizers() {
-	l.actorOpt = newAdam(l.Actor.Params(), l.cfg.ActorLR)
+	l.actorOpt = newAdam(l.Actor.Params())
 	l.criticOpts = l.criticOpts[:0]
 	for _, c := range l.Critics {
-		l.criticOpts = append(l.criticOpts, newAdam(c.Layers(), l.cfg.CriticLR))
+		l.criticOpts = append(l.criticOpts, newAdam(c.Layers()))
 	}
 }
 
@@ -307,7 +287,7 @@ func (l *ActorCritic) Update(batch []Transition) (criticLoss, actorLoss float64)
 			for _, qk := range l.qT[1:] {
 				q = math.Min(q, qk[i])
 			}
-			y += l.cfg.Gamma * (q - l.v.alpha*logPi[i])
+			y += gamma * (q - l.v.alpha*logPi[i])
 		}
 		ar.y[i] = y
 	}
@@ -335,7 +315,7 @@ func (l *ActorCritic) Update(batch []Transition) (criticLoss, actorLoss float64)
 		actorLoss = l.head.improve(l, n)
 		finite = finite && isFinite(actorLoss)
 		for k, t := range l.Targets {
-			t.SoftUpdateFrom(l.Critics[k], l.cfg.Tau)
+			t.SoftUpdateFrom(l.Critics[k], tau)
 		}
 	}
 	if l.guard.diverged(finite) {
@@ -371,7 +351,7 @@ func (l *ActorCritic) LoadPolicy(r io.Reader) error {
 		l.ActorTarget = m.CloneNet()
 	}
 	// The critics were not replaced: they keep their optimizer moments.
-	l.actorOpt = newAdam(m.Params(), l.cfg.ActorLR)
+	l.actorOpt = newAdam(m.Params())
 	l.rewire()
 	return nil
 }

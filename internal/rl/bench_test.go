@@ -73,7 +73,7 @@ func phasedUpdate(l *ActorCritic, batch []Transition, ns *[len(updatePhases)]int
 			for _, qk := range l.qT[1:] {
 				q = math.Min(q, qk[i])
 			}
-			y += l.cfg.Gamma * (q - l.v.alpha*logPi[i])
+			y += gamma * (q - l.v.alpha*logPi[i])
 		}
 		ar.y[i] = y
 	}
@@ -101,7 +101,7 @@ func phasedUpdate(l *ActorCritic, batch []Transition, ns *[len(updatePhases)]int
 		finite = finite && isFinite(actorLoss)
 		lap(3)
 		for k, t := range l.Targets {
-			t.SoftUpdateFrom(l.Critics[k], l.cfg.Tau)
+			t.SoftUpdateFrom(l.Critics[k], tau)
 		}
 		lap(4)
 	}

@@ -206,14 +206,10 @@ func (l *ActorCritic) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
 	c := l.cfg
 	e.Int(c.StateDim)
 	e.Int(c.ActionDim)
-	e.Ints(c.ActorHidden)
-	e.Int(c.CriticHidden[0])
-	e.Int(c.CriticHidden[1])
-	e.Int(c.CriticHidden[2])
-	e.F64(c.ActorLR)
-	e.F64(c.CriticLR)
-	e.F64(c.Gamma)
-	e.F64(c.Tau)
+	e.Ints(c.actorHidden)
+	e.Int(c.criticHidden[0])
+	e.Int(c.criticHidden[1])
+	e.Int(c.criticHidden[2])
 	e.Bool(c.TwoHeadActor)
 	e.I64(c.Seed)
 	nn.EncodeNetwork(e, l.Actor)
@@ -269,14 +265,10 @@ func LoadCheckpoint(data []byte) (*ActorCritic, *Replay, error) {
 	var cfg DDPGConfig
 	cfg.StateDim = dec.Int()
 	cfg.ActionDim = dec.Int()
-	cfg.ActorHidden = dec.Ints()
-	cfg.CriticHidden[0] = dec.Int()
-	cfg.CriticHidden[1] = dec.Int()
-	cfg.CriticHidden[2] = dec.Int()
-	cfg.ActorLR = dec.FiniteF64()
-	cfg.CriticLR = dec.FiniteF64()
-	cfg.Gamma = dec.FiniteF64()
-	cfg.Tau = dec.FiniteF64()
+	cfg.actorHidden = dec.Ints()
+	cfg.criticHidden[0] = dec.Int()
+	cfg.criticHidden[1] = dec.Int()
+	cfg.criticHidden[2] = dec.Int()
 	cfg.TwoHeadActor = dec.Bool()
 	cfg.Seed = dec.I64()
 	if err := dec.Err(); err != nil {
@@ -334,10 +326,7 @@ func (d *DQN) EncodeCheckpoint(e *ckpt.Enc, replay *Replay) {
 	c := d.cfg
 	e.Int(c.StateDim)
 	e.Int(c.NumActions)
-	e.Ints(c.Hidden)
-	e.F64(c.LR)
-	e.F64(c.Gamma)
-	e.F64(c.Tau)
+	e.Ints(c.hidden)
 	e.Bool(c.Double)
 	e.I64(c.Seed)
 	nn.EncodeNetwork(e, d.Q)
@@ -365,10 +354,7 @@ func LoadDQNCheckpoint(data []byte) (*DQN, *Replay, error) {
 	var cfg DQNConfig
 	cfg.StateDim = dec.Int()
 	cfg.NumActions = dec.Int()
-	cfg.Hidden = dec.Ints()
-	cfg.LR = dec.FiniteF64()
-	cfg.Gamma = dec.FiniteF64()
-	cfg.Tau = dec.FiniteF64()
+	cfg.hidden = dec.Ints()
 	cfg.Double = dec.Bool()
 	cfg.Seed = dec.I64()
 	if err := dec.Err(); err != nil {

@@ -120,7 +120,7 @@ func TestBitwiseResumeEquivalence(t *testing.T) {
 // TestCheckpointRejectsCorruption flips kind/truncation/weight corruption on
 // a real trainer checkpoint and checks for typed failures.
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	d, err := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, ActorHidden: []int{6}, CriticHidden: [3]int{6, 4, 3}, Seed: 1})
+	d, err := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, actorHidden: []int{6}, criticHidden: [3]int{6, 4, 3}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("non-finite weights", func(t *testing.T) {
-		d2, _ := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, ActorHidden: []int{6}, CriticHidden: [3]int{6, 4, 3}, Seed: 1})
+		d2, _ := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, actorHidden: []int{6}, criticHidden: [3]int{6, 4, 3}, Seed: 1})
 		d2.Actor.Params()[0].W[0] = math.Inf(1)
 		if _, _, err := LoadCheckpoint(d2.Checkpoint(nil)); !errors.Is(err, ckpt.ErrNonFinite) {
 			t.Fatalf("got %v", err)

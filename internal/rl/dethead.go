@@ -22,7 +22,7 @@ func (h *detHead) build(l *ActorCritic, rng *sim.RNG) (actor, target nn.Network,
 		}
 		actor = nn.NewPaperActor(cfg.StateDim, rng)
 	} else {
-		sizes := append([]int{cfg.StateDim}, cfg.ActorHidden...)
+		sizes := append([]int{cfg.StateDim}, cfg.actorHidden...)
 		actor = nn.NewMLP(append(sizes, cfg.ActionDim), nn.ReLU, nn.Sigmoid, rng)
 	}
 	for _, layer := range actor.Params() {
@@ -59,7 +59,7 @@ func (h *detHead) improve(l *ActorCritic, n int) (loss float64) {
 	}
 	l.Actor.BackwardBatch(critic.ActionGradBatch(ar.dq, n), n)
 	l.actorOpt.Step()
-	l.ActorTarget.SoftUpdateNet(l.Actor, l.cfg.Tau)
+	l.ActorTarget.SoftUpdateNet(l.Actor, tau)
 	return loss
 }
 

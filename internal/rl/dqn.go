@@ -12,14 +12,9 @@ import (
 type DQNConfig struct {
 	StateDim   int
 	NumActions int
-	// Hidden defaults to [32, 24, 16], the paper's lightweight size.
-	Hidden []int
-	// LR defaults to 1e-3.
-	LR float64
-	// Gamma defaults to 0.95.
-	Gamma float64
-	// Tau is the soft target-update coefficient (default 0.01).
-	Tau float64
+	// hidden defaults to [32, 24, 16], the paper's lightweight size; only
+	// this package's tests shrink it.
+	hidden []int
 	// Double selects DDQN's decoupled action selection/evaluation.
 	Double bool
 	Seed   int64
@@ -30,20 +25,8 @@ func (c DQNConfig) withDefaults() (DQNConfig, error) {
 		return c, fmt.Errorf("rl: DQN needs positive dims, got state %d actions %d",
 			c.StateDim, c.NumActions)
 	}
-	if c.Hidden == nil {
-		c.Hidden = []int{32, 24, 16}
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.95
-	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
-		return c, fmt.Errorf("rl: gamma %v outside [0,1)", c.Gamma)
-	}
-	if c.Tau == 0 {
-		c.Tau = 0.01
+	if c.hidden == nil {
+		c.hidden = []int{32, 24, 16}
 	}
 	return c, nil
 }
@@ -71,7 +54,7 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 		return nil, err
 	}
 	rng := sim.NewRNG(full.Seed).Stream("dqn-init")
-	sizes := append([]int{full.StateDim}, full.Hidden...)
+	sizes := append([]int{full.StateDim}, full.hidden...)
 	sizes = append(sizes, full.NumActions)
 	q := nn.NewMLP(sizes, nn.ReLU, nn.Identity, rng)
 	d := &DQN{
@@ -85,7 +68,7 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	return d, nil
 }
 
-func (d *DQN) resetOptimizer() { d.opt = newAdam(d.Q.Layers, d.cfg.LR) }
+func (d *DQN) resetOptimizer() { d.opt = newAdam(d.Q.Layers) }
 
 // rewire rebuilds what hangs off the network objects — the optimizer and the
 // guard's snapshot arena — at construction and after a load replaced them.
@@ -154,9 +137,9 @@ func (d *DQN) Update(batch []Transition) (loss float64) {
 		y := ar.rewards[i]
 		if !ar.done[i] {
 			if d.cfg.Double {
-				y += d.cfg.Gamma * tNext[i*k+d.sel[i]]
+				y += gamma * tNext[i*k+d.sel[i]]
 			} else {
-				y += d.cfg.Gamma * maxOf(tNext[i*k:(i+1)*k])
+				y += gamma * maxOf(tNext[i*k:(i+1)*k])
 			}
 		}
 		ar.y[i] = y
@@ -174,7 +157,7 @@ func (d *DQN) Update(batch []Transition) (loss float64) {
 	}
 	d.Q.BackwardBatch(ar.grad, n)
 	d.opt.Step()
-	d.Target.SoftUpdateFrom(d.Q, d.cfg.Tau)
+	d.Target.SoftUpdateFrom(d.Q, tau)
 	if d.guard.diverged(isFinite(loss)) {
 		return 0
 	}

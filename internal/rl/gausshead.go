@@ -33,7 +33,7 @@ func (h *gaussHead) build(l *ActorCritic, rng *sim.RNG) (actor, target nn.Networ
 	if cfg.TwoHeadActor {
 		return nil, nil, fmt.Errorf("rl: the two-head actor is a deterministic topology; sac needs a sequential (µ, logσ) network")
 	}
-	sizes := append([]int{cfg.StateDim}, cfg.ActorHidden...)
+	sizes := append([]int{cfg.StateDim}, cfg.actorHidden...)
 	return nn.NewMLP(append(sizes, 2*cfg.ActionDim), nn.ReLU, nn.Identity, rng), nil, nil
 }
 

@@ -6,15 +6,25 @@ import (
 	"github.com/deeppower/deeppower/internal/nn"
 )
 
-// maxGradNorm is the global gradient-norm clip every optimizer in this
-// package trains under; it stabilizes early critic training.
-const maxGradNorm = 5
+// The paper's learner hyper-parameters (§4.6), shared by every learner in
+// this package.
+const (
+	// learningRate is every network's Adam step size.
+	learningRate = 1e-3
+	// gamma is the discount factor.
+	gamma = 0.95
+	// tau is the soft target-update coefficient.
+	tau = 0.01
+	// maxGradNorm is the global gradient-norm clip every optimizer trains
+	// under; it stabilizes early critic training.
+	maxGradNorm = 5
+)
 
 // newAdam is the one place a trainer's optimizer is built — construction,
 // divergence rollback, LoadPolicy and checkpoint load all come through here,
 // so none of them can resume with an unclipped optimizer.
-func newAdam(layers []*nn.Dense, lr float64) *nn.Adam {
-	opt := nn.NewAdam(layers, lr)
+func newAdam(layers []*nn.Dense) *nn.Adam {
+	opt := nn.NewAdam(layers, learningRate)
 	opt.MaxGradNorm = maxGradNorm
 	return opt
 }

@@ -62,7 +62,7 @@ func (c learnerCase) build(t testing.TB, stateDim int, small bool, seed int64) t
 	if c.discrete() {
 		cfg := DQNConfig{StateDim: stateDim, NumActions: caseNumActions, Double: c.double, Seed: seed}
 		if small {
-			cfg.Hidden = []int{8, 6}
+			cfg.hidden = []int{8, 6}
 		}
 		var d *DQN
 		d, err = NewDQN(cfg)
@@ -70,7 +70,7 @@ func (c learnerCase) build(t testing.TB, stateDim int, small bool, seed int64) t
 	} else {
 		cfg := DDPGConfig{StateDim: stateDim, ActionDim: caseActionDim, TwoHeadActor: c.twoHead, Seed: seed}
 		if small {
-			cfg.ActorHidden, cfg.CriticHidden = []int{8, 6}, [3]int{8, 6, 4}
+			cfg.actorHidden, cfg.criticHidden = []int{8, 6}, [3]int{8, 6, 4}
 		}
 		var l *ActorCritic
 		l, err = c.ac(cfg)
@@ -382,28 +382,22 @@ func TestLoadPolicyKeepsGradClip(t *testing.T) {
 	}
 }
 
-// TestConfigErrors: every constructor rejects non-positive dimensions and a
-// discount outside [0,1).
+// TestConfigErrors: every constructor rejects non-positive dimensions.
 func TestConfigErrors(t *testing.T) {
 	for _, c := range learnerCases {
 		t.Run(c.name, func(t *testing.T) {
-			newWith := func(stateDim int, gamma float64) error {
+			newWith := func(stateDim int) error {
 				if c.discrete() {
-					_, err := NewDQN(DQNConfig{StateDim: stateDim, NumActions: 2 * stateDim, Gamma: gamma, Double: c.double})
+					_, err := NewDQN(DQNConfig{StateDim: stateDim, NumActions: 2 * stateDim, Double: c.double})
 					return err
 				}
-				_, err := c.ac(DDPGConfig{StateDim: stateDim, ActionDim: 2 * stateDim, Gamma: gamma, TwoHeadActor: c.twoHead})
+				_, err := c.ac(DDPGConfig{StateDim: stateDim, ActionDim: 2 * stateDim, TwoHeadActor: c.twoHead})
 				return err
 			}
-			if newWith(0, 0) == nil {
+			if newWith(0) == nil {
 				t.Error("zero dims accepted")
 			}
-			for _, gamma := range []float64{1, 1.5, 2, -1} {
-				if newWith(1, gamma) == nil {
-					t.Errorf("gamma %v accepted", gamma)
-				}
-			}
-			if err := newWith(1, 0.5); err != nil {
+			if err := newWith(1); err != nil {
 				t.Errorf("valid config rejected: %v", err)
 			}
 		})

@@ -36,7 +36,7 @@ func (l *ActorCritic) updatePerSample(batch []Transition) (criticLoss, actorLoss
 			if gaussian {
 				// y = r + γ·(min_k Q'_k(s', ã') − α·logπ(ã'|s')).
 				next := refGaussSample(l, tr.NextState)
-				y += l.cfg.Gamma * (minQ(next.a01) - l.v.alpha*next.logPi)
+				y += gamma * (minQ(next.a01) - l.v.alpha*next.logPi)
 			} else {
 				// y = r + γ·min_k Q'_k(s', π'(s') [+ clipped noise]).
 				a2 := append([]float64(nil), l.ActorTarget.Forward(tr.NextState)...)
@@ -47,7 +47,7 @@ func (l *ActorCritic) updatePerSample(batch []Transition) (criticLoss, actorLoss
 					}
 					clip01(a2)
 				}
-				y += l.cfg.Gamma * minQ(a2)
+				y += gamma * minQ(a2)
 			}
 		}
 		for k, c := range l.Critics {
@@ -111,10 +111,10 @@ func (l *ActorCritic) updatePerSample(batch []Transition) (criticLoss, actorLoss
 	}
 	l.actorOpt.Step()
 	if l.ActorTarget != nil {
-		l.ActorTarget.SoftUpdateNet(l.Actor, l.cfg.Tau)
+		l.ActorTarget.SoftUpdateNet(l.Actor, tau)
 	}
 	for k, t := range l.Targets {
-		t.SoftUpdateFrom(l.Critics[k], l.cfg.Tau)
+		t.SoftUpdateFrom(l.Critics[k], tau)
 	}
 	return criticLoss, actorLoss
 }
@@ -195,9 +195,9 @@ func (d *DQN) updatePerSample(batch []Transition) (loss float64) {
 		if !tr.Done {
 			if d.cfg.Double {
 				sel := Argmax(d.Q.Forward(tr.NextState))
-				y += d.cfg.Gamma * d.Target.Forward(tr.NextState)[sel]
+				y += gamma * d.Target.Forward(tr.NextState)[sel]
 			} else {
-				y += d.cfg.Gamma * maxOf(d.Target.Forward(tr.NextState))
+				y += gamma * maxOf(d.Target.Forward(tr.NextState))
 			}
 		}
 		q := d.Q.Forward(tr.State)
@@ -208,6 +208,6 @@ func (d *DQN) updatePerSample(batch []Transition) (loss float64) {
 		d.Q.Backward(grad)
 	}
 	d.opt.Step()
-	d.Target.SoftUpdateFrom(d.Q, d.cfg.Tau)
+	d.Target.SoftUpdateFrom(d.Q, tau)
 	return loss
 }

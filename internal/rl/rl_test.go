@@ -224,7 +224,7 @@ func toyReward(s, a float64) float64 {
 }
 
 func TestDDPGLearnsToyControl(t *testing.T) {
-	d, err := NewDDPG(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 11, Gamma: 0})
+	d, err := NewDDPG(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestDDPGPolicySaveLoad(t *testing.T) {
 func TestDQNLearnsToyControl(t *testing.T) {
 	for _, double := range []bool{false, true} {
 		const nActions = 11
-		d, err := NewDQN(DQNConfig{StateDim: 1, NumActions: nActions, Seed: 13, Gamma: 0, Double: double})
+		d, err := NewDQN(DQNConfig{StateDim: 1, NumActions: nActions, Seed: 13, Double: double})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestSACActRange(t *testing.T) {
 }
 
 func TestSACLearnsToyControl(t *testing.T) {
-	agent, err := NewSAC(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 15, Gamma: 0})
+	agent, err := NewSAC(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func toyOptimal2(s float64) (float64, float64) { return 0.2 + 0.6*s, 0.8 - 0.5*s
 
 func TestDDPGTwoHeadActorLearnsToyControl(t *testing.T) {
 	d, err := NewDDPG(DDPGConfig{
-		StateDim: 1, ActionDim: 2, Seed: 21, Gamma: 0, TwoHeadActor: true,
+		StateDim: 1, ActionDim: 2, Seed: 21, TwoHeadActor: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +532,7 @@ func TestTD3ActRange(t *testing.T) {
 }
 
 func TestTD3LearnsToyControl(t *testing.T) {
-	agent, err := NewTD3(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 42, Gamma: 0})
+	agent, err := NewTD3(DDPGConfig{StateDim: 1, ActionDim: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

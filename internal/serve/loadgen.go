@@ -35,12 +35,14 @@ type GenConfig struct {
 	// progress — the generator never gates on the daemon, as an open
 	// system model requires. Nil runs closed-loop.
 	Trace *workload.Trace
-	// MaxBatch caps one open-loop write (default 4096 requests).
-	MaxBatch int
-	// DrainTimeout bounds the post-deadline wait for in-flight responses
-	// (default 5s).
-	DrainTimeout time.Duration
 }
+
+const (
+	// maxBatch caps one open-loop write, in requests.
+	maxBatch = 4096
+	// drainTimeout bounds the post-deadline wait for in-flight responses.
+	drainTimeout = 5 * time.Second
+)
 
 func (c *GenConfig) withDefaults() GenConfig {
 	out := *c
@@ -52,12 +54,6 @@ func (c *GenConfig) withDefaults() GenConfig {
 	}
 	if out.Duration <= 0 {
 		out.Duration = time.Second
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 4096
-	}
-	if out.DrainTimeout <= 0 {
-		out.DrainTimeout = 5 * time.Second
 	}
 	return out
 }
@@ -372,7 +368,7 @@ func (g *Generator) closedWorker(conn int, c net.Conn, deadline time.Time) {
 	for {
 		if sending && time.Now().After(deadline) {
 			sending = false
-			c.SetReadDeadline(time.Now().Add(cfg.DrainTimeout))
+			c.SetReadDeadline(time.Now().Add(drainTimeout))
 		}
 		n, err := c.Read(in)
 		if n > 0 {
@@ -408,7 +404,6 @@ func (g *Generator) closedWorker(conn int, c net.Conn, deadline time.Time) {
 // readers consume responses independently so a slow server never gates the
 // arrival process.
 func (g *Generator) runOpen(conns []net.Conn, deadline time.Time, wg *sync.WaitGroup) {
-	cfg := g.cfg
 	type connState struct {
 		c      net.Conn
 		due    chan int
@@ -422,7 +417,7 @@ func (g *Generator) runOpen(conns []net.Conn, deadline time.Time, wg *sync.WaitG
 		// Writer: one write syscall per due batch.
 		go func(i int, st *connState) {
 			defer wg.Done()
-			buf := make([]byte, 0, cfg.MaxBatch*len(reqBytes))
+			buf := make([]byte, 0, maxBatch*len(reqBytes))
 			dead := false
 			for n := range st.due {
 				if dead {
@@ -430,8 +425,8 @@ func (g *Generator) runOpen(conns []net.Conn, deadline time.Time, wg *sync.WaitG
 				}
 				for n > 0 {
 					k := n
-					if k > cfg.MaxBatch {
-						k = cfg.MaxBatch
+					if k > maxBatch {
+						k = maxBatch
 					}
 					buf = buf[:0]
 					for j := 0; j < k; j++ {
@@ -460,7 +455,7 @@ func (g *Generator) runOpen(conns []net.Conn, deadline time.Time, wg *sync.WaitG
 			popped := make([]int64, 8192)
 			rtts := make([]float64, 0, 8192)
 			var scan respScanner
-			st.c.SetReadDeadline(deadline.Add(cfg.DrainTimeout))
+			st.c.SetReadDeadline(deadline.Add(drainTimeout))
 			for {
 				n, err := st.c.Read(in)
 				if n > 0 {
@@ -522,8 +517,8 @@ func (g *Generator) runOpen(conns []net.Conn, deadline time.Time, wg *sync.WaitG
 			due := int(acc - float64(dispatched))
 			for due > 0 {
 				k := due
-				if k > cfg.MaxBatch {
-					k = cfg.MaxBatch
+				if k > maxBatch {
+					k = maxBatch
 				}
 				states[rr%len(states)].due <- k
 				rr++

@@ -15,7 +15,7 @@ func (s *Server) Now() sim.Time { return s.eng.Now() }
 func (s *Server) NumCores() int { return len(s.cores) }
 
 // Ladder implements Control.
-func (s *Server) Ladder() cpu.Ladder { return s.cfg.Ladder }
+func (s *Server) Ladder() cpu.Ladder { return s.cfg.ladder }
 
 // SLA implements Control.
 func (s *Server) SLA() sim.Time { return s.prof.SLA }

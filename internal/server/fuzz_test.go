@@ -64,14 +64,14 @@ func TestChaosPolicyInvariants(t *testing.T) {
 				seed, res.Counters.Arrivals, res.Counters.Completions, inFlight)
 		}
 		// Energy strictly positive and bounded by the all-turbo envelope.
-		maxP := s.cfg.Power.Uncore + 3*s.cfg.Power.CorePower(s.cfg.Ladder.Turbo, true)
+		maxP := s.cfg.Power.Uncore + 3*s.cfg.Power.CorePower(s.cfg.ladder.Turbo, true)
 		if res.EnergyJ <= 0 || res.AvgPowerW > maxP {
 			t.Errorf("seed %d: implausible energy %v (avg %vW, cap %vW)",
 				seed, res.EnergyJ, res.AvgPowerW, maxP)
 		}
 		// No request finishes faster than physics allows: the fastest
 		// possible service is all-turbo with the memory floor.
-		floor := prof.ServiceAt(800*sim.Microsecond, s.cfg.Ladder.Turbo).Seconds()
+		floor := prof.ServiceAt(800*sim.Microsecond, s.cfg.ladder.Turbo).Seconds()
 		for _, lat := range res.Latencies {
 			if lat < floor-1e-9 {
 				t.Fatalf("seed %d: latency %v below physical floor %v", seed, lat, floor)
@@ -158,7 +158,7 @@ func TestChaosWithZeroLatencyLadder(t *testing.T) {
 	ladder.TransitionLatency = 0
 	prof := fixedApp(sim.Millisecond, 2, 10*sim.Millisecond)
 	eng := sim.NewEngine()
-	s, err := New(eng, Config{App: prof, Ladder: ladder, Seed: 3},
+	s, err := New(eng, Config{App: prof, ladder: ladder, Seed: 3},
 		&chaosPolicy{rng: sim.NewRNG(3).Stream("chaos")})
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func TestGuardedHostileUnderFaults(t *testing.T) {
 		}
 		guard := fault.NewGuardedPolicy(
 			&extHostilePolicy{rng: sim.NewRNG(seed).Stream("hostile")},
-			fault.GuardConfig{CheckEvery: 10 * sim.Millisecond, Window: 200 * sim.Millisecond})
+			fault.GuardConfig{CheckEvery: 10 * sim.Millisecond})
 		eng := sim.NewEngine()
 		s, err := server.New(eng, server.Config{App: prof, Seed: seed, Faults: inj}, guard)
 		if err != nil {
@@ -143,7 +143,7 @@ func TestGuardedHostileUnderFaults(t *testing.T) {
 func TestGuardTripsOnHostilePolicy(t *testing.T) {
 	prof := extFixedApp(2*sim.Millisecond, 2, 3*sim.Millisecond)
 	guard := fault.NewGuardedPolicy(&floorPolicy{},
-		fault.GuardConfig{CheckEvery: 20 * sim.Millisecond, Window: 500 * sim.Millisecond, MinSamples: 16})
+		fault.GuardConfig{CheckEvery: 20 * sim.Millisecond, MinSamples: 16})
 	eng := sim.NewEngine()
 	s, err := server.New(eng, server.Config{App: prof, Seed: 42}, guard)
 	if err != nil {

@@ -18,10 +18,6 @@ type Config struct {
 	// makes every arrival a stage graph: stages enter the FIFO when their
 	// predecessors complete and the SLA applies end-to-end.
 	App *app.Profile
-	// Ladder is the DVFS frequency ladder (DefaultLadder if zero). With a
-	// Topology it remains the default/reporting ladder; each core actuates
-	// on its own class ladder.
-	Ladder cpu.Ladder
 	// Topology, when non-nil, builds heterogeneous cores: per-class
 	// ladders, speed factors, and power-curve scaling. It overrides the
 	// profile's Workers count (the topology defines how many cores exist).
@@ -62,6 +58,10 @@ type Config struct {
 	// RecordJobs retains a JobTrace per completed DAG job (invariant
 	// tests); only meaningful with a DAG profile.
 	RecordJobs bool
+	// ladder is the DVFS frequency ladder (cpu.DefaultLadder if zero); only
+	// this package's tests change it. With a Topology it remains the
+	// default/reporting ladder; each core actuates on its own class ladder.
+	ladder cpu.Ladder
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -72,10 +72,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if err := out.App.Validate(); err != nil {
 		return out, err
 	}
-	if out.Ladder == (cpu.Ladder{}) {
-		out.Ladder = cpu.DefaultLadder()
+	if out.ladder == (cpu.Ladder{}) {
+		out.ladder = cpu.DefaultLadder()
 	}
-	if err := out.Ladder.Validate(); err != nil {
+	if err := out.ladder.Validate(); err != nil {
 		return out, err
 	}
 	if out.Power == (power.Model{}) {
@@ -234,7 +234,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		w := &worker{speed: 1, dynScale: 1, leakScale: 1}
-		ladder := full.Ladder
+		ladder := full.ladder
 		if s.topo != nil {
 			w.class = s.topo.ClassOf(i)
 			cl := s.topo.Classes[w.class]

@@ -117,7 +117,7 @@ func TestFrequencyHalvesSpeed(t *testing.T) {
 		ladder := cpu.DefaultLadder()
 		ladder.Min = 0.5
 		ladder.Step = 0.05 // so 1.05 GHz (half of 2.1) is on the grid
-		s, err := New(eng, Config{App: prof, Ladder: ladder, Seed: 1}, &pinPolicy{f: f})
+		s, err := New(eng, Config{App: prof, ladder: ladder, Seed: 1}, &pinPolicy{f: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestMidRequestFrequencyChange(t *testing.T) {
 	ladder.TransitionLatency = 0
 	ladder.Min = 0.5
 	p := &switchAtPolicy{switchAt: 5 * sim.Millisecond, to: 1.05}
-	s, err := New(eng, Config{App: prof, Ladder: ladder, Seed: 1}, p)
+	s, err := New(eng, Config{App: prof, ladder: ladder, Seed: 1}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestEnergyPositiveAndPlausible(t *testing.T) {
 	// Power must be at least the uncore + idle floor and at most
 	// uncore + all-cores-active-at-turbo.
 	m := s.cfg.Power
-	minP := m.Uncore + 4*m.CorePower(s.cfg.Ladder.Min, false)
-	maxP := m.Uncore + 4*m.CorePower(s.cfg.Ladder.Turbo, true)
+	minP := m.Uncore + 4*m.CorePower(s.cfg.ladder.Min, false)
+	maxP := m.Uncore + 4*m.CorePower(s.cfg.ladder.Turbo, true)
 	if res.AvgPowerW < minP || res.AvgPowerW > maxP {
 		t.Errorf("avg power %v outside [%v, %v]", res.AvgPowerW, minP, maxP)
 	}

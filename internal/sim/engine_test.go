@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -330,12 +329,6 @@ func TestEnginePendingAndPeekSkipsCancelled(t *testing.T) {
 	e.Run()
 	if e.Fired() != 1 {
 		t.Errorf("Fired = %d, want only the surviving event", e.Fired())
-	}
-}
-
-func TestTimeDuration(t *testing.T) {
-	if (1500 * Millisecond).Duration() != 1500*time.Millisecond {
-		t.Error("Duration conversion wrong")
 	}
 }
 

@@ -16,9 +16,11 @@ import (
 // reference to a file, artifact or test that does not exist is a stale
 // document.
 var docsHistorical = map[string][]string{
-	// PR 21's before/after table of the learner files it folded into
-	// internal/rl/actorcritic.go.
-	"EXPERIMENTS.md": {"internal/rl/ddpg.go", "td3.go", "sac.go", "backend.go"},
+	// The before/after table of the learner files folded into
+	// internal/rl/actorcritic.go, and the fences that held when the learner
+	// stopped computing unread gradients (the resume test among them went
+	// with the trainer-state codec).
+	"EXPERIMENTS.md": {"internal/rl/ddpg.go", "td3.go", "sac.go", "backend.go", "TestBitwiseResumeEquivalence"},
 }
 
 var (

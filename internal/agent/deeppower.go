@@ -2,7 +2,6 @@ package agent
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/deeppower/deeppower/internal/control"
 	"github.com/deeppower/deeppower/internal/rl"
@@ -220,25 +219,11 @@ func (k *pairCodec) act(mode actMode, state, row []float64) []float64 {
 		for i := range action {
 			action[i] += noise[i]
 		}
-		clipAction(action)
+		rl.Clip01(action)
 	}
 	return action
 }
 
 func (k *pairCodec) params(action []float64) control.Params {
 	return control.Params{BaseFreq: action[0], ScalingCoef: action[1]}
-}
-
-// clipAction clamps into the actor's [0,1] range — rl's clip semantics
-// (NaN → 0), mirrored here for the vectorized noise path.
-func clipAction(a []float64) {
-	for i, v := range a {
-		if v < 0 {
-			a[i] = 0
-		} else if v > 1 {
-			a[i] = 1
-		} else if math.IsNaN(v) {
-			a[i] = 0
-		}
-	}
 }

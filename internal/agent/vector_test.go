@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -12,7 +13,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/deeppower/deeppower/internal/ckpt"
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/rl"
 	"github.com/deeppower/deeppower/internal/server"
@@ -268,30 +268,50 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 }
 
 // vecDigest fingerprints everything vector training produces that a later
-// run could depend on: the exported policy and the shared replay pool's
-// complete encoding (geometry, sampler position, every stored transition).
+// run could depend on: the exported policy, then the shared replay pool's
+// contents in logical age order (every field of every stored transition as
+// IEEE bits) and its write cursor.
 func vecDigest(t *testing.T, pol interface{ SavePolicy(io.Writer) error }, rp *rl.Replay) string {
 	t.Helper()
 	var policy bytes.Buffer
 	if err := pol.SavePolicy(&policy); err != nil {
 		t.Fatal(err)
 	}
-	var e ckpt.Enc
-	rp.Encode(&e)
+	var buf []byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	for i := 0; i < rp.Len(); i++ {
+		tr := rp.At(i)
+		put(tr.State...)
+		put(tr.Action...)
+		put(tr.Reward)
+		put(tr.NextState...)
+		if tr.Done {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, rp.Pushed())
 	h := sha256.New()
 	h.Write(policy.Bytes())
-	h.Write(e.Bytes())
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// The digests below were captured from the strictly serial boundary loop
-// (observe, act, learn, then advance — the commit before the learner was
-// moved beside the environments' next segment), on E=4, 2-episode runs whose
-// 72 pushes wrap the 48- and 32-slot pools. The pipelined trainer must
-// reproduce them at any worker count.
+// The digests below pin the strictly serial boundary loop (observe, act,
+// learn, then advance — the commit before the learner was moved beside the
+// environments' next segment), on E=4, 2-episode runs whose 72 pushes wrap
+// the 48- and 32-slot pools. The pipelined trainer must reproduce them at any
+// worker count. They were re-captured when the replay half stopped hashing
+// the replay codec's bytes, on a tree where the earlier constants, taken
+// from the serial loop, still held.
 const (
-	serialLoopDigestDDPG = "3010abc0d5cc0eeacfc9879dc7b625838058225e02047c6f04b466d3834af10c"
-	serialLoopDigestDQN  = "d8124da2185a3bad9505a0f860a6b4e95506ac15431efe79bdd7ccbc93b338b6"
+	serialLoopDigestDDPG = "198f0cba609a60f9bce542f32b5caadee8e5054a7ee73eba5969d5e3be2a015b"
+	serialLoopDigestDQN  = "02db257bab23034ffce44d54963566cfe322a3e882cd2dedbaada50d739aee35"
 )
 
 func TestVectorTrainerMatchesSerialLoopDigest(t *testing.T) {

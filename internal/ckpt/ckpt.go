@@ -1,6 +1,6 @@
 // Package ckpt is the repo's durability layer: a deterministic, versioned
-// binary container for trained-policy and trainer-checkpoint payloads,
-// crash-safe file I/O, and a small promote/rollback policy registry.
+// binary container for trained policies, crash-safe file I/O, and a small
+// promote/rollback policy registry.
 //
 // The container layout is
 //
@@ -13,8 +13,8 @@
 //
 // Decoding is defensive by construction: every read is bounds-checked
 // (ErrTruncated), the header is validated field by field (ErrBadMagic,
-// ErrKind, then ErrVersion against the kind's version), the checksum must
-// match (ErrChecksum), and higher-level decoders reject impossible shapes
+// ErrKind, then ErrVersion), the checksum must match (ErrChecksum), and
+// higher-level decoders reject impossible shapes
 // (ErrMalformed) and non-finite weights (ErrNonFinite) — a corrupt
 // checkpoint must fail loudly at load time, never silently actuate garbage
 // frequencies.
@@ -41,49 +41,26 @@ const maxPayload = 1 << 30
 // Kind identifies what a container's payload holds.
 type Kind uint8
 
-// Registered payload kinds.
-const (
-	// KindPolicy is an exported actor/Q network — the unit the registry
-	// stores and the serving/hot-swap path consumes. Kinds start at 1: a
-	// zeroed header names no kind.
-	KindPolicy Kind = iota + 1
-	// KindDDPG..KindDQN are full trainer checkpoints: config shape header,
-	// every live and target network, optimizer moments, RNG positions, and
-	// optional replay contents.
-	KindDDPG
-	KindTD3
-	KindSAC
-	KindDQN
-)
+// KindPolicy is an exported actor/Q network — the unit the registry stores
+// and the serving/hot-swap path consumes — and the only kind. Kinds start at
+// 1: a zeroed header names no kind. Kinds 2–5 held trainer state in older
+// builds and are rejected like any unknown kind.
+const KindPolicy Kind = 1
 
 // String names the kind for error messages.
 func (k Kind) String() string {
-	switch k {
-	case KindPolicy:
+	if k == KindPolicy {
 		return "policy"
-	case KindDDPG:
-		return "ddpg"
-	case KindTD3:
-		return "td3"
-	case KindSAC:
-		return "sac"
-	case KindDQN:
-		return "dqn"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-func (k Kind) valid() bool { return k >= KindPolicy && k <= KindDQN }
+func (k Kind) valid() bool { return k == KindPolicy }
 
-// version is the format version a kind is sealed at: the header layout and
-// that kind's payload layout. Decoders accept exactly this version; the
-// version/compat policy is documented in DESIGN.md.
-func (k Kind) version() uint16 {
-	if k == KindPolicy {
-		return 1
-	}
-	return 2 // the trainer-state config header lost the learning rates, γ and τ
-}
+// formatVersion is the version every container is sealed at: the header
+// layout and the policy payload layout. Decoders accept exactly this
+// version; the version/compat policy is documented in DESIGN.md.
+const formatVersion = 1
 
 // Typed decode errors. Callers branch with errors.Is; every error carries a
 // human-readable detail via %w wrapping.
@@ -114,10 +91,10 @@ func Seal(kind Kind, payload []byte) []byte {
 
 // SealInto appends the sealed container to dst (which may be nil) and
 // returns the extended slice — the allocation-free variant for callers that
-// reuse a buffer across periodic checkpoints.
+// reuse a buffer across calls.
 func SealInto(dst []byte, kind Kind, payload []byte) []byte {
 	dst = append(dst, Magic...)
-	dst = binary.LittleEndian.AppendUint16(dst, kind.version())
+	dst = binary.LittleEndian.AppendUint16(dst, formatVersion)
 	dst = append(dst, byte(kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
@@ -138,8 +115,8 @@ func Open(data []byte) (Kind, []byte, error) {
 	if !kind.valid() {
 		return 0, nil, fmt.Errorf("%w: %s", ErrKind, kind)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != kind.version() {
-		return 0, nil, fmt.Errorf("%w: %s %d (decoder speaks %d)", ErrVersion, kind, v, kind.version())
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVersion {
+		return 0, nil, fmt.Errorf("%w: %d (decoder speaks %d)", ErrVersion, v, formatVersion)
 	}
 	plen := binary.LittleEndian.Uint64(data[7:15])
 	if plen > maxPayload {
@@ -170,14 +147,10 @@ func OpenKind(data []byte, want Kind) ([]byte, error) {
 }
 
 // Enc appends primitive values to a growing byte buffer. The zero value is
-// ready to use; Reset keeps the capacity so periodic checkpoint encoding is
-// allocation-free at steady state.
+// ready to use.
 type Enc struct {
 	buf []byte
 }
-
-// Reset empties the buffer, retaining capacity.
-func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
 // Bytes returns the encoded payload (aliasing the internal buffer).
 func (e *Enc) Bytes() []byte { return e.buf }
@@ -197,15 +170,6 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // Int appends an int as an int64.
 func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
-// Bool appends a 0/1 byte.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
 // F64 appends an IEEE-754 bit pattern.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
@@ -214,14 +178,6 @@ func (e *Enc) F64s(vs []float64) {
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
 		e.F64(v)
-	}
-}
-
-// Ints appends a length-prefixed int slice.
-func (e *Enc) Ints(vs []int) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Int(v)
 	}
 }
 
@@ -316,32 +272,9 @@ func (d *Dec) Int() int {
 	return int(v)
 }
 
-// Bool reads a 0/1 byte, rejecting other values.
-func (d *Dec) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("%w: boolean byte out of range", ErrMalformed))
-		return false
-	}
-}
-
-// F64 reads an IEEE-754 bit pattern (NaN/Inf pass through; use FiniteF64
+// F64 reads an IEEE-754 bit pattern (NaN/Inf pass through; use FiniteF64s
 // where non-finite values must be rejected).
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// FiniteF64 reads a float64 and rejects NaN and ±Inf.
-func (d *Dec) FiniteF64() float64 {
-	v := d.F64()
-	if d.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		d.fail(fmt.Errorf("%w: %v", ErrNonFinite, v))
-		return 0
-	}
-	return v
-}
 
 // F64s reads a length-prefixed float64 slice, bounding the declared length
 // by the remaining input so corrupt lengths cannot force huge allocations.
@@ -370,24 +303,6 @@ func (d *Dec) FiniteF64s() []float64 {
 			d.fail(fmt.Errorf("%w: %v", ErrNonFinite, v))
 			return nil
 		}
-	}
-	return out
-}
-
-// Ints reads a length-prefixed int slice.
-func (d *Dec) Ints() []int {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	if n*8 > d.Len() {
-		d.fail(fmt.Errorf("%w: slice of %d ints exceeds %d remaining bytes",
-			ErrTruncated, n, d.Len()))
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
 	}
 	return out
 }

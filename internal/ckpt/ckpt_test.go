@@ -14,23 +14,21 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	for i := range payloads[3] {
 		payloads[3][i] = byte(i * 31)
 	}
-	for _, kind := range []Kind{KindPolicy, KindDDPG, KindTD3, KindSAC, KindDQN} {
-		for _, p := range payloads {
-			sealed := Seal(kind, p)
-			gotKind, gotPayload, err := Open(sealed)
-			if err != nil {
-				t.Fatalf("Open(Seal(%s, %d bytes)): %v", kind, len(p), err)
-			}
-			if gotKind != kind {
-				t.Fatalf("kind %s != %s", gotKind, kind)
-			}
-			if len(gotPayload) != len(p) {
-				t.Fatalf("payload length %d != %d", len(gotPayload), len(p))
-			}
-			for i := range p {
-				if gotPayload[i] != p[i] {
-					t.Fatalf("payload byte %d differs", i)
-				}
+	for _, p := range payloads {
+		sealed := Seal(KindPolicy, p)
+		gotKind, gotPayload, err := Open(sealed)
+		if err != nil {
+			t.Fatalf("Open(Seal(%d bytes)): %v", len(p), err)
+		}
+		if gotKind != KindPolicy {
+			t.Fatalf("kind %s != %s", gotKind, KindPolicy)
+		}
+		if len(gotPayload) != len(p) {
+			t.Fatalf("payload length %d != %d", len(gotPayload), len(p))
+		}
+		for i := range p {
+			if gotPayload[i] != p[i] {
+				t.Fatalf("payload byte %d differs", i)
 			}
 		}
 	}
@@ -53,26 +51,19 @@ func TestSealIntoMatchesSeal(t *testing.T) {
 	}
 }
 
-// TestSealVersions: the policy layout is still at version 1, so exported
-// policies keep their bytes; the trainer-state layouts moved to version 2
-// when their config header lost the learning rates, γ and τ.
+// TestSealVersions: containers are sealed at version 1, the version
+// exported policies have always had, so they keep their bytes.
 func TestSealVersions(t *testing.T) {
-	for k := KindPolicy; k <= KindDQN; k++ {
-		want := uint16(2)
-		if k == KindPolicy {
-			want = 1
-		}
-		b := Seal(k, nil)
-		if v := uint16(b[4]) | uint16(b[5])<<8; v != want {
-			t.Errorf("%s sealed at version %d, want %d", k, v, want)
-		}
+	b := Seal(KindPolicy, nil)
+	if v := uint16(b[4]) | uint16(b[5])<<8; v != 1 {
+		t.Errorf("policy sealed at version %d, want 1", v)
 	}
 }
 
 // TestOpenRejectsHeaderTampering flips each header field in turn and checks
 // the decoder reports the right typed error.
 func TestOpenRejectsHeaderTampering(t *testing.T) {
-	base := Seal(KindTD3, []byte("weights"))
+	base := Seal(KindPolicy, []byte("weights"))
 	cases := []struct {
 		name   string
 		mutate func(b []byte)
@@ -82,7 +73,7 @@ func TestOpenRejectsHeaderTampering(t *testing.T) {
 		{"magic byte 3", func(b []byte) { b[3] ^= 0xFF }, ErrBadMagic},
 		{"version bump", func(b []byte) { b[4]++ }, ErrVersion},
 		{"version zero", func(b []byte) { b[4], b[5] = 0, 0 }, ErrVersion},
-		{"trainer state at version 1", func(b []byte) { b[4], b[5] = 1, 0 }, ErrVersion},
+		{"trainer state at version 1", func(b []byte) { b[6] = 2 }, ErrKind},
 		{"kind zero", func(b []byte) { b[6] = 0 }, ErrKind},
 		{"kind unknown", func(b []byte) { b[6] = 99 }, ErrKind},
 		{"length short", func(b []byte) { b[7]-- }, ErrTruncated},
@@ -116,7 +107,7 @@ func TestOpenRejectsRandomCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	payload := make([]byte, 512)
 	rng.Read(payload)
-	base := Seal(KindSAC, payload)
+	base := Seal(KindPolicy, payload)
 	for i := 0; i < 500; i++ {
 		b := append([]byte(nil), base...)
 		pos := rng.Intn(len(b))
@@ -129,17 +120,19 @@ func TestOpenRejectsRandomCorruption(t *testing.T) {
 }
 
 func TestOpenKind(t *testing.T) {
-	sealed := Seal(KindDQN, []byte("q"))
-	if _, err := OpenKind(sealed, KindDQN); err != nil {
+	sealed := Seal(KindPolicy, []byte("q"))
+	if _, err := OpenKind(sealed, KindPolicy); err != nil {
 		t.Fatalf("OpenKind same kind: %v", err)
 	}
-	if _, err := OpenKind(sealed, KindSAC); !errors.Is(err, ErrKind) {
+	retired := append([]byte(nil), sealed...)
+	retired[6] = 5
+	if _, err := OpenKind(retired, KindPolicy); !errors.Is(err, ErrKind) {
 		t.Fatalf("OpenKind wrong kind: got %v, want ErrKind", err)
 	}
-	if _, err := OpenKind([]byte(`{"layers": [], "json": true}`), KindDQN); !errors.Is(err, ErrBadMagic) {
+	if _, err := OpenKind([]byte(`{"layers": [], "json": true}`), KindPolicy); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("OpenKind on JSON: got %v, want ErrBadMagic", err)
 	}
-	if _, err := OpenKind(nil, KindDQN); !errors.Is(err, ErrTruncated) {
+	if _, err := OpenKind(nil, KindPolicy); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("OpenKind on nil: got %v, want ErrTruncated", err)
 	}
 }
@@ -151,11 +144,8 @@ func TestEncDecPrimitives(t *testing.T) {
 	e.U64(1 << 60)
 	e.I64(-42)
 	e.Int(123456)
-	e.Bool(true)
-	e.Bool(false)
 	e.F64(math.Pi)
 	e.F64s([]float64{1, -2.5, 0})
-	e.Ints([]int{9, -9})
 
 	d := NewDec(e.Bytes())
 	if v := d.U8(); v != 7 {
@@ -173,19 +163,12 @@ func TestEncDecPrimitives(t *testing.T) {
 	if v := d.Int(); v != 123456 {
 		t.Fatalf("Int = %d", v)
 	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round-trip failed")
-	}
 	if v := d.F64(); v != math.Pi {
 		t.Fatalf("F64 = %v", v)
 	}
 	fs := d.F64s()
 	if len(fs) != 3 || fs[0] != 1 || fs[1] != -2.5 || fs[2] != 0 {
 		t.Fatalf("F64s = %v", fs)
-	}
-	is := d.Ints()
-	if len(is) != 2 || is[0] != 9 || is[1] != -9 {
-		t.Fatalf("Ints = %v", is)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -217,13 +200,6 @@ func TestDecDefensiveness(t *testing.T) {
 			t.Fatalf("got %v", d.Finish())
 		}
 	})
-	t.Run("bad bool", func(t *testing.T) {
-		d := NewDec([]byte{2})
-		d.Bool()
-		if !errors.Is(d.Err(), ErrMalformed) {
-			t.Fatalf("got %v", d.Err())
-		}
-	})
 	t.Run("oversized slice length", func(t *testing.T) {
 		var e Enc
 		e.U32(1 << 30) // declares 8 GiB of floats
@@ -234,37 +210,16 @@ func TestDecDefensiveness(t *testing.T) {
 		}
 	})
 	t.Run("non-finite rejected", func(t *testing.T) {
-		var e Enc
-		e.F64(math.NaN())
-		d := NewDec(e.Bytes())
-		d.FiniteF64()
-		if !errors.Is(d.Err(), ErrNonFinite) {
-			t.Fatalf("got %v", d.Err())
-		}
-
-		e.Reset()
-		e.F64s([]float64{1, math.Inf(-1)})
-		d = NewDec(e.Bytes())
-		d.FiniteF64s()
-		if !errors.Is(d.Err(), ErrNonFinite) {
-			t.Fatalf("slice: got %v", d.Err())
+		for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+			var e Enc
+			e.F64s([]float64{1, v})
+			d := NewDec(e.Bytes())
+			d.FiniteF64s()
+			if !errors.Is(d.Err(), ErrNonFinite) {
+				t.Fatalf("%v: got %v", v, d.Err())
+			}
 		}
 	})
-}
-
-func TestEncReuseIsAllocationFree(t *testing.T) {
-	weights := make([]float64, 256)
-	var e Enc
-	encode := func() {
-		e.Reset()
-		e.U32(1)
-		e.Int(len(weights))
-		e.F64s(weights)
-	}
-	encode() // warm the buffer
-	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
-		t.Fatalf("Enc reuse allocated %.1f times per run", allocs)
-	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {
@@ -296,7 +251,7 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestReadFileRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.ckpt")
-	sealed := Seal(KindDDPG, []byte("payload"))
+	sealed := Seal(KindPolicy, []byte("payload"))
 	sealed[len(sealed)-1] ^= 1
 	if err := os.WriteFile(path, sealed, 0o644); err != nil {
 		t.Fatal(err)

@@ -12,13 +12,17 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DPCK"))
 	f.Add(Seal(KindPolicy, nil))
-	f.Add(Seal(KindDDPG, []byte("weights")))
-	f.Add(Seal(KindDQN, bytes.Repeat([]byte{0xAB}, 64)))
-	truncated := Seal(KindTD3, []byte("0123456789"))
+	f.Add(Seal(KindPolicy, []byte("weights")))
+	f.Add(Seal(KindPolicy, bytes.Repeat([]byte{0xAB}, 64)))
+	truncated := Seal(KindPolicy, []byte("0123456789"))
 	f.Add(truncated[:len(truncated)-3])
-	flipped := Seal(KindSAC, []byte("payload"))
+	flipped := Seal(KindPolicy, []byte("payload"))
 	flipped[headerLen] ^= 0x01
 	f.Add(flipped)
+	// A trainer-state frame from an older build: kind 2 (ddpg) at version 2.
+	retired := Seal(KindPolicy, []byte("weights"))
+	retired[4], retired[6] = 2, 2
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := Open(data)
@@ -44,7 +48,8 @@ func FuzzDec(f *testing.F) {
 	var e Enc
 	e.U32(3)
 	e.F64s([]float64{1, 2, 3})
-	e.Ints([]int{8, 6, 2})
+	e.Int(8)
+	e.F64s([]float64{6, 2})
 	f.Add(e.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
@@ -62,13 +67,13 @@ func FuzzDec(f *testing.F) {
 			case 3:
 				d.Int()
 			case 4:
-				d.Bool()
+				d.I64()
 			case 5:
-				d.FiniteF64()
+				d.F64()
 			case 6:
 				d.F64s()
 			case 7:
-				d.Ints()
+				d.FiniteF64s()
 			}
 		}
 	})

@@ -64,18 +64,8 @@ func decodeDense(dec *ckpt.Dec, wantIn int) (*Dense, error) {
 	}, nil
 }
 
-// EncodeDense appends a single layer — for composite topologies (the rl
-// critic's state/action concat structure) that no Network topology tag
-// expresses.
-func EncodeDense(e *ckpt.Enc, d *Dense) { encodeDense(e, d) }
-
-// DecodeDense reads one layer written by EncodeDense, with the same
-// validation as network decoding; wantIn > 0 pins the input width.
-func DecodeDense(dec *ckpt.Dec, wantIn int) (*Dense, error) { return decodeDense(dec, wantIn) }
-
 // EncodeNetwork appends a network (MLP or TwoHead) to the encoder in the
-// binary checkpoint format. Encoding into a reused Enc is allocation-free at
-// steady state.
+// binary checkpoint format.
 func EncodeNetwork(e *ckpt.Enc, n Network) {
 	switch t := n.(type) {
 	case *MLP:
@@ -198,57 +188,4 @@ func decodeTwoHead(dec *ckpt.Dec) (*TwoHead, error) {
 	t.out = make([]float64, nHeads)
 	t.finish()
 	return t, nil
-}
-
-// EncodeState appends the optimizer's full state — step count and
-// first/second moments for every parameter — so a restored trainer resumes
-// with bit-identical update dynamics.
-func (a *Adam) EncodeState(e *ckpt.Enc) {
-	e.Int(a.t)
-	e.F64(a.MaxGradNorm)
-	e.Int(len(a.layers))
-	for li := range a.layers {
-		e.F64s(a.mw[li])
-		e.F64s(a.vw[li])
-		e.F64s(a.mb[li])
-		e.F64s(a.vb[li])
-	}
-}
-
-// RestoreState reads state written by EncodeState into an optimizer already
-// constructed over the same layer set, validating every moment array length.
-func (a *Adam) RestoreState(dec *ckpt.Dec) error {
-	t := dec.Int()
-	maxNorm := dec.FiniteF64()
-	n := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if t < 0 {
-		return fmt.Errorf("%w: adam step count %d", ckpt.ErrMalformed, t)
-	}
-	if n != len(a.layers) {
-		return fmt.Errorf("%w: adam state spans %d layers, optimizer has %d",
-			ckpt.ErrMalformed, n, len(a.layers))
-	}
-	for li, l := range a.layers {
-		mw := dec.FiniteF64s()
-		vw := dec.FiniteF64s()
-		mb := dec.FiniteF64s()
-		vb := dec.FiniteF64s()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if len(mw) != len(l.W) || len(vw) != len(l.W) || len(mb) != len(l.B) || len(vb) != len(l.B) {
-			return fmt.Errorf("%w: adam moment shapes for layer %d do not match %d→%d",
-				ckpt.ErrMalformed, li, l.In, l.Out)
-		}
-		copy(a.mw[li], mw)
-		copy(a.vw[li], vw)
-		copy(a.mb[li], mb)
-		copy(a.vb[li], vb)
-	}
-	a.t = t
-	a.MaxGradNorm = maxNorm
-	return nil
 }

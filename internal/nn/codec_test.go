@@ -117,67 +117,3 @@ func TestDecodeNetworkRejectsGarbage(t *testing.T) {
 		}
 	})
 }
-
-func TestAdamStateRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(21)
-	build := func(seed int64) (*MLP, *Adam) {
-		r := sim.NewRNG(seed)
-		m := NewMLP([]int{3, 8, 2}, ReLU, Identity, r)
-		return m, NewAdam(m.Params(), 1e-3)
-	}
-	m1, a1 := build(5)
-	// Drive a few steps so the moments are nontrivial.
-	x := []float64{0.3, -0.2, 0.9}
-	target := []float64{1, -1}
-	grad := make([]float64, 2)
-	for step := 0; step < 7; step++ {
-		y := m1.Forward(x)
-		MSE(y, target, grad)
-		m1.Backward(grad)
-		a1.Step()
-	}
-
-	var e ckpt.Enc
-	EncodeNetwork(&e, m1)
-	a1.EncodeState(&e)
-
-	dec := ckpt.NewDec(e.Bytes())
-	net, err := DecodeNetwork(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := net.(*MLP)
-	a2 := NewAdam(m2.Params(), 1e-3)
-	if err := a2.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Continued training must be bitwise identical.
-	for step := 0; step < 9; step++ {
-		y1 := m1.Forward(x)
-		MSE(y1, target, grad)
-		m1.Backward(grad)
-		a1.Step()
-
-		y2 := m2.Forward(x)
-		MSE(y2, target, grad)
-		m2.Backward(grad)
-		a2.Step()
-	}
-	if !netsEqual(m1, m2) {
-		t.Fatal("restored optimizer diverged from original")
-	}
-	_ = rng
-
-	// Mismatched layer sets must be rejected.
-	m3 := NewMLP([]int{3, 4, 2}, ReLU, Identity, sim.NewRNG(6))
-	a3 := NewAdam(m3.Params(), 1e-3)
-	e.Reset()
-	a1.EncodeState(&e)
-	if err := a3.RestoreState(ckpt.NewDec(e.Bytes())); !errors.Is(err, ckpt.ErrMalformed) {
-		t.Fatalf("shape mismatch: got %v", err)
-	}
-}

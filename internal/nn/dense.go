@@ -420,15 +420,6 @@ func (d *Dense) Clone() *Dense {
 	return c
 }
 
-// CopyFrom overwrites this layer's weights with src's.
-func (d *Dense) CopyFrom(src *Dense) {
-	if d.In != src.In || d.Out != src.Out {
-		panic("nn: CopyFrom shape mismatch")
-	}
-	copy(d.W, src.W)
-	copy(d.B, src.B)
-}
-
 // SoftUpdateFrom blends src into this layer:
 // θ ← τ·θ_src + (1-τ)·θ. This is the DDPG target-network update.
 func (d *Dense) SoftUpdateFrom(src *Dense, tau float64) {

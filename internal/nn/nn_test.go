@@ -213,19 +213,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	rng := sim.NewRNG(6)
-	a := NewMLP([]int{2, 3, 1}, ReLU, Identity, rng)
-	b := NewMLP([]int{2, 3, 1}, ReLU, Identity, rng)
-	for i, l := range b.Layers {
-		l.CopyFrom(a.Layers[i])
-	}
-	x := []float64{1, 2}
-	if a.Forward(x)[0] != b.Forward(x)[0] {
-		t.Error("CopyFrom did not equalize outputs")
-	}
-}
-
 func TestSoftUpdate(t *testing.T) {
 	rng := sim.NewRNG(7)
 	target := NewMLP([]int{1, 1}, Identity, Identity, rng)

@@ -34,10 +34,6 @@ type config struct {
 	// exported declarations are roots ("." for the module root).
 	apiPkg   string
 	deferred []deferredRoot
-	// decoders are functions that rebuild a configuration from bytes: their
-	// writes restore a value some program once chose rather than choose one,
-	// so the field pass does not count them.
-	decoders []string
 }
 
 // deferredRoot is the fence's only escape: a declaration treated as an
@@ -46,7 +42,7 @@ type config struct {
 // deferred root that no longer exists or that the other roots already reach
 // or turn.
 type deferredRoot struct {
-	symbol string // as report prints it: "internal/rl.LoadCheckpoint", "internal/rl.DQN.Checkpoint", "internal/serve.DaemonConfig.GuardConfig"
+	symbol string // as report prints it: "internal/app.ParseDAG", "internal/rl.Replay.At", "internal/serve.DaemonConfig.GuardConfig"
 	reason string
 }
 
@@ -693,7 +689,7 @@ func fieldNamed(fields map[*types.Var]*knob, symbol string) *types.Var {
 // sets it. Code sets a field by naming it in a keyed composite literal (or
 // by position in an unkeyed one), by assigning, incrementing or taking the
 // address of a selector ending in it — x.A.B = v sets B and A — except in a
-// with*Defaults or validate* function or a decoder. A value copied from
+// with*Defaults or validate* function. A value copied from
 // another option, as in Config{N: full.N}, sets its target only if its
 // source is set: the copies are solved to a fixpoint. A deferred field turned
 // without its entry is an error.
@@ -725,7 +721,7 @@ func analyzeFields(cfg config) ([]knob, error) {
 		}
 	}
 	for _, b := range m.bodies {
-		if !m.live(b, reached) || m.quiet(cfg, b) {
+		if !m.live(b, reached) || quiet(b) {
 			continue
 		}
 		ast.Inspect(b.tree, func(n ast.Node) bool {
@@ -833,23 +829,15 @@ func (m *module) live(b body, reached map[types.Object]bool) bool {
 	return false
 }
 
-// quiet reports whether the body's writes restore or fill in a field rather
-// than choose it: a with*Defaults or validate* function, or a decoder.
-func (m *module) quiet(cfg config, b body) bool {
+// quiet reports whether the body's writes fill in a field rather than choose
+// it: a with*Defaults or validate* function.
+func quiet(b body) bool {
 	fd, ok := b.tree.(*ast.FuncDecl)
 	if !ok {
 		return false
 	}
 	name := fd.Name.Name
-	if strings.HasPrefix(name, "validate") || strings.HasPrefix(name, "with") && strings.HasSuffix(name, "Defaults") {
-		return true
-	}
-	for _, d := range cfg.decoders {
-		if m.nodes[b.owners[0]].symbol == d {
-			return true
-		}
-	}
-	return false
+	return strings.HasPrefix(name, "validate") || strings.HasPrefix(name, "with") && strings.HasSuffix(name, "Defaults")
 }
 
 // field returns the struct field an identifier names, nil if it names none.
@@ -901,9 +889,8 @@ func (m *module) copied(e ast.Expr, fields map[*types.Var]*knob) *types.Var {
 	return nil
 }
 
-// The four reasons a symbol may be a deferred root.
+// The three reasons a symbol may be a deferred root.
 const (
-	resume   = "trainer-state resume entry point: recovery code pinned by TestBitwiseResumeEquivalence and the ckpt fuzzers; ROADMAP's training-state-checkpoints item wires or deletes it"
 	fuzzed   = "fuzzed fixture constructor that tests of other packages build their DAGs with, waiting for a program caller"
 	crossPkg = "read, called or set by a test in another package, out of reach of an export_test.go"
 	benchPin = "named by bench/, whose sources stay fixed so the benchmark compares like with like across commits"
@@ -915,17 +902,11 @@ var repo = config{
 	rootDirs: []string{"cmd", "examples", "bench"},
 	apiPkg:   ".",
 	deferred: []deferredRoot{
-		{"internal/rl.LoadCheckpoint", resume},
-		{"internal/rl.LoadDQNCheckpoint", resume},
-		{"internal/rl.ActorCritic.Checkpoint", resume},
-		{"internal/rl.DQN.Checkpoint", resume},
 		{"internal/app.ParseDAG", fuzzed},
-		{"internal/rl.Replay.At", crossPkg + ": internal/agent's worker-equivalence tests compare replay contents"},
-		{"internal/ckpt.Enc.Reset", crossPkg + ": internal/rl's TestCheckpointEncodeAllocFree reuses one encoder"},
+		{"internal/rl.Replay.At", crossPkg + ": internal/agent's worker-equivalence tests and vector digests read replay contents"},
 		{"internal/server.Config.RecordJobs", crossPkg + ": internal/exp's DAG invariant tests record job traces"},
 		{"internal/serve.DaemonConfig.GuardConfig", benchPin + ": bench/serve.go builds its guard from it"},
 	},
-	decoders: []string{"internal/rl.LoadCheckpoint", "internal/rl.LoadDQNCheckpoint"},
 }
 
 // TestReachability is the fence: nothing ships that no program, example,
@@ -993,7 +974,6 @@ func fixture(deferred ...deferredRoot) config {
 		rootDirs: []string{"cmd"},
 		apiPkg:   ".",
 		deferred: deferred,
-		decoders: []string{"internal/lib.Decode"},
 	}
 }
 
@@ -1100,7 +1080,6 @@ func TestFieldsOnFixture(t *testing.T) {
 		"internal/lib.Config.TestOnly":    "unturned", // only lib_test.go sets it
 		"internal/lib.Config.Flagged":     "turned",   // flag.IntVar(&cfg.Flagged, …) in cmd/
 		"internal/lib.Config.Defaulted":   "unturned", // only withDefaults sets it
-		"internal/lib.Config.Decoded":     "unturned", // only a decoder sets it
 		"internal/lib.Config.Inner":       "turned",   // cfg.Inner.X = 2 writes through it
 		"internal/lib.InnerConfig.X":      "turned",   // … and sets X
 		"internal/lib.Config.FromCold":    "unturned", // copied from an unturned option

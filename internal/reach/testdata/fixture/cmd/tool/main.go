@@ -23,7 +23,7 @@ func main() {
 	flag.IntVar(&cfg.Flagged, "flagged", 0, "an option bound to a flag")
 	flag.Parse()
 	cfg.Inner.X = 2
-	fmt.Println(lib.Size(cfg), lib.Size(lib.Derive(lib.SourceConfig{Hot: 1})), lib.Size(lib.Decode([]byte{1})))
+	fmt.Println(lib.Size(cfg), lib.Size(lib.Derive(lib.SourceConfig{Hot: 1})))
 }
 
 // unused is referenced by nothing, but a program's declarations are roots.

@@ -9,8 +9,6 @@ type Config struct {
 	Flagged int
 	// Defaulted is set only by withDefaults.
 	Defaulted int
-	// Decoded is set only by Decode, a decoder.
-	Decoded int
 	// Inner is turned by the program's write to Inner.X.
 	Inner InnerConfig
 	// FromCold and FromHot are copied from SourceConfig's options.
@@ -33,19 +31,12 @@ func (c Config) withDefaults() Config {
 // Size reads every option.
 func Size(c Config) int {
 	c = c.withDefaults()
-	return c.TestOnly + c.Flagged + c.Defaulted + c.Decoded + c.Inner.X + c.FromCold + c.FromHot
+	return c.TestOnly + c.Flagged + c.Defaulted + c.Inner.X + c.FromCold + c.FromHot
 }
 
 // Derive copies options: FromCold is turned only if Cold is, FromHot only
 // if Hot is.
 func Derive(s SourceConfig) Config { return Config{FromCold: s.Cold, FromHot: s.Hot} }
-
-// Decode restores a Config from bytes.
-func Decode(b []byte) Config {
-	var c Config
-	c.Decoded = int(b[0])
-	return c
-}
 
 // AliasedConfig is named by the API package's alias; nobody sets Knob.
 type AliasedConfig struct{ Knob int }

@@ -142,31 +142,6 @@ func TestFitBeatsMean(t *testing.T) {
 	}
 }
 
-func TestOnlineLinearConverges(t *testing.T) {
-	rng := sim.NewRNG(3)
-	o := NewOnlineLinear(1, 0.01)
-	for i := 0; i < 20000; i++ {
-		x := []float64{rng.Float64()}
-		o.Observe(x, 4*x[0]+2)
-	}
-	if o.N() != 20000 {
-		t.Errorf("N = %d", o.N())
-	}
-	if math.Abs(o.W[0]-4) > 0.2 || math.Abs(o.B-2) > 0.2 {
-		t.Errorf("online fit W=%v B=%v, want ~4, ~2", o.W, o.B)
-	}
-}
-
-func TestOnlineLinearPanicsOnWidth(t *testing.T) {
-	o := NewOnlineLinear(2, 0.1)
-	defer func() {
-		if recover() == nil {
-			t.Error("width mismatch did not panic")
-		}
-	}()
-	o.Observe([]float64{1}, 1)
-}
-
 func BenchmarkFit1000x3(b *testing.B) {
 	rng := sim.NewRNG(1)
 	var X [][]float64

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"github.com/deeppower/deeppower/internal/ckpt"
 	"github.com/deeppower/deeppower/internal/nn"
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -54,7 +53,6 @@ type variant struct {
 	// weights are drawn from "<name>-init", the head's own draws from
 	// draws.
 	name  string
-	kind  ckpt.Kind
 	draws string
 	// critics is 1 (DDPG) or 2 (the twin critics of TD3 and SAC).
 	critics int
@@ -71,18 +69,17 @@ type variant struct {
 }
 
 var (
-	ddpgVariant = &variant{name: "ddpg", kind: ckpt.KindDDPG, critics: 1, delay: 1, finalInit: 3e-3,
+	ddpgVariant = &variant{name: "ddpg", critics: 1, delay: 1, finalInit: 3e-3,
 		newHead: func() policyHead { return &detHead{} }}
 	// TD3 (Fujimoto et al. 2018): twin critics curb Q overestimation,
 	// target-policy smoothing regularizes the bootstrap, and delayed policy
 	// updates stabilize training.
-	td3Variant = &variant{name: "td3", kind: ckpt.KindTD3, draws: "td3-smooth", critics: 2, delay: 2, finalInit: 3e-3,
+	td3Variant = &variant{name: "td3", draws: "td3-smooth", critics: 2, delay: 2, finalInit: 3e-3,
 		newHead: func() policyHead { return &smoothedHead{} }}
 	// SAC (Haarnoja et al. 2018): a squashed-Gaussian policy with an
 	// entropy bonus, bootstrapping from the live policy.
-	sacVariant = &variant{name: "sac", kind: ckpt.KindSAC, draws: "sac-sample", critics: 2, delay: 1, alpha: 0.05,
+	sacVariant = &variant{name: "sac", draws: "sac-sample", critics: 2, delay: 1, alpha: 0.05,
 		newHead: func() policyHead { return &gaussHead{} }}
-	variants = []*variant{ddpgVariant, td3Variant, sacVariant}
 )
 
 // policyHead is the policy side of the learner: a deterministic sigmoid actor
@@ -225,7 +222,7 @@ func (l *ActorCritic) ActNoisy(state []float64, noise Noise) []float64 {
 	for i := range a {
 		a[i] += n[i]
 	}
-	return clip01(a)
+	return Clip01(a)
 }
 
 // SampleAction draws an action from the policy itself: SAC's reparameterized

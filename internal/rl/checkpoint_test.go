@@ -3,8 +3,10 @@ package rl
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
-	"runtime"
+	"path/filepath"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/ckpt"
@@ -37,204 +39,81 @@ func fillReplay(rp *Replay, rng *sim.RNG, n, stateDim, actionDim int, discrete b
 	}
 }
 
-// loadTrainer reloads a row's checkpoint through the loader for its kind.
-func (c learnerCase) loadTrainer(data []byte) (trainer, *Replay, error) {
-	if c.discrete() {
-		d, rp, err := LoadDQNCheckpoint(data)
-		return dqnTrainer{d}, rp, err
+// savePolicy returns what tr.SavePolicy writes.
+func savePolicy(t *testing.T, tr interface{ SavePolicy(w io.Writer) error }) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tr.SavePolicy(&b); err != nil {
+		t.Fatal(err)
 	}
-	l, rp, err := LoadCheckpoint(data)
-	return acTrainer{l}, rp, err
-}
-
-// trainStep is one replay-sampled update.
-func trainStep(tr trainer, rp *Replay, batch []Transition) {
-	rp.SampleInto(batch)
-	tr.update(batch)
-}
-
-// TestBitwiseResumeEquivalence is the tentpole acceptance test: for every
-// trainer, "train N steps → checkpoint → reload in fresh state → train M
-// steps" must be bitwise identical to an uninterrupted N+M-step run — every
-// weight, optimizer slot, RNG position, replay slot, and emitted action.
-func TestBitwiseResumeEquivalence(t *testing.T) {
-	const (
-		nSteps    = 25
-		mSteps    = 15
-		batchSize = 8
-		replayCap = 64
-	)
-	for _, c := range learnerCases {
-		t.Run(c.name, func(t *testing.T) {
-			mkReplay := func() *Replay {
-				rp := NewReplay(replayCap, sim.NewRNG(sim.SubSeed(99, "resume-replay")))
-				fillReplay(rp, sim.NewRNG(sim.SubSeed(99, "resume-env")), replayCap, 4, c.actionDim(), c.discrete())
-				return rp
-			}
-			batch := make([]Transition, batchSize)
-
-			// Uninterrupted N+M run.
-			ref := c.build(t, 4, true, 99)
-			refRp := mkReplay()
-			for i := 0; i < nSteps+mSteps; i++ {
-				trainStep(ref, refRp, batch)
-			}
-
-			// Interrupted run: N steps, checkpoint, reload, M steps.
-			a := c.build(t, 4, true, 99)
-			aRp := mkReplay()
-			for i := 0; i < nSteps; i++ {
-				trainStep(a, aRp, batch)
-			}
-			b, bRp, err := c.loadTrainer(a.Checkpoint(aRp))
-			if err != nil {
-				t.Fatalf("loading mid-run checkpoint: %v", err)
-			}
-			if bRp == nil {
-				t.Fatal("checkpoint dropped the replay pool")
-			}
-			for i := 0; i < mSteps; i++ {
-				trainStep(b, bRp, batch)
-			}
-
-			// Full-state comparison via checkpoint bytes: covers weights,
-			// optimizer moments, counters, RNG positions, and replay.
-			want := ref.Checkpoint(refRp)
-			got := b.Checkpoint(bRp)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("resumed state differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-			}
-
-			// And the policy actuates identically.
-			probe := []float64{0.2, 0.4, 0.6, 0.8}
-			wa, ga := ref.act(probe), b.act(probe)
-			for i := range wa {
-				if wa[i] != ga[i] {
-					t.Fatalf("action[%d]: %v != %v", i, ga[i], wa[i])
-				}
-			}
-		})
-	}
+	return b.Bytes()
 }
 
 // TestCheckpointRejectsCorruption flips kind/truncation/weight corruption on
-// a real trainer checkpoint and checks for typed failures.
+// a real policy checkpoint and checks LoadPolicy fails with the typed error.
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	d, err := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, actorHidden: []int{6}, criticHidden: [3]int{6, 4, 3}, Seed: 1})
+	cfg := DDPGConfig{StateDim: 3, ActionDim: 2, actorHidden: []int{6}, criticHidden: [3]int{6, 4, 3}, Seed: 1}
+	d, err := NewDDPG(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := d.Checkpoint(nil)
-	if _, _, err := LoadCheckpoint(good); err != nil {
+	dst, err := NewDDPG(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(data []byte) error { return dst.LoadPolicy(bytes.NewReader(data)) }
+	good := savePolicy(t, d)
+	if err := load(good); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
 	}
 
 	t.Run("wrong kind", func(t *testing.T) {
-		// Each loader refuses the other trainer's container, and a policy
-		// export is no trainer checkpoint at all.
-		if _, _, err := LoadDQNCheckpoint(good); !errors.Is(err, ckpt.ErrKind) {
-			t.Fatalf("DQN loader on a DDPG checkpoint: got %v", err)
-		}
-		q, err := NewDQN(DQNConfig{StateDim: 3, NumActions: 2, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var policy bytes.Buffer
-		if err := d.SavePolicy(&policy); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{"DQN checkpoint": q.Checkpoint(nil), "policy export": policy.Bytes()} {
-			if _, _, err := LoadCheckpoint(data); !errors.Is(err, ckpt.ErrKind) {
-				t.Fatalf("actor–critic loader on a %s: got %v", name, err)
-			}
-		}
-	})
-	t.Run("kind selects the variant", func(t *testing.T) {
-		// The payload layout is shared; the kind byte alone says which
-		// variant to rebuild. A DDPG payload under a TD3 kind is short one
-		// critic pair and must fail as malformed or truncated, not load.
-		payload, err := ckpt.OpenKind(good, ckpt.KindDDPG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = LoadCheckpoint(ckpt.Seal(ckpt.KindTD3, payload))
-		if !errors.Is(err, ckpt.ErrMalformed) && !errors.Is(err, ckpt.ErrTruncated) {
+		b := append([]byte(nil), good...)
+		b[6] = 99
+		if err := load(b); !errors.Is(err, ckpt.ErrKind) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := LoadCheckpoint(good[:len(good)-20]); err == nil {
-			t.Fatal("accepted truncated checkpoint")
+		if err := load(good[:len(good)-20]); !errors.Is(err, ckpt.ErrTruncated) {
+			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("payload corruption fails crc", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[len(b)/2] ^= 0x10
-		if _, _, err := LoadCheckpoint(b); !errors.Is(err, ckpt.ErrChecksum) {
+		if err := load(b); !errors.Is(err, ckpt.ErrChecksum) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("non-finite weights", func(t *testing.T) {
-		d2, _ := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, actorHidden: []int{6}, criticHidden: [3]int{6, 4, 3}, Seed: 1})
+		d2, err := NewDDPG(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d2.Actor.Params()[0].W[0] = math.Inf(1)
-		if _, _, err := LoadCheckpoint(d2.Checkpoint(nil)); !errors.Is(err, ckpt.ErrNonFinite) {
+		if err := load(savePolicy(t, d2)); !errors.Is(err, ckpt.ErrNonFinite) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		payload, err := ckpt.OpenKind(good, ckpt.KindDDPG)
+		payload, err := ckpt.OpenKind(good, ckpt.KindPolicy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bloated := ckpt.Seal(ckpt.KindDDPG, append(append([]byte(nil), payload...), 0xAA))
-		if _, _, err := LoadCheckpoint(bloated); !errors.Is(err, ckpt.ErrMalformed) {
+		bloated := ckpt.Seal(ckpt.KindPolicy, append(append([]byte(nil), payload...), 0xAA))
+		if err := load(bloated); !errors.Is(err, ckpt.ErrMalformed) {
 			t.Fatalf("got %v", err)
 		}
 	})
 }
 
-// TestCheckpointEncodeAllocFree proves periodic checkpointing does not
-// re-introduce allocations into the train step: a steady-state Update plus a
-// full encode+seal into reused buffers performs zero heap allocations.
-func TestCheckpointEncodeAllocFree(t *testing.T) {
-	d, err := NewDDPG(DDPGConfig{StateDim: 6, ActionDim: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := NewReplay(128, sim.NewRNG(sim.SubSeed(7, "alloc-replay")))
-	fillReplay(rp, sim.NewRNG(sim.SubSeed(7, "alloc-env")), 128, 6, 2, false)
-	batch := make([]Transition, 16)
-	var enc ckpt.Enc
-	var sealed []byte
-
-	// Warm-up: grow every arena and buffer to steady-state capacity.
-	for i := 0; i < 3; i++ {
-		rp.SampleInto(batch)
-		d.Update(batch)
-		enc.Reset()
-		d.EncodeCheckpoint(&enc, rp)
-		sealed = ckpt.SealInto(sealed[:0], ckpt.KindDDPG, enc.Bytes())
-	}
-
-	allocs := testing.AllocsPerRun(20, func() {
-		rp.SampleInto(batch)
-		d.Update(batch)
-		enc.Reset()
-		d.EncodeCheckpoint(&enc, rp)
-		sealed = ckpt.SealInto(sealed[:0], ckpt.KindDDPG, enc.Bytes())
-	})
-	if allocs != 0 {
-		t.Fatalf("train step + checkpoint encode allocated %.1f times per run", allocs)
-	}
-	if _, _, err := LoadCheckpoint(sealed); err != nil {
-		t.Fatalf("sealed checkpoint does not load: %v", err)
-	}
-}
-
-// TestCheckpointRoundTripProperty is the randomized identity property: over
-// 100 random seeds (rotating trainer kinds, varying shapes and steps),
-// checkpoint → load → checkpoint must reproduce the exact bytes.
+// TestCheckpointRoundTripProperty is the randomized identity property of the
+// policy checkpoint: over 100 random seeds (rotating learner variants,
+// varying training steps), SavePolicy → LoadPolicy into a learner of another
+// seed → SavePolicy reproduces the exact bytes, and both act alike.
 func TestCheckpointRoundTripProperty(t *testing.T) {
+	probe := []float64{0.2, 0.4, 0.6, 0.8}
 	for seed := int64(0); seed < 100; seed++ {
 		c := learnerCases[int(seed)%len(learnerCases)]
 		rng := sim.NewRNG(sim.SubSeed(seed, "ckpt-prop"))
@@ -244,89 +123,62 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		fillReplay(rp, rng, 32, 4, c.actionDim(), c.discrete())
 		batch := make([]Transition, 4)
 		for i := 0; i < steps; i++ {
-			trainStep(tr, rp, batch)
+			rp.SampleInto(batch)
+			tr.update(batch)
 		}
-		first := tr.Checkpoint(rp)
-		tr2, rp2, err := c.loadTrainer(first)
-		if err != nil {
+		first := savePolicy(t, tr)
+		tr2 := c.build(t, 4, true, seed+1000)
+		if err := tr2.LoadPolicy(bytes.NewReader(first)); err != nil {
 			t.Fatalf("seed %d (%s): load: %v", seed, c.name, err)
 		}
-		second := tr2.Checkpoint(rp2)
-		if !bytes.Equal(first, second) {
-			t.Fatalf("seed %d (%s): re-encoded checkpoint differs", seed, c.name)
+		if !bytes.Equal(first, savePolicy(t, tr2)) {
+			t.Fatalf("seed %d (%s): re-saved policy differs", seed, c.name)
+		}
+		want, got := tr.act(probe), tr2.act(probe)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("seed %d (%s): action[%d] %v != %v", seed, c.name, i, got[i], want[i])
+			}
 		}
 	}
 }
 
-// TestReplayCodecResumesSampling checks the replay pool's RNG round-trips
-// mid-stream: post-restore sample draws match the original exactly.
-func TestReplayCodecResumesSampling(t *testing.T) {
-	rp := NewReplay(16, sim.NewRNG(5))
-	fillReplay(rp, sim.NewRNG(6), 24, 3, 2, false) // overfill to exercise the ring
-	dst := make([]Transition, 8)
-	rp.SampleInto(dst) // advance the sampler RNG mid-stream
-
-	var e ckpt.Enc
-	rp.Encode(&e)
-	rp2, err := DecodeReplay(ckpt.NewDec(e.Bytes()))
+// TestRetiredKindsFailLoudly: kinds 2–5 held trainer state (DDPG, TD3, SAC,
+// DQN) in older builds, sealed at versions 1 and 2. A frame carrying one is
+// refused with ErrKind by the container, by LoadPolicy and by the registry,
+// so a trainer checkpoint from an older build never loads as a policy.
+func TestRetiredKindsFailLoudly(t *testing.T) {
+	d, err := NewDDPG(DDPGConfig{StateDim: 3, ActionDim: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp2.Len() != rp.Len() {
-		t.Fatalf("restored length %d != %d", rp2.Len(), rp.Len())
-	}
-	dst2 := make([]Transition, 8)
-	for round := 0; round < 5; round++ {
-		rp.SampleInto(dst)
-		rp2.SampleInto(dst2)
-		for i := range dst {
-			if dst[i].Reward != dst2[i].Reward || dst[i].State[0] != dst2[i].State[0] {
-				t.Fatalf("round %d sample %d diverged", round, i)
-			}
-		}
-	}
-
-	// Corrupt geometry must be rejected, and no header field may size an
-	// allocation the payload does not back.
-	frames := []struct {
-		name         string
-		capacity     int
-		next         int
-		full         bool
-		n            int
-		wantLen      int // decoded length when the frame is accepted
-		wantRejected bool
-	}{
-		{name: "zero capacity", capacity: 0, wantRejected: true},
-		{name: "len beyond capacity", capacity: 4, n: 5, wantRejected: true},
-		{name: "eviction slot beyond capacity", capacity: 4, next: 4, wantRejected: true},
-		{name: "wrapped but not full", capacity: 8, next: 2, full: true, n: 3, wantRejected: true},
-		{name: "eviction slot without wrap", capacity: 8, next: 2, n: 3, wantRejected: true},
-		{name: "huge capacity, empty pool", capacity: 1 << 40, n: 0, wantLen: 0},
-		{name: "huge capacity and len, no transitions", capacity: 1 << 40, n: 1 << 39, wantRejected: true},
-	}
-	for _, f := range frames {
-		e.Reset()
-		e.Int(f.capacity)
-		e.Int(f.next)
-		e.Bool(f.full)
-		e.I64(1)
-		e.U64(0)
-		e.Int(f.n)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := DecodeReplay(ckpt.NewDec(e.Bytes()))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", f.name, len(e.Bytes()), grew)
-		}
-		switch {
-		case f.wantRejected && !errors.Is(err, ckpt.ErrMalformed) && !errors.Is(err, ckpt.ErrTruncated):
-			t.Errorf("%s: got %v, want a malformed or truncated frame error", f.name, err)
-		case !f.wantRejected && err != nil:
-			t.Errorf("%s: well-formed frame rejected: %v", f.name, err)
-		case !f.wantRejected && got.Len() != f.wantLen:
-			t.Errorf("%s: decoded length %d, want %d", f.name, got.Len(), f.wantLen)
+	policy := savePolicy(t, d)
+	for kind := byte(2); kind <= 5; kind++ {
+		for version := byte(1); version <= 2; version++ {
+			t.Run(fmt.Sprintf("kind %d version %d", kind, version), func(t *testing.T) {
+				frame := append([]byte(nil), policy...)
+				frame[4], frame[5], frame[6] = version, 0, kind
+				if _, _, err := ckpt.Open(frame); !errors.Is(err, ckpt.ErrKind) {
+					t.Errorf("ckpt.Open: %v, want ErrKind", err)
+				}
+				if err := d.LoadPolicy(bytes.NewReader(frame)); !errors.Is(err, ckpt.ErrKind) {
+					t.Errorf("LoadPolicy: %v, want ErrKind", err)
+				}
+				dir := t.TempDir()
+				if err := ckpt.WriteFileAtomic(filepath.Join(dir, "v0001.ckpt"), frame); err != nil {
+					t.Fatal(err)
+				}
+				reg, err := ckpt.OpenRegistry(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := reg.Get(1); !errors.Is(err, ckpt.ErrKind) {
+					t.Errorf("Registry.Get: %v, want ErrKind", err)
+				}
+				if _, err := reg.Put(frame); !errors.Is(err, ckpt.ErrKind) {
+					t.Errorf("Registry.Put: %v, want ErrKind", err)
+				}
+			})
 		}
 	}
 }

@@ -89,7 +89,7 @@ func (h *smoothedHead) target(l *ActorCritic, n int) (actions, logPi []float64) 
 			eps := l.rng.Normal(0, td3TargetNoise)
 			row[j] += math.Max(-td3NoiseClip, math.Min(td3NoiseClip, eps))
 		}
-		clip01(row)
+		Clip01(row)
 	}
 	return actions, logPi
 }

@@ -21,8 +21,8 @@ const (
 )
 
 // newAdam is the one place a trainer's optimizer is built — construction,
-// divergence rollback, LoadPolicy and checkpoint load all come through here,
-// so none of them can resume with an unclipped optimizer.
+// divergence rollback and LoadPolicy all come through here, so none of them
+// can resume with an unclipped optimizer.
 func newAdam(layers []*nn.Dense) *nn.Adam {
 	opt := nn.NewAdam(layers, learningRate)
 	opt.MaxGradNorm = maxGradNorm

@@ -74,9 +74,10 @@ func (d *DecayedNoise) SampleInto(dst []float64) {
 	}
 }
 
-// clip01 clamps every element of a into [0,1] — the actor's action range
-// (BaseFreq, ScalingCoef are sigmoid-bounded, §4.4.3).
-func clip01(a []float64) []float64 {
+// Clip01 clamps every element of a into [0,1] in place, NaN to 0, and
+// returns a — the actor's action range (BaseFreq, ScalingCoef are
+// sigmoid-bounded, §4.4.3).
+func Clip01(a []float64) []float64 {
 	for i, v := range a {
 		if v < 0 {
 			a[i] = 0

@@ -45,7 +45,7 @@ func (l *ActorCritic) updatePerSample(batch []Transition) (criticLoss, actorLoss
 						eps := l.rng.Normal(0, td3TargetNoise)
 						a2[i] += math.Max(-td3NoiseClip, math.Min(td3NoiseClip, eps))
 					}
-					clip01(a2)
+					Clip01(a2)
 				}
 				y += gamma * minQ(a2)
 			}

@@ -78,11 +78,11 @@ func TestDecayedNoiseShrinks(t *testing.T) {
 }
 
 func TestClip01(t *testing.T) {
-	a := clip01([]float64{-0.5, 0.5, 1.5, math.NaN()})
+	a := Clip01([]float64{-0.5, 0.5, 1.5, math.NaN()})
 	want := []float64{0, 0.5, 1, 0}
 	for i := range want {
 		if a[i] != want[i] {
-			t.Errorf("clip01[%d] = %v, want %v", i, a[i], want[i])
+			t.Errorf("Clip01[%d] = %v, want %v", i, a[i], want[i])
 		}
 	}
 }

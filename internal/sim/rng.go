@@ -10,68 +10,15 @@ import (
 // simulator needs. Independent named substreams can be derived with Stream,
 // so that, e.g., arrival randomness and service-time randomness do not
 // perturb each other when one component changes how many draws it makes.
-//
-// An RNG's full state is (Seed, DrawCount): every sampler ultimately steps
-// the underlying source exactly once per raw draw, and the source is counted,
-// so NewRNGAt(seed, draws) rebuilds a generator that continues the stream
-// bit-for-bit. This is what makes checkpointed trainers resumable.
 type RNG struct {
 	*rand.Rand
 	seed int64
-	src  *countedSource
-}
-
-// countedSource wraps the standard source and counts state advances. Both
-// Int63 and Uint64 advance math/rand's generator by exactly one step, so a
-// single counter captures the position in the stream regardless of which
-// sampler consumed the draw.
-type countedSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countedSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
 }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	src := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{Rand: rand.New(src), seed: seed, src: src}
+	return &RNG{Rand: rand.New(rand.NewSource(seed)), seed: seed}
 }
-
-// NewRNGAt rebuilds a generator mid-stream: it reseeds with seed and then
-// advances the source draws times, so the result emits exactly the values a
-// NewRNG(seed) generator would after its first draws samples. Restoring is
-// O(draws) — replaying tens of millions of draws costs well under a second,
-// which is cheap next to the training run that produced them.
-func NewRNGAt(seed int64, draws uint64) *RNG {
-	r := NewRNG(seed)
-	for i := uint64(0); i < draws; i++ {
-		r.src.src.Uint64()
-	}
-	r.src.n = draws
-	return r
-}
-
-// Seed returns the seed this generator was created with.
-func (r *RNG) Seed() int64 { return r.seed }
-
-// DrawCount reports how many raw source draws the generator has made since
-// seeding. (Seed(), DrawCount()) is the generator's complete serializable
-// state; see NewRNGAt.
-func (r *RNG) DrawCount() uint64 { return r.src.n }
 
 // Stream derives an independent generator keyed by name. Streams derived
 // from the same (seed, name) pair are identical across runs.

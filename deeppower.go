@@ -19,8 +19,6 @@ package deeppower
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"github.com/deeppower/deeppower/internal/agent"
 	"github.com/deeppower/deeppower/internal/app"
@@ -197,8 +195,9 @@ type Config struct {
 	// Workers overrides the worker/core count (0 keeps the paper's).
 	Workers int
 	// Method selects the power-management policy (default MethodDeepPower).
-	// "fixed:<ghz>" pins all cores, e.g. "fixed:1.5"; "controller:<b>,<s>"
-	// runs the bare thread controller with fixed parameters.
+	// "fixed:<ghz>" pins all cores at a positive frequency, e.g. "fixed:1.5";
+	// "controller:<b>,<s>" runs the bare thread controller with fixed
+	// parameters, each in [0,1].
 	Method string
 	// TrainEpisodes is how many trace periods DeepPower trains for
 	// (default 10; ignored by other methods).
@@ -346,27 +345,10 @@ func run(eng *Engine, cfg Config) (*Result, error) {
 }
 
 func buildMethod(setup *exp.Setup, method string) (Policy, error) {
-	switch {
-	case strings.HasPrefix(method, "fixed:"):
-		ghz, err := strconv.ParseFloat(strings.TrimPrefix(method, "fixed:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("deeppower: bad fixed method %q: %w", method, err)
-		}
-		return baselines.NewFixedFreq(Freq(ghz)), nil
-	case strings.HasPrefix(method, "controller:"):
-		parts := strings.Split(strings.TrimPrefix(method, "controller:"), ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("deeppower: controller method needs \"controller:<base>,<coef>\"")
-		}
-		b, err1 := strconv.ParseFloat(parts[0], 64)
-		s, err2 := strconv.ParseFloat(parts[1], 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("deeppower: bad controller parameters %q", method)
-		}
-		return control.NewThreadController(Params{BaseFreq: b, ScalingCoef: s}), nil
-	default:
-		return setup.BuildPolicy(method)
+	if pol, ok, err := baselines.ParseMethod(method); ok {
+		return pol, err
 	}
+	return setup.BuildPolicy(method)
 }
 
 func summarize(appName, method string, res *ServerResult) *Result {

@@ -70,7 +70,8 @@ func TestRunFixedAndController(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"fixed:abc", "controller:1", "controller:a,b", "nope"} {
+	for _, bad := range []string{"fixed:abc", "fixed:0", "fixed:-1", "fixed:NaN", "fixed:+Inf",
+		"controller:1", "controller:a,b", "controller:5,5", "controller:-0.1,0.5", "controller:NaN,0.5", "nope"} {
 		cfg.Method = bad
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("method %q accepted", bad)

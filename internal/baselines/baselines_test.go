@@ -57,6 +57,49 @@ func TestFixedFreqPins(t *testing.T) {
 	}
 }
 
+func TestParseMethod(t *testing.T) {
+	for _, tc := range []struct {
+		method string
+		ok     bool   // a parameterized method form
+		name   string // policy name, "" when the method is rejected
+	}{
+		{"fixed:1.5", true, "fixed-1.5GHz"},
+		{"fixed:0.8", true, "fixed-0.8GHz"},
+		{"controller:0.4,0.5", true, "controller(b=0.4,s=0.5)"},
+		{"controller:0,1", true, "controller(b=0,s=1)"},
+		{"fixed:0", true, ""},
+		{"fixed:-1", true, ""},
+		{"fixed:NaN", true, ""},
+		{"fixed:+Inf", true, ""},
+		{"fixed:abc", true, ""},
+		{"fixed", true, ""},
+		{"controller:5,5", true, ""},
+		{"controller:0.5,-0.1", true, ""},
+		{"controller:NaN,0.5", true, ""},
+		{"controller:1", true, ""},
+		{"controller:a,b", true, ""},
+		{"controller:0.1,0.2,0.3", true, ""},
+		{"maxfreq", false, ""},
+		{"deeppower", false, ""},
+	} {
+		pol, ok, err := ParseMethod(tc.method)
+		if ok != tc.ok {
+			t.Errorf("%q: ok = %v, want %v", tc.method, ok, tc.ok)
+			continue
+		}
+		switch {
+		case !ok && (pol != nil || err != nil):
+			t.Errorf("%q: not a parameterized method, got %v, %v", tc.method, pol, err)
+		case ok && tc.name == "" && err == nil:
+			t.Errorf("%q accepted as %s", tc.method, pol.Name())
+		case tc.name != "" && err != nil:
+			t.Errorf("%q rejected: %v", tc.method, err)
+		case tc.name != "" && pol.Name() != tc.name:
+			t.Errorf("%q built %q, want %q", tc.method, pol.Name(), tc.name)
+		}
+	}
+}
+
 func TestCollectServiceData(t *testing.T) {
 	prof := smallXapian()
 	samples, err := CollectServiceData(prof, 0.3, 400, 5)

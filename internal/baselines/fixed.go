@@ -6,7 +6,11 @@ package baselines
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
+	"github.com/deeppower/deeppower/internal/control"
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -63,4 +67,33 @@ func (p *FixedFreq) OnTick(now sim.Time) {
 			p.Ctl.SetFreq(i, p.freq)
 		}
 	}
+}
+
+// ParseMethod builds the policy a parameterized method string names:
+// "fixed:<ghz>" pins every core at a finite, positive ghz, and
+// "controller:<base>,<scale>" runs the thread controller with parameters in
+// [0,1]. ok is false when method is neither form, for the caller to resolve.
+func ParseMethod(method string) (pol server.Policy, ok bool, err error) {
+	name, arg, _ := strings.Cut(method, ":")
+	switch name {
+	case "fixed":
+		ghz, err := strconv.ParseFloat(arg, 64)
+		if err != nil || math.IsInf(ghz, 0) || !(ghz > 0) {
+			return nil, true, fmt.Errorf("baselines: fixed method needs a finite positive frequency in GHz, got %q", arg)
+		}
+		return NewFixedFreq(cpu.Freq(ghz)), true, nil
+	case "controller":
+		bs, ss, found := strings.Cut(arg, ",")
+		b, err1 := strconv.ParseFloat(bs, 64)
+		s, err2 := strconv.ParseFloat(ss, 64)
+		if !found || err1 != nil || err2 != nil {
+			return nil, true, fmt.Errorf("baselines: controller method needs <base>,<scale>, got %q", arg)
+		}
+		p := control.Params{BaseFreq: b, ScalingCoef: s}
+		if err := p.Validate(); err != nil {
+			return nil, true, err
+		}
+		return control.NewThreadController(p), true, nil
+	}
+	return nil, false, nil
 }

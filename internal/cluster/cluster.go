@@ -103,7 +103,8 @@ type shard struct {
 	id      int
 	eng     *sim.Engine
 	srv     *server.Server
-	inj     *capInjector
+	faults  server.FaultInjector // the shard's own fault campaign, nil if none
+	ceil    cpu.Freq             // the global tier's frequency ceiling, 0 = none
 	ladder  cpu.Ladder
 	effCost float64
 	floorW  float64
@@ -137,7 +138,7 @@ func (sh *shard) snapshot(now, span sim.Time) {
 	}
 	online := 0
 	for i := 0; i < sh.srv.NumCores(); i++ {
-		if !sh.inj.CoreOffline(now, i) {
+		if sh.faults == nil || !sh.faults.CoreOffline(now, i) {
 			online++
 		}
 	}
@@ -152,7 +153,7 @@ func (sh *shard) snapshot(now, span sim.Time) {
 		Queue:             sh.srv.QueueLen(),
 		Busy:              sh.srv.BusyCores(),
 		Share:             sh.state.Share, // global tier overwrites between epochs
-		FreqCapGHz:        float64(sh.inj.cap),
+		FreqCapGHz:        float64(sh.ceil),
 		EffCost:           sh.effCost,
 		PowerW:            sh.epochPowerW,
 		WindowTimeoutRate: wtr,
@@ -175,15 +176,12 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 
 	shards := make([]*shard, len(shardCfgs))
 	for i, sc := range shardCfgs {
-		inj := &capInjector{inner: sc.Server.Faults}
-		scfg := sc.Server
-		scfg.Faults = inj
-		pm := scfg.Power
+		pm := sc.Server.Power
 		if pm == (power.Model{}) {
 			pm = power.DefaultModel()
 		}
 		eng := sim.NewEngine()
-		srv, err := server.New(eng, scfg, sc.Policy)
+		srv, err := server.New(eng, sc.Server, sc.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
@@ -193,7 +191,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		lad := srv.Ladder()
 		effCost := pm.CorePower(lad.Max, true)
 		floorW := pm.Uncore + float64(srv.NumCores())*pm.CorePower(lad.Min, false)
-		if t := scfg.Topology; t != nil {
+		if t := sc.Server.Topology; t != nil {
 			// Heterogeneous shard: the efficiency cost is the per-core mean
 			// of each class's ladder-max draw, and the floor sums each
 			// class's idle draw at its own ladder minimum — so the global
@@ -211,7 +209,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 			id:      i,
 			eng:     eng,
 			srv:     srv,
-			inj:     inj,
+			faults:  sc.Server.Faults,
 			ladder:  lad,
 			effCost: effCost,
 			floorW:  floorW,
@@ -273,7 +271,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 			for i, sh := range shards {
 				sh.state.Share = global.share[i]
 				states[i].Share = global.share[i]
-				states[i].FreqCapGHz = float64(global.caps[i])
+				states[i].FreqCapGHz = float64(sh.ceil)
 			}
 		}
 		for i := range pending {

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"math"
-
-	"github.com/deeppower/deeppower/internal/cpu"
-	"github.com/deeppower/deeppower/internal/server"
-	"github.com/deeppower/deeppower/internal/sim"
-)
+import "math"
 
 // GlobalConfig parameterizes the fleet-level controller — the global tier of
 // Liu et al.'s hierarchical framework. Every Every epochs it reassigns
@@ -49,13 +43,13 @@ const (
 )
 
 // globalTier holds the controller's state: current shares, efficiency-
-// preferred share targets, per-shard power floors, and frequency ceilings.
+// preferred share targets, and per-shard power floors. The frequency
+// ceilings it sets live on the shards (shard.ceil) and their servers.
 type globalTier struct {
 	cfg    GlobalConfig
 	share  []float64
 	target []float64
-	floor  []float64  // minimum feasible draw: uncore + all cores idle at Min
-	caps   []cpu.Freq // 0 = uncapped
+	floor  []float64 // minimum feasible draw: uncore + all cores idle at Min
 }
 
 // newGlobalTier derives the efficiency-preferred share targets: shares
@@ -67,7 +61,6 @@ func newGlobalTier(cfg GlobalConfig, shards []*shard) *globalTier {
 		share:  make([]float64, len(shards)),
 		target: make([]float64, len(shards)),
 		floor:  make([]float64, len(shards)),
-		caps:   make([]cpu.Freq, len(shards)),
 	}
 	sum := 0.0
 	for i, sh := range shards {
@@ -150,7 +143,8 @@ func (g *globalTier) rebudget(states []ShardState, shards []*shard) {
 		} else {
 			slice = g.cfg.PowerBudgetW * g.share[i] / sum
 		}
-		lad := shards[i].ladder
+		sh := shards[i]
+		lad := sh.ladder
 		switch {
 		case states[i].WindowTimeoutRate > timeoutBudget:
 			// QoS override: never tighten the ceiling on a shard already
@@ -160,97 +154,31 @@ func (g *globalTier) rebudget(states []ShardState, shards []*shard) {
 			// a transient fault becomes a permanent outage. Power capping
 			// yields to the latency emergency, one step of relief per
 			// reassignment; the budget re-engages once the window is healthy.
-			if g.caps[i] != 0 {
-				if next := g.caps[i] + lad.Step; next >= lad.Max {
-					g.caps[i] = 0
+			if sh.ceil != 0 {
+				if next := sh.ceil + lad.Step; next >= lad.Max {
+					sh.ceil = 0
 				} else {
-					g.caps[i] = lad.Quantize(next)
+					sh.ceil = lad.Quantize(next)
 				}
 			}
 		case states[i].PowerW > slice:
-			cur := g.caps[i]
+			cur := sh.ceil
 			if cur == 0 {
 				cur = lad.Max
 			}
 			if next := cur - lad.Step; next >= lad.Min {
-				g.caps[i] = lad.Quantize(next)
+				sh.ceil = lad.Quantize(next)
 			} else {
-				g.caps[i] = lad.Min
+				sh.ceil = lad.Min
 			}
-		case states[i].PowerW < 0.8*slice && g.caps[i] != 0:
-			next := g.caps[i] + lad.Step
+		case states[i].PowerW < 0.8*slice && sh.ceil != 0:
+			next := sh.ceil + lad.Step
 			if next >= lad.Max {
-				g.caps[i] = 0 // back to uncapped
+				sh.ceil = 0 // back to uncapped
 			} else {
-				g.caps[i] = lad.Quantize(next)
+				sh.ceil = lad.Quantize(next)
 			}
 		}
-		shards[i].inj.setCap(g.caps[i])
+		sh.srv.SetFreqCeiling(sh.ceil)
 	}
-}
-
-// capInjector is the enforcement point for the global tier's power-budget
-// frequency ceilings. It chains an optional inner fault injector (the fault
-// campaign) and clamps both new governor writes and the standing target to
-// the budget cap, reusing the server's existing FreqCap machinery.
-type capInjector struct {
-	inner  server.FaultInjector
-	cap    cpu.Freq // 0 = uncapped; written only between epochs
-	capped uint64
-}
-
-func (ci *capInjector) setCap(c cpu.Freq) { ci.cap = c }
-
-// OnFreqSet implements server.FaultInjector.
-func (ci *capInjector) OnFreqSet(now sim.Time, core int, f cpu.Freq) (cpu.Freq, sim.Time, bool) {
-	var delay sim.Time
-	var drop bool
-	if ci.inner != nil {
-		f, delay, drop = ci.inner.OnFreqSet(now, core, f)
-	}
-	if !drop && ci.cap > 0 && f > ci.cap {
-		f = ci.cap
-		ci.capped++
-	}
-	return f, delay, drop
-}
-
-// FreqCap implements server.FaultInjector: the tighter of the fault
-// campaign's thermal throttle and the global tier's budget cap.
-func (ci *capInjector) FreqCap(now sim.Time, core int) cpu.Freq {
-	c := cpu.Freq(0)
-	if ci.inner != nil {
-		c = ci.inner.FreqCap(now, core)
-	}
-	if ci.cap > 0 && (c == 0 || ci.cap < c) {
-		c = ci.cap
-	}
-	return c
-}
-
-// CoreOffline implements server.FaultInjector.
-func (ci *capInjector) CoreOffline(now sim.Time, core int) bool {
-	return ci.inner != nil && ci.inner.CoreOffline(now, core)
-}
-
-// PerturbSnapshot implements server.FaultInjector.
-func (ci *capInjector) PerturbSnapshot(now sim.Time, snap server.Snapshot) server.Snapshot {
-	if ci.inner != nil {
-		return ci.inner.PerturbSnapshot(now, snap)
-	}
-	return snap
-}
-
-// Stats implements server.FaultInjector: the inner campaign's counters plus
-// the number of governor writes the budget cap clamped.
-func (ci *capInjector) Stats() map[string]uint64 {
-	var out map[string]uint64
-	if ci.inner != nil {
-		out = ci.inner.Stats()
-	}
-	if out == nil {
-		out = map[string]uint64{}
-	}
-	out["cluster.capped_writes"] = ci.capped
-	return out
 }

@@ -94,9 +94,7 @@ func (r *Result) finish(shards []*shard) {
 		r.InFlight += c.Arrivals - c.Completions
 		r.EnergyJ += sr.EnergyJ
 		r.AvgPowerW += sr.AvgPowerW
-		if sr.FaultStats != nil {
-			r.CappedWrites += sr.FaultStats["cluster.capped_writes"]
-		}
+		r.CappedWrites += c.CappedWrites
 		if sr.Latency.N > 0 {
 			p99s = append(p99s, sr.Latency.P99)
 		}

@@ -161,83 +161,6 @@ func TestZeroLatencyImmediate(t *testing.T) {
 	}
 }
 
-func TestCyclesConstantFreq(t *testing.T) {
-	c := NewCore(0, DefaultLadder())
-	// 2.1 GHz for 1 second = 2.1 Gcycles.
-	got := c.Cycles(0, sim.Second)
-	if math.Abs(got-2.1) > 1e-9 {
-		t.Errorf("Cycles = %v, want 2.1", got)
-	}
-}
-
-func TestCyclesAcrossSwitch(t *testing.T) {
-	c := NewCore(0, DefaultLadder())
-	c.SetFreq(0, 0.8) // effective at 10us
-	// Over [0, 20us]: 10us at 2.1 + 10us at 0.8.
-	got := c.Cycles(0, 20*sim.Microsecond)
-	want := 2.1*10e-6 + 0.8*10e-6
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Cycles = %v, want %v", got, want)
-	}
-}
-
-func TestCyclesReversedPanics(t *testing.T) {
-	c := NewCore(0, DefaultLadder())
-	defer func() {
-		if recover() == nil {
-			t.Error("reversed Cycles interval did not panic")
-		}
-	}()
-	c.Cycles(10, 5)
-}
-
-func TestTimeFor(t *testing.T) {
-	c := NewCore(0, DefaultLadder())
-	// 2.1 Gcycles at 2.1 GHz = 1 s.
-	if got := c.TimeFor(0, 2.1); got != sim.Second {
-		t.Errorf("TimeFor = %v, want 1s", got)
-	}
-	if got := c.TimeFor(0, 0); got != 0 {
-		t.Errorf("TimeFor(0 cycles) = %v", got)
-	}
-}
-
-func TestTimeForAcrossSwitch(t *testing.T) {
-	c := NewCore(0, DefaultLadder())
-	c.SetFreq(0, 0.8) // matures at 10us
-	// Head: 2.1GHz * 10us = 21e-6 Gcyc. Ask for twice that.
-	want := 10*sim.Microsecond + sim.Seconds(21e-6/0.8)
-	got := c.TimeFor(0, 42e-6)
-	if d := got - want; d < -1 || d > 1 { // 1ns tolerance
-		t.Errorf("TimeFor = %v, want %v", got, want)
-	}
-	// Work finishing before the switch uses the old frequency only.
-	short := c.TimeFor(0, 2.1e-6) // 1us of work at 2.1GHz
-	if d := short - sim.Microsecond; d < -1 || d > 1 {
-		t.Errorf("TimeFor short = %v, want 1us", short)
-	}
-}
-
-// TimeFor and Cycles must be inverse operations.
-func TestTimeForCyclesRoundTrip(t *testing.T) {
-	f := func(rawFreq, rawWork float64, switchEarly bool) bool {
-		work := math.Abs(rawWork)
-		if math.IsNaN(work) || math.IsInf(work, 0) || work > 1e3 || work < 1e-9 {
-			return true
-		}
-		c := NewCore(0, DefaultLadder())
-		if switchEarly {
-			c.SetFreq(0, Freq(math.Abs(rawFreq))) // quantized internally
-		}
-		d := c.TimeFor(0, work)
-		got := c.Cycles(0, d)
-		return math.Abs(got-work) < 1e-6*(1+work)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFreqString(t *testing.T) {
 	if s := Freq(2.1).String(); s != "2.1GHz" {
 		t.Errorf("String = %q", s)
@@ -254,13 +177,6 @@ func BenchmarkSetFreq(b *testing.B) {
 		} else {
 			c.SetFreq(now, 2.0)
 		}
-	}
-}
-
-func BenchmarkCycles(b *testing.B) {
-	c := NewCore(0, DefaultLadder())
-	for i := 0; i < b.N; i++ {
-		c.Cycles(0, sim.Millisecond)
 	}
 }
 

@@ -109,6 +109,7 @@ type GuardedPolicy struct {
 	invalidBase int
 	rollbacks   int // consecutive rollbacks since the last healthy window
 	completions []guardSample
+	lats        []float64 // windowHealth's scratch, reused across checks
 
 	stats GuardStats
 	// Transitions logs every mode change for diagnostics.
@@ -247,13 +248,14 @@ func (g *GuardedPolicy) windowHealth() (rate float64, p99 sim.Time, ok bool) {
 		return 0, 0, true
 	}
 	timeouts := 0
-	lats := make([]float64, n)
-	for i, s := range g.completions {
+	lats := g.lats[:0]
+	for _, s := range g.completions {
 		if s.timedOut {
 			timeouts++
 		}
-		lats[i] = float64(s.latency)
+		lats = append(lats, float64(s.latency))
 	}
+	g.lats = lats
 	rate = float64(timeouts) / float64(n)
 	// Exact p99 over the window (windows are small; sorting is cheap).
 	p99 = sim.Time(quickSelect(lats, int(math.Ceil(0.99*float64(n)))-1))

@@ -1,0 +1,33 @@
+package fault
+
+import (
+	"testing"
+
+	"github.com/deeppower/deeppower/internal/cpu"
+	"github.com/deeppower/deeppower/internal/server"
+	"github.com/deeppower/deeppower/internal/sim"
+)
+
+// TestGuardHealthCheckZeroAlloc pins the guard's periodic health check at
+// zero allocations: every 50 ms it takes the exact p99 of a one-second
+// window that holds tens of thousands of completions at serving load, so a
+// per-check copy of the window is megabytes of garbage per second.
+func TestGuardHealthCheckZeroAlloc(t *testing.T) {
+	g := NewGuardedPolicy(&server.BasePolicy{}, GuardConfig{})
+	ctl := &fakeCtl{sla: 10 * sim.Millisecond, freqs: make([]cpu.Freq, 4), turbo: 2.8}
+	g.Init(ctl)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		ctl.now += window / n
+		lat := sim.Time(1+i*7919%1000) * sim.Microsecond
+		g.OnComplete(&server.Request{Arrive: ctl.now - lat}, 0)
+	}
+	allocs := testing.AllocsPerRun(20, func() { g.checkHealth(ctl.now) })
+	if len(g.completions) != n || g.SafeMode() {
+		t.Fatalf("check did not run on the full healthy window: %d samples, safe mode %v",
+			len(g.completions), g.SafeMode())
+	}
+	if allocs != 0 {
+		t.Errorf("health check allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -60,17 +60,17 @@ type bridgeCmd struct {
 	reply chan error
 }
 
-// Bridge locks the actuator's virtual time to the wall clock. A single
-// goroutine loops at the bridge period: it drains the admission stamps the
-// HTTP layer pushed, injects each batch at its observed wall offset, and
-// advances the backend to "now". Virtual time therefore trails the wall
+// Bridge locks the simulated backend's virtual time to the wall clock. A
+// single goroutine loops at the bridge period: it drains the admission
+// stamps the HTTP layer pushed, injects each batch at its observed wall
+// offset, and advances the backend to "now". Virtual time therefore trails the wall
 // clock by at most one period plus scheduling jitter — that bound is the
 // serving mode's determinism boundary: behind it the simulation stays
 // exactly the reproduction's (same engine, same policy, same accounting);
 // ahead of it arrival instants come from real sockets and are not
 // reproducible run to run.
 type Bridge struct {
-	act    Actuator
+	act    *SimActuator
 	period time.Duration
 	snapEv time.Duration
 
@@ -94,7 +94,7 @@ type Bridge struct {
 
 // newBridge wires a bridge over act. period is the segment cadence (default
 // 1ms), snapEvery the telemetry cadence (default 100ms).
-func newBridge(act Actuator, wire *WireCounters, period, snapEvery time.Duration) *Bridge {
+func newBridge(act *SimActuator, wire *WireCounters, period, snapEvery time.Duration) *Bridge {
 	if period <= 0 {
 		period = time.Millisecond
 	}
@@ -113,7 +113,7 @@ func newBridge(act Actuator, wire *WireCounters, period, snapEvery time.Duration
 	}
 }
 
-// Start arms the actuator and launches the bridge loop. horizon bounds how
+// Start arms the backend and launches the bridge loop. horizon bounds how
 // long the daemon may serve (virtual event times must stay under it).
 func (b *Bridge) Start(horizon time.Duration) error {
 	if err := b.act.Begin(horizon); err != nil {

@@ -1,6 +1,6 @@
 // Package serve is the live serving layer: a wall-clock daemon that runs a
-// trained (and guarded) policy against real time through a pluggable
-// Actuator, a minimal allocation-free HTTP/1.1 front end able to sustain
+// trained (and guarded) policy against real time on simulated DVFS cores
+// (SimActuator), a minimal allocation-free HTTP/1.1 front end able to sustain
 // 100k+ req/s on loopback, and the open/closed-loop load generator that
 // drives it. It is the bridge from "reproduction" (virtual time, internal
 // arrival generators) to "system" (real sockets, real clocks): the same

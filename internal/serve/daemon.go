@@ -14,8 +14,6 @@ import (
 	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/baselines"
 	"github.com/deeppower/deeppower/internal/ckpt"
-	"github.com/deeppower/deeppower/internal/control"
-	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/fault"
 	"github.com/deeppower/deeppower/internal/server"
 )
@@ -142,31 +140,12 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 // method it also records the agent and serving version for the lifecycle
 // endpoints.
 func (d *Daemon) buildPolicy(method string) (server.Policy, error) {
-	name, arg, _ := strings.Cut(method, ":")
-	switch name {
+	if pol, ok, err := baselines.ParseMethod(method); ok {
+		return pol, err
+	}
+	switch method {
 	case "maxfreq":
 		return baselines.NewMaxFreq(), nil
-	case "fixed":
-		ghz, err := strconv.ParseFloat(arg, 64)
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad fixed frequency %q: %v", arg, err)
-		}
-		return baselines.NewFixedFreq(cpu.Freq(ghz)), nil
-	case "controller":
-		bs, ss, ok := strings.Cut(arg, ",")
-		if !ok {
-			return nil, fmt.Errorf("serve: controller needs <base>,<scale>, got %q", arg)
-		}
-		b, err1 := strconv.ParseFloat(bs, 64)
-		s, err2 := strconv.ParseFloat(ss, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("serve: bad controller params %q", arg)
-		}
-		p := control.Params{BaseFreq: b, ScalingCoef: s}
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		return control.NewThreadController(p), nil
 	case "registry":
 		if d.reg == nil {
 			return nil, fmt.Errorf("serve: registry method needs RegistryDir")

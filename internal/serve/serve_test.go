@@ -253,7 +253,7 @@ func TestRegistryLifecycle(t *testing.T) {
 }
 
 func TestDaemonRejectsBadConfig(t *testing.T) {
-	for _, method := range []string{"registry", "bogus", "fixed:x", "controller:1", "controller:2,9"} {
+	for _, method := range []string{"registry", "bogus", "fixed:x", "fixed:0", "fixed:NaN", "controller:1", "controller:2,9"} {
 		if _, err := NewDaemon(DaemonConfig{Method: method}); err == nil {
 			t.Errorf("method %q accepted", method)
 		}

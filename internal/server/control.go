@@ -29,35 +29,64 @@ func (s *Server) RefFreq() cpu.Freq { return s.prof.RefFreq }
 // core, and when it fires it actuates the *latest* accepted request — newer
 // requests update the standing value rather than postponing the apply, so a
 // policy hammering the interface still converges instead of livelocking.
+// A request above the platform ceiling (SetFreqCeiling) is clamped to it
+// and counted in Counters.CappedWrites.
 func (s *Server) SetFreq(core int, f cpu.Freq) {
-	now := s.eng.Now()
+	var delay sim.Time
 	if s.cfg.Faults != nil {
-		nf, delay, drop := s.cfg.Faults.OnFreqSet(now, core, f)
+		nf, d, drop := s.cfg.Faults.OnFreqSet(s.eng.Now(), core, f)
 		if drop {
 			return
 		}
-		f = nf
-		s.wantFreq[core] = f
-		if delay > 0 {
-			if !s.applyPending[core] {
-				s.applyPending[core] = true
-				s.eng.After(delay, s.applyFns[core])
-			}
-			return
+		f, delay = nf, d
+	}
+	if s.ceiling > 0 && f > s.ceiling {
+		f = s.ceiling
+		s.counters.CappedWrites++
+	}
+	s.wantFreq[core] = f
+	if delay > 0 {
+		if !s.applyPending[core] {
+			s.applyPending[core] = true
+			s.eng.After(delay, s.applyFns[core])
 		}
+		return
 	}
 	s.applyFreq(core, f)
 }
 
-// applyFreq is the actuation path proper: a fault plan's throttle clamps the
+// applyFreq is the actuation path proper: the ceiling in force clamps the
 // request, then the core takes it quantized to its ladder.
 func (s *Server) applyFreq(core int, f cpu.Freq) {
-	if s.cfg.Faults != nil {
-		if cap := s.cfg.Faults.FreqCap(s.eng.Now(), core); cap > 0 && f > cap {
-			f = cap
-		}
+	if cap := s.freqCap(s.eng.Now(), core); cap > 0 && f > cap {
+		f = cap
 	}
 	s.actuate(s.workers[core], s.cores[core].Ladder().Snap(f))
+}
+
+// freqCap is the ceiling in force on core at now (0 = none): the tighter of
+// a fault plan's thermal throttle and the platform ceiling.
+func (s *Server) freqCap(now sim.Time, core int) cpu.Freq {
+	c := s.ceiling
+	if s.cfg.Faults != nil {
+		if t := s.cfg.Faults.FreqCap(now, core); t > 0 && (c == 0 || t < c) {
+			c = t
+		}
+	}
+	return c
+}
+
+// SetFreqCeiling sets a platform frequency ceiling on every core, 0 lifting
+// it: the limit a fleet's power budget imposes, like cpufreq's
+// scaling_max_freq. It is not part of Control, so a policy actuates under it
+// and cannot lift it. Governor writes above it are clamped at write time;
+// standing targets follow at the next tick, and after a lift the next tick
+// restores each core's last accepted request.
+func (s *Server) SetFreqCeiling(f cpu.Freq) {
+	s.ceiling = f
+	if f > 0 {
+		s.enforcing = true
+	}
 }
 
 // actuate hands core-ladder target f to w's core: progress and energy are
@@ -89,10 +118,11 @@ func (s *Server) SetScore(core int, score float64) {
 		return
 	}
 	f := s.cores[core].ScoreLevel(score)
-	if s.cfg.Faults != nil {
+	if s.enforcing {
 		s.SetFreq(core, f)
 		return
 	}
+	s.wantFreq[core] = f
 	s.actuate(s.workers[core], f)
 }
 

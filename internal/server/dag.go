@@ -151,28 +151,16 @@ func (s *Server) completeStage(j *job, stage int, start, now sim.Time) {
 func (s *Server) finishJob(j *job, now sim.Time) {
 	s.counters.JobCompletions++
 	lat := now - j.arrive
-	if lat > s.prof.SLA {
-		s.counters.Timeouts++
-	}
 	maxCP := 0.0
 	for _, c := range j.cp {
 		if c > maxCP {
 			maxCP = c
 		}
 	}
-	if now >= s.cfg.Warmup {
-		s.latMean.Add(lat.Seconds())
-		s.latP99.Add(lat.Seconds())
+	if s.recordLatency(now, lat) {
 		s.cpMean.Add(maxCP)
 		if ls := lat.Seconds(); ls > 0 {
 			s.cpShare.Add(maxCP / ls)
-		}
-		if !s.cfg.DiscardLatencies {
-			if s.cfg.LatencyCap > 0 && s.latencies.n >= s.cfg.LatencyCap {
-				s.counters.LatencyDropped++
-			} else {
-				s.latencies.add(lat.Seconds())
-			}
 		}
 	}
 	if s.cfg.RecordJobs {

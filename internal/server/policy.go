@@ -91,6 +91,9 @@ type Counters struct {
 	// retained because Config.LatencyCap was reached. The streaming
 	// mean/p99 digests still include them.
 	LatencyDropped uint64
+	// CappedWrites counts governor writes the platform frequency ceiling
+	// (Server.SetFreqCeiling) clamped.
+	CappedWrites uint64
 }
 
 // Policy is a power-management strategy plugged into the server. All

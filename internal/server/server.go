@@ -151,6 +151,8 @@ type Server struct {
 	applyPending []bool     // per-core governor apply in flight (fault delays)
 	applyFns     []func()   // per-core delayed-apply callbacks, bound once
 	wantFreq     []cpu.Freq // last accepted governor request per core
+	ceiling      cpu.Freq   // platform frequency ceiling, 0 = none
+	enforcing    bool       // a fault plan, or a ceiling was ever set: see enforceLimits
 	latencies    latBlocks  // seconds, completed requests after warmup
 	latMean      stats.Welford
 	latP99       *stats.P2Quantile
@@ -216,6 +218,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 		meter:      power.NewMeter(),
 		rngService: sim.NewRNG(full.Seed).Stream("service"),
 		latP99:     stats.NewP2Quantile(0.99),
+		enforcing:  full.Faults != nil,
 	}
 	n := full.App.Workers
 	if full.Topology != nil {
@@ -602,24 +605,7 @@ func (s *Server) onComplete(w *worker) {
 
 	s.counters.Completions++
 	if r.job == nil {
-		lat := r.Latency()
-		if lat > s.prof.SLA {
-			s.counters.Timeouts++
-		}
-		if now >= s.cfg.Warmup {
-			// Streaming digests stay O(1) regardless of run length; the full
-			// sample set is retained only when the caller wants it, in chunked
-			// blocks bounded by LatencyCap.
-			s.latMean.Add(lat.Seconds())
-			s.latP99.Add(lat.Seconds())
-			if !s.cfg.DiscardLatencies {
-				if s.cfg.LatencyCap > 0 && s.latencies.n >= s.cfg.LatencyCap {
-					s.counters.LatencyDropped++
-				} else {
-					s.latencies.add(lat.Seconds())
-				}
-			}
-		}
+		s.recordLatency(now, r.Latency())
 	}
 	if s.freqTrace != nil {
 		s.freqTrace.markEnd(now, w.core.ID())
@@ -653,6 +639,38 @@ func (s *Server) onComplete(w *worker) {
 	}
 }
 
+// recordLatency accounts one end-to-end latency, a flat request's or a DAG
+// job's, finishing at now: an SLA timeout, and after warmup the streaming
+// digests plus the retained sample store. The digests stay O(1) however long
+// the run; samples are kept only when the caller wants them, in chunked
+// blocks bounded by LatencyCap. It reports whether now is past warmup.
+func (s *Server) recordLatency(now, lat sim.Time) bool {
+	if lat > s.prof.SLA {
+		s.counters.Timeouts++
+	}
+	if now < s.cfg.Warmup {
+		return false
+	}
+	sec := lat.Seconds()
+	s.latMean.Add(sec)
+	s.latP99.Add(sec)
+	switch {
+	case s.cfg.DiscardLatencies:
+	case s.cfg.LatencyCap > 0 && s.latencies.n >= s.cfg.LatencyCap:
+		s.counters.LatencyDropped++
+	default:
+		s.latencies.add(sec)
+	}
+	return true
+}
+
+// LatencyDigests returns the streaming mean and p99 of end-to-end latency in
+// seconds over every completion past warmup so far: what a caller driving
+// the run reads between segments, before End builds the Result.
+func (s *Server) LatencyDigests() (mean, p99 float64) {
+	return s.latMean.Mean(), s.latP99.Value()
+}
+
 // onTick fires every cfg.Tick: bring accounting up to date, let the policy
 // act, and sample any enabled recorders.
 func (s *Server) onTick(now sim.Time) {
@@ -666,8 +684,8 @@ func (s *Server) onTick(now sim.Time) {
 		copy(s.warmupClassEnergy, s.classEnergy)
 		s.warmupDone = true
 	}
-	if s.cfg.Faults != nil {
-		s.enforceFaults(now)
+	if s.enforcing {
+		s.enforceLimits(now)
 	}
 	s.policy.OnTick(now)
 	if s.freqTrace != nil {
@@ -678,19 +696,21 @@ func (s *Server) onTick(now sim.Time) {
 	}
 }
 
-// enforceFaults applies fault effects that act on standing state rather
-// than on requests: thermal throttles clamp a core's target even when no
-// governor write arrives, and queued requests stranded by offline cores are
-// re-dispatched once a worker is back online.
-func (s *Server) enforceFaults(now sim.Time) {
+// enforceLimits applies the limits that act on standing state rather than
+// on requests: a ceiling or thermal throttle clamps a core's target even
+// when no governor write arrives, and queued requests stranded by offline
+// cores are re-dispatched once a worker is back online. It runs every tick
+// once the server is enforcing (a fault plan, or a ceiling was ever set),
+// and then every governor write goes through SetFreq.
+func (s *Server) enforceLimits(now sim.Time) {
 	for _, w := range s.workers {
 		i := w.core.ID()
-		switch cap := s.cfg.Faults.FreqCap(now, i); {
+		switch cap := s.freqCap(now, i); {
 		case cap > 0 && w.core.Target() > cap:
 			s.applyFreq(i, cap)
 		case cap == 0 && w.core.Target() != s.wantFreq[i] && !s.applyPending[i]:
-			// Throttle lifted (and no governor write still in flight):
-			// the hardware returns to the standing request.
+			// Limit lifted (and no governor write still in flight): the
+			// hardware returns to the standing request.
 			s.applyFreq(i, s.wantFreq[i])
 		}
 	}

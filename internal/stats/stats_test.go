@@ -132,17 +132,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 27}
-	h := Histogram(xs, 0, 1, 2)
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("Histogram = %v, want [3 3]", h)
-	}
-	if Histogram(xs, 1, 0, 2) != nil || Histogram(xs, 0, 1, 0) != nil {
-		t.Error("degenerate histogram should be nil")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {

@@ -80,69 +80,90 @@ func keepUnits(dy []float64, out int, units ...int) {
 
 // TestDenseBatchBitIdentity asserts ForwardBatch and the three batched
 // backward kernels reproduce n per-sample Forward/Backward calls bit-for-bit
-// — outputs, accumulated weight/bias gradients, and input gradients — for
-// every activation, for batch sizes around the blocking tile, and for every
-// δ pattern of deltaCases. Each pattern runs on the drawn biases (a ReLU
-// layer then adds its own inactive units to the zeros) and on biases pushed
-// so high every ReLU unit is active, where the dy pattern is the δ pattern.
+// — outputs, accumulated weight/bias gradients, and input gradients — on
+// every kernel path, for every activation, and for every δ pattern of
+// deltaCases. The shapes reach every tail of the vector kernels: outputs in
+// 16-, 8- and 4-unit blocks with and without an Out%4 remainder, layers
+// narrower than one block, rows shorter than one vector and rows with a
+// one-, two- and three-element remainder, one sample and many. Each pattern
+// runs on the drawn biases (a ReLU layer then adds its own inactive units to
+// the zeros) and on biases pushed so high every ReLU unit is active, where
+// the dy pattern is the δ pattern.
 func TestDenseBatchBitIdentity(t *testing.T) {
-	const lo, hi = 3, 7 // a column range that starts and ends mid-row
-	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
-		for _, c := range deltaCases {
-			for _, lift := range []float64{0, 100} {
-				for _, n := range []int{1, 3, 8, 13, 64} {
-					rng := sim.NewRNG(11)
-					ref := NewDense(9, 7, act, rng)
-					for o := range ref.B {
-						ref.B[o] += lift
+	forEachKernel(t, func(t *testing.T) {
+		for _, in := range []int{1, 2, 6, 34} {
+			lo, hi := in/3, in-in/4 // a column range that starts and ends mid-row where it can
+			for _, out := range []int{1, 3, 4, 5, 8, 12, 17, 24, 32} {
+				for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
+					for _, c := range deltaCases {
+						for _, lift := range []float64{0, 100} {
+							for _, n := range []int{1, 3, 64} {
+								what := fmt.Sprintf("%d→%d/%s/%s/lift %v/n=%d ", in, out, act, c.name, lift, n)
+								denseBitIdentity(t, what, in, out, act, c.shape, lift, n, lo, hi)
+							}
+						}
 					}
-					x := randBatch(rng, n, ref.In)
-					dy := randBatch(rng, n, ref.Out)
-					c.shape(dy, n, ref.Out)
-					what := fmt.Sprintf("%s/%s/lift %v/n=%d ", act, c.name, lift, n)
-
-					// Per-sample reference: accumulate gradients across the batch.
-					refY := make([]float64, n*ref.Out)
-					refDX := make([]float64, n*ref.In)
-					for b := 0; b < n; b++ {
-						y := ref.Forward(x[b*ref.In : (b+1)*ref.In])
-						copy(refY[b*ref.Out:], y)
-						dx := ref.Backward(dy[b*ref.Out : (b+1)*ref.Out])
-						copy(refDX[b*ref.In:], dx)
-					}
-
-					full := ref.Clone()
-					bitEq(t, what+"y", full.ForwardBatch(x, n), refY)
-					bitEq(t, what+"dx", full.BackwardBatch(dy, n), refDX)
-					bitEq(t, what+"GW", full.GW, ref.GW)
-					bitEq(t, what+"GB", full.GB, ref.GB)
-
-					params := ref.Clone()
-					params.ForwardBatch(x, n)
-					params.ParamGradBatch(dy, n)
-					bitEq(t, what+"ParamGradBatch GW", params.GW, ref.GW)
-					bitEq(t, what+"ParamGradBatch GB", params.GB, ref.GB)
-
-					inputs := ref.Clone()
-					inputs.ForwardBatch(x, n)
-					bitEq(t, what+"InputGradBatch dx", inputs.InputGradBatch(dy, n, 0, ref.In), refDX)
-					cols := make([]float64, 0, n*(hi-lo))
-					for b := 0; b < n; b++ {
-						cols = append(cols, refDX[b*ref.In+lo:b*ref.In+hi]...)
-					}
-					bitEq(t, what+"InputGradBatch dx[:, 3:7]", inputs.InputGradBatch(dy, n, lo, hi), cols)
-					bitEq(t, what+"InputGradBatch GW", inputs.GW, make([]float64, len(ref.GW)))
-					bitEq(t, what+"InputGradBatch GB", inputs.GB, make([]float64, len(ref.GB)))
 				}
 			}
 		}
+	})
+}
+
+// denseBitIdentity is one case of TestDenseBatchBitIdentity.
+func denseBitIdentity(t *testing.T, what string, in, out int, act Activation, shape func([]float64, int, int), lift float64, n, lo, hi int) {
+	t.Helper()
+	rng := sim.NewRNG(11)
+	ref := NewDense(in, out, act, rng)
+	for o := range ref.B {
+		ref.B[o] += lift
 	}
+	x := randBatch(rng, n, ref.In)
+	dy := randBatch(rng, n, ref.Out)
+	shape(dy, n, ref.Out)
+
+	// Per-sample reference: accumulate gradients across the batch.
+	refY := make([]float64, n*ref.Out)
+	refDX := make([]float64, n*ref.In)
+	for b := 0; b < n; b++ {
+		y := ref.Forward(x[b*ref.In : (b+1)*ref.In])
+		copy(refY[b*ref.Out:], y)
+		dx := ref.Backward(dy[b*ref.Out : (b+1)*ref.Out])
+		copy(refDX[b*ref.In:], dx)
+	}
+
+	full := ref.Clone()
+	bitEq(t, what+"y", full.ForwardBatch(x, n), refY)
+	bitEq(t, what+"dx", full.BackwardBatch(dy, n), refDX)
+	bitEq(t, what+"GW", full.GW, ref.GW)
+	bitEq(t, what+"GB", full.GB, ref.GB)
+
+	params := ref.Clone()
+	params.ForwardBatch(x, n)
+	params.ParamGradBatch(dy, n)
+	bitEq(t, what+"ParamGradBatch GW", params.GW, ref.GW)
+	bitEq(t, what+"ParamGradBatch GB", params.GB, ref.GB)
+
+	inputs := ref.Clone()
+	inputs.ForwardBatch(x, n)
+	bitEq(t, what+"InputGradBatch dx", inputs.InputGradBatch(dy, n, 0, ref.In), refDX)
+	cols := make([]float64, 0, n*(hi-lo))
+	for b := 0; b < n; b++ {
+		cols = append(cols, refDX[b*ref.In+lo:b*ref.In+hi]...)
+	}
+	bitEq(t, fmt.Sprintf("%sInputGradBatch dx[:, %d:%d]", what, lo, hi), inputs.InputGradBatch(dy, n, lo, hi), cols)
+	bitEq(t, what+"InputGradBatch GW", inputs.GW, make([]float64, len(ref.GW)))
+	bitEq(t, what+"InputGradBatch GB", inputs.GB, make([]float64, len(ref.GB)))
 }
 
 // TestForwardBatchSpecialValues: the batched activation pass treats the
 // pre-activations a comparison could get wrong — NaN, ±0, ±Inf — exactly as
-// Apply does in the per-sample Forward, for every activation.
+// Apply does in the per-sample Forward, for every activation, on every
+// kernel path.
 func TestForwardBatchSpecialValues(t *testing.T) {
+	forEachKernel(t, forwardBatchSpecialValues)
+}
+
+func forwardBatchSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pre := []float64{math.NaN(), negZero, 0, -1, 2, math.Inf(-1), math.Inf(1), -math.SmallestNonzeroFloat64, -math.NaN()}
 	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
@@ -192,7 +213,13 @@ func netBitIdentity(t *testing.T, ref, bat Network, n int, seed int64) {
 	}
 }
 
+// TestMLPBatchBitIdentity and TestTwoHeadBatchBitIdentity run netBitIdentity
+// over both topologies and every output activation, on every kernel path.
 func TestMLPBatchBitIdentity(t *testing.T) {
+	forEachKernel(t, mlpBatchBitIdentity)
+}
+
+func mlpBatchBitIdentity(t *testing.T) {
 	for _, outAct := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
 		rng := sim.NewRNG(13)
 		ref := NewMLP([]int{8, 32, 24, 16, 2}, ReLU, outAct, rng)
@@ -201,6 +228,10 @@ func TestMLPBatchBitIdentity(t *testing.T) {
 }
 
 func TestTwoHeadBatchBitIdentity(t *testing.T) {
+	forEachKernel(t, twoHeadBatchBitIdentity)
+}
+
+func twoHeadBatchBitIdentity(t *testing.T) {
 	for _, outAct := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
 		rng := sim.NewRNG(19)
 		ref := NewTwoHead(8, []int{32, 24}, []int{16}, 2, outAct, rng)
@@ -217,8 +248,13 @@ func TestTwoHeadBatchBitIdentity(t *testing.T) {
 }
 
 // TestBatchKernelsZeroAlloc: after a warm-up call has grown the scratch
-// arenas, the batched forward/backward kernels must never touch the heap.
+// arenas, the batched forward/backward kernels must never touch the heap, on
+// any kernel path.
 func TestBatchKernelsZeroAlloc(t *testing.T) {
+	forEachKernel(t, batchKernelsZeroAlloc)
+}
+
+func batchKernelsZeroAlloc(t *testing.T) {
 	rng := sim.NewRNG(43)
 	const n = 64
 	for name, net := range map[string]Network{

@@ -97,6 +97,13 @@ type Dense struct {
 	// most recent ForwardBatch. Grown on demand, then reused.
 	bx, by, bdx []float64
 	bn          int
+
+	// The vector kernels' scratch (dense_amd64.go): wt is the forward's
+	// [In×Out&^3] transpose of W, rewritten at the top of every ForwardBatch
+	// that uses it; bdelta is the backward's [batch×Out] δ and surv its list
+	// of one sample's surviving units. Grown on demand, then reused.
+	wt, bdelta []float64
+	surv       []int
 }
 
 // NewDense returns a layer with Xavier/Glorot-uniform initialized weights.
@@ -190,6 +197,10 @@ func (d *Dense) ensureBatch(n int) {
 // index order of Forward (seeded from the bias), so a ForwardBatch over n
 // inputs is bit-identical to n Forward calls. The activation runs afterwards
 // as one pass over the whole output buffer (see applyAll).
+//
+// Where a vector kernel exists (AVX2 on amd64, dense_amd64.go), it computes
+// the units [0, Out&^3) of every sample first, lane by lane in the same
+// order, and the loop below computes only the remaining Out%4.
 func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 || len(x) != n*d.In {
 		panic(fmt.Sprintf("nn: ForwardBatch input %d, want %d rows × %d", len(x), n, d.In))
@@ -197,10 +208,11 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	d.ensureBatch(n)
 	copy(d.bx, x)
 	in, out := d.In, d.Out
+	done := d.forwardVector(n)
 	for b := 0; b < n; b++ {
 		xrow := d.bx[b*in : (b+1)*in : (b+1)*in]
 		yrow := d.by[b*out : (b+1)*out]
-		o := 0
+		o := done
 		for ; o+4 <= out; o += 4 {
 			r0 := d.W[o*in : (o+1)*in : (o+1)*in]
 			r1 := d.W[(o+1)*in : (o+2)*in : (o+2)*in]
@@ -303,7 +315,9 @@ func (d *Dense) InputGradBatch(dy []float64, n, lo, hi int) []float64 {
 // two at a time; the paired updates stay separate statements
 // (t += δ0·w0; t += δ1·w1) — four multiply-adds, never fused — preserving
 // the per-element rounding sequence of sequential Backward calls while
-// sharing each input load across both units.
+// sharing each input load across both units. Where a vector kernel exists
+// (AVX2 on amd64, dense_amd64.go), the same walk runs there instead, its row
+// updates four elements wide.
 func (d *Dense) backwardBatch(dy []float64, n int, params bool, lo, hi int) []float64 {
 	if n != d.bn {
 		panic(fmt.Sprintf("nn: batched backward rows %d, last ForwardBatch had %d", n, d.bn))
@@ -315,6 +329,9 @@ func (d *Dense) backwardBatch(dy []float64, n int, params bool, lo, hi int) []fl
 	bdx := d.bdx[:n*cols]
 	for i := range bdx {
 		bdx[i] = 0
+	}
+	if d.backwardVector(dy, bdx, n, params, lo, hi) {
+		return bdx
 	}
 	for b := 0; b < n; b++ {
 		xrow := d.bx[b*in : (b+1)*in : (b+1)*in]

@@ -10,7 +10,9 @@ type Network interface {
 	Backward(dy []float64) []float64
 	// ForwardBatch evaluates n row-major [n×InDim] inputs at once; the
 	// [n×OutDim] result aliases internal buffers. Bit-identical to n
-	// Forward calls, but allocation-free and cache-blocked.
+	// Forward calls, but allocation-free, with each layer's output units
+	// computed several at a time — four accumulator chains in Go, or 16-,
+	// 8- and 4-unit AVX2 blocks on amd64 (Dense.ForwardBatch).
 	ForwardBatch(x []float64, n int) []float64
 	// BackwardBatch propagates [n×OutDim] output gradients of the latest
 	// ForwardBatch, accumulating parameter gradients in ascending sample

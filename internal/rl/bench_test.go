@@ -4,21 +4,35 @@ import (
 	"math"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"github.com/deeppower/deeppower/internal/sim"
 )
 
 const benchBatch = 64
 
+// nnUseAVX2 is internal/nn's kernel switch (dense_amd64.go), which
+// BenchmarkTrainStep's portable path turns off for its own duration.
+//
+//go:linkname nnUseAVX2 github.com/deeppower/deeppower/internal/nn.useAVX2
+var nnUseAVX2 bool
+
 // BenchmarkTrainStep compares one full trainer update on the batched
 // kernels against the per-sample reference, for every variant, at the
-// paper's network sizes and a batch of 64.
+// paper's network sizes and a batch of 64. The batched update runs twice:
+// on the kernels the machine selects (batched: AVX2 where available) and
+// on the portable Go kernels (portable), so the pair reads as the vector
+// kernels' factor; off amd64 and under -race the two are the same code.
 func BenchmarkTrainStep(b *testing.B) {
 	rng := sim.NewRNG(77)
 	for _, c := range learnerCases {
 		batch := mkTransitions(rng, benchBatch, 6, caseActionDim, c.discrete(), caseNumActions)
-		for _, path := range []string{"batched", "persample"} {
+		for _, path := range []string{"batched", "portable", "persample"} {
 			b.Run(c.name+"/"+path, func(b *testing.B) {
+				if path == "portable" {
+					defer func(on bool) { nnUseAVX2 = on }(nnUseAVX2)
+					nnUseAVX2 = false
+				}
 				tr := c.build(b, 6, false, 1)
 				step := func() { tr.update(batch) }
 				if path == "persample" {

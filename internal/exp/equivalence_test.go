@@ -2,8 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/sim"
@@ -11,8 +9,8 @@ import (
 
 // equivScale is Quick with the expensive knobs turned down: the
 // serial/parallel determinism contract does not depend on how long the
-// simulations run, so the equivalence suite uses short episodes to keep
-// two full registry executions CI-friendly.
+// simulations run, so the golden suite uses short episodes to keep one
+// full registry execution CI-friendly.
 func equivScale() Scale {
 	s := Quick()
 	s.TrainEpisodes = 1
@@ -23,83 +21,21 @@ func equivScale() Scale {
 }
 
 // TestSerialParallelEquivalence is the determinism contract behind
-// cmd/repro -parallel: every registered harness, run with workers=1 and
-// workers=8, must render byte-identical tables and CSVs. Harnesses whose
-// artifacts embed wall-clock measurements (table2, overhead) are checked
-// for shape equality instead.
+// cmd/repro -parallel: every registered harness, run once with workers = 8,
+// must render the bytes its workers = 1 golden records (title, header and
+// line count only for wallClockHarnesses). The golden is the serial run.
 func TestSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full registry twice")
+		t.Skip("runs the full registry")
 	}
-	scale := equivScale()
 	for _, h := range Harnesses() {
 		h := h
-		t.Run(h.Name, func(t *testing.T) {
-			serial, err := h.Run(context.Background(), scale, 1)
-			if err != nil {
-				t.Fatalf("serial run: %v", err)
-			}
-			parallel, err := h.Run(context.Background(), scale, 8)
-			if err != nil {
-				t.Fatalf("parallel run: %v", err)
-			}
-			if len(serial) == 0 {
-				t.Fatal("harness produced no artifacts")
-			}
-			if len(serial) != len(parallel) {
-				t.Fatalf("artifact count differs: serial %d, parallel %d", len(serial), len(parallel))
-			}
-			for i := range serial {
-				s, p := serial[i], parallel[i]
-				if s.Name != p.Name || s.Ext != p.Ext {
-					t.Fatalf("artifact %d identity differs: %s.%s vs %s.%s", i, s.Name, s.Ext, p.Name, p.Ext)
-				}
-				if !h.Deterministic {
-					if err := sameShape(s.Data, p.Data); err != nil {
-						t.Errorf("%s.%s shape: %v", s.Name, s.Ext, err)
-					}
-					continue
-				}
-				if s.Data != p.Data {
-					t.Errorf("%s.%s differs between workers=1 and workers=8:\n%s",
-						s.Name, s.Ext, firstDiff(s.Data, p.Data))
-				}
-			}
-		})
+		t.Run(h.Name, func(t *testing.T) { checkGolden(t, h, equivScale(), h.Name) })
 	}
-}
-
-// sameShape asserts two renderings have the same line count and identical
-// first (header) line — the stability contract for wall-clock artifacts.
-func sameShape(a, b string) error {
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	if len(la) != len(lb) {
-		return fmt.Errorf("line count %d vs %d", len(la), len(lb))
-	}
-	if len(la) > 0 && la[0] != lb[0] {
-		return fmt.Errorf("header %q vs %q", la[0], lb[0])
-	}
-	return nil
-}
-
-// firstDiff locates the first differing line for a readable failure.
-func firstDiff(a, b string) string {
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	n := len(la)
-	if len(lb) < n {
-		n = len(lb)
-	}
-	for i := 0; i < n; i++ {
-		if la[i] != lb[i] {
-			return fmt.Sprintf("line %d:\n  serial:   %q\n  parallel: %q", i+1, la[i], lb[i])
-		}
-	}
-	return fmt.Sprintf("line counts differ: %d vs %d", len(la), len(lb))
 }
 
 // TestHarnessRunsAreSeedStable asserts a deterministic harness renders the
-// same artifacts when executed twice in one process with the same seed —
-// the prerequisite for the serial/parallel comparison being meaningful.
+// same artifacts when executed twice in one process with the same seed.
 func TestHarnessRunsAreSeedStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated harness runs")

@@ -23,42 +23,20 @@ func fleetTestScale() Scale {
 	return s
 }
 
-// TestFleetSerialParallelEquivalence is the ISSUE's headline determinism
-// check at full fleet width: a 100-server campaign advanced with one worker
-// must render byte-identical artifacts to the same campaign advanced with
-// eight. (The registry-wide equivalence suite already covers the fleet
-// harness at Quick's 4 shards; this pins the width where epoch batches
-// actually span many pool units.)
+// TestFleetSerialParallelEquivalence pins the fleet at full width: a
+// 100-server campaign advanced with eight workers must render the bytes of
+// its workers = 1 golden (testdata/golden/fleet100). The registry-wide
+// golden suite covers the fleet harness at Quick's 4 shards; this pins the
+// width where epoch batches actually span many pool units.
 func TestFleetSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two 100-server fleet campaigns")
+		t.Skip("a 100-server fleet campaign")
 	}
 	h, err := HarnessByName("fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := fleetTestScale()
-	serial, err := h.Run(context.Background(), scale, 1)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	parallel, err := h.Run(context.Background(), scale, 8)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if len(serial) == 0 || len(serial) != len(parallel) {
-		t.Fatalf("artifact counts: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Name != p.Name || s.Ext != p.Ext {
-			t.Fatalf("artifact %d identity differs: %s.%s vs %s.%s", i, s.Name, s.Ext, p.Name, p.Ext)
-		}
-		if s.Data != p.Data {
-			t.Errorf("%s.%s differs between workers=1 and workers=8:\n%s",
-				s.Name, s.Ext, firstDiff(s.Data, p.Data))
-		}
-	}
+	checkGolden(t, h, fleetTestScale(), fleetGoldenDir)
 }
 
 // TestFleetResultShape sanity-checks one tiny fleet run end to end: every

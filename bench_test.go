@@ -79,17 +79,17 @@ func BenchmarkFig1ServiceTimeCDF(b *testing.B) {
 }
 
 // BenchmarkFig2RelativeRMSE regenerates the cross-load prediction-error
-// heatmap (Fig. 2) for Masstree and reports the worst off-diagonal cell.
+// heatmaps (Fig. 2) and reports Masstree's worst off-diagonal cell.
 func BenchmarkFig2RelativeRMSE(b *testing.B) {
 	scale := benchScale()
 	scale.Samples = 1500
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig2(context.Background(), app.Masstree, scale, 1)
+		r, err := exp.Fig2(context.Background(), scale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		worst = maxOffDiagonal(r.RelRMSE)
+		worst = maxOffDiagonal(r.Heatmaps[0].RelRMSE)
 	}
 	b.ReportMetric(worst, "max-rel-rmse")
 }
@@ -112,7 +112,6 @@ func BenchmarkTable2Inference(b *testing.B) {
 // and reports Xapian's p99 at 70% load.
 func BenchmarkTable3TailLatency(b *testing.B) {
 	scale := benchScale()
-	scale.Workers = 0 // paper worker counts
 	var p99 float64
 	for i := 0; i < b.N; i++ {
 		r, err := exp.Table3(context.Background(), scale, 1)
@@ -131,7 +130,7 @@ func BenchmarkFig4ControllerTrace(b *testing.B) {
 	scale.TrainEpisodes = 2
 	var samples int
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig4(context.Background(), scale)
+		r, err := exp.Fig4(context.Background(), scale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +143,11 @@ func BenchmarkFig4ControllerTrace(b *testing.B) {
 func BenchmarkFig5ScaleFunc(b *testing.B) {
 	var pts int
 	for i := 0; i < b.N; i++ {
-		pts = len(exp.Fig5(100).X)
+		r, err := exp.Fig5(context.Background(), benchScale(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts = len(r.X)
 	}
 	b.ReportMetric(float64(pts), "points")
 }
@@ -154,7 +157,11 @@ func BenchmarkFig6WorkloadTrace(b *testing.B) {
 	scale := benchScale()
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		peak = exp.Fig6(scale).Trace.MaxRate()
+		r, err := exp.Fig6(context.Background(), scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		peak = r.Trace.MaxRate()
 	}
 	b.ReportMetric(peak, "peak-rps")
 }
@@ -181,7 +188,7 @@ func BenchmarkFig8TimeSeries(b *testing.B) {
 	scale.TrainEpisodes = 2
 	var rows int
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig8(context.Background(), scale)
+		r, err := exp.Fig8(context.Background(), scale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,32 +198,32 @@ func BenchmarkFig8TimeSeries(b *testing.B) {
 }
 
 // BenchmarkFig9FreqTraceXapian regenerates the millisecond-level frequency
-// trace for Xapian under DeepPower and reports its change granularity.
+// traces for Xapian and reports DeepPower's change granularity.
 func BenchmarkFig9FreqTraceXapian(b *testing.B) {
-	scale := benchScale()
-	scale.TrainEpisodes = 8
-	var changes int
-	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig9(context.Background(), exp.MethodDeepPower, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		changes = freqChanges(r.Trace)
-	}
-	b.ReportMetric(float64(changes), "freq-changes")
+	benchMethodTraces(b, exp.Fig9)
 }
 
 // BenchmarkFig10FreqTraceSphinx does the same for the second-scale app.
 func BenchmarkFig10FreqTraceSphinx(b *testing.B) {
+	benchMethodTraces(b, exp.Fig10)
+}
+
+// benchMethodTraces runs a per-method frequency-trace figure and reports
+// the frequency changes in its DeepPower trace.
+func benchMethodTraces(b *testing.B, fig func(context.Context, exp.Scale, int) (*exp.MethodTracesResult, error)) {
 	scale := benchScale()
 	scale.TrainEpisodes = 8
 	var changes int
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig10(context.Background(), exp.MethodDeepPower, scale)
+		r, err := fig(context.Background(), scale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		changes = freqChanges(r.Trace)
+		dp := r.Traces[0]
+		if dp.Method != exp.MethodDeepPower {
+			b.Fatalf("first trace is %s, want %s", dp.Method, exp.MethodDeepPower)
+		}
+		changes = freqChanges(dp.Trace)
 	}
 	b.ReportMetric(float64(changes), "freq-changes")
 }
@@ -239,7 +246,7 @@ func BenchmarkFig11FixedParams(b *testing.B) {
 // BenchmarkOverheadTrainStep regenerates the §5.5 overhead table's training
 // row: one DDPG update at batch 64.
 func BenchmarkOverheadTrainStep(b *testing.B) {
-	r, err := exp.Overhead()
+	r, err := exp.Overhead(context.Background(), benchScale(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

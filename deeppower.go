@@ -306,9 +306,9 @@ func (s *Session) Run(cfg Config) (*Result, error) { return run(s.eng, cfg) }
 // Run executes one (application, method) evaluation: it builds the scaled
 // diurnal workload, profiles/trains the selected method, evaluates it, and
 // returns the summary.
-func Run(cfg Config) (*Result, error) { return run(nil, cfg) }
+func Run(cfg Config) (*Result, error) { return run(sim.NewEngine(), cfg) }
 
-// run implements Run; a nil engine means "build a fresh one per call".
+// run implements Run and Session.Run, evaluating on eng.
 func run(eng *Engine, cfg Config) (*Result, error) {
 	full := cfg.withDefaults()
 	setup, err := exp.NewSetup(full.App, full.scale())
@@ -330,13 +330,10 @@ func run(eng *Engine, cfg Config) (*Result, error) {
 		pol = fault.NewGuardedPolicy(pol, full.GuardConfig)
 	}
 	var res *ServerResult
-	switch {
-	case full.FaultPlan != nil:
+	if full.FaultPlan != nil {
 		res, err = setup.EvaluateUnderFaults(pol, *full.FaultPlan)
-	case eng != nil:
+	} else {
 		res, err = setup.EvaluateOn(eng, pol)
-	default:
-		res, err = setup.Evaluate(pol)
 	}
 	if err != nil {
 		return nil, err

@@ -134,20 +134,11 @@ func Train(dp Trainable, cfg TrainConfig) ([]EpisodeStats, error) {
 	return stats, nil
 }
 
-// Evaluate runs the policy (without exploration or learning) once and
-// returns the result.
+// Evaluate runs the policy (without exploration or learning) once on a
+// fresh engine and returns the result.
 func Evaluate(dp Trainable, cfg server.Config, trace *workload.Trace, duration sim.Time) (*server.Result, error) {
-	return EvaluateWith(sim.NewEngine(), dp, cfg, trace, duration)
-}
-
-// EvaluateWith is Evaluate on a caller-provided engine: the engine is Reset
-// first, so repeated evaluations (parameter sweeps, method comparisons, the
-// vectrain harness) recycle one warm event arena instead of growing a fresh
-// engine per call.
-func EvaluateWith(eng *sim.Engine, dp Trainable, cfg server.Config, trace *workload.Trace, duration sim.Time) (*server.Result, error) {
 	dp.SetTrain(false)
-	eng.Reset()
-	srv, err := server.New(eng, cfg, dp)
+	srv, err := server.New(sim.NewEngine(), cfg, dp)
 	if err != nil {
 		return nil, err
 	}

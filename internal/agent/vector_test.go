@@ -231,42 +231,6 @@ func TestVectorTrainerValidation(t *testing.T) {
 	}
 }
 
-func TestEvaluateWithMatchesEvaluate(t *testing.T) {
-	// The policy itself is stateful across runs (observer normalization
-	// persists by design), so compare fresh same-seed policies: one on a
-	// fresh engine, one on a warm engine another evaluation already grew.
-	cfg := server.Config{App: smallApp(), Seed: 25}
-	dpA, err := New(Config{Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Evaluate(dpA, cfg, testTrace(), 5*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := sim.NewEngine()
-	warmup, err := New(Config{Seed: 26})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvaluateWith(eng, warmup, cfg, testTrace(), 5*sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	dpB, err := New(Config{Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateWith(eng, dpB, cfg, testTrace(), 5*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AvgPowerW != want.AvgPowerW || got.Latency.P99 != want.Latency.P99 ||
-		got.Counters != want.Counters {
-		t.Fatalf("warm-engine result differs: %+v vs %+v", got, want)
-	}
-}
-
 // vecDigest fingerprints everything vector training produces that a later
 // run could depend on: the exported policy, then the shared replay pool's
 // contents in logical age order (every field of every stored transition as

@@ -5,9 +5,11 @@ import (
 	"fmt"
 
 	"github.com/deeppower/deeppower/internal/agent"
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/baselines"
 	"github.com/deeppower/deeppower/internal/pool"
 	"github.com/deeppower/deeppower/internal/server"
+	"github.com/deeppower/deeppower/internal/sim"
 )
 
 // AblationVariant names one modified DeepPower configuration.
@@ -62,23 +64,23 @@ type trainableSleep struct {
 func (t *trainableSleep) SetTrain(train bool) { t.dp.SetTrain(train) }
 func (t *trainableSleep) Return() float64     { return t.dp.Return() }
 
-// AblationResult compares DeepPower variants on one application.
+// AblationResult compares DeepPower variants on Xapian.
 type AblationResult struct {
-	App     string
 	Results map[string]*server.Result
 }
 
-// Ablation trains and evaluates each variant on the given app. Every
+// Ablation trains and evaluates each variant (nil = AblationVariants) on
+// Xapian. Every
 // variant is one self-contained pool work unit that builds its own Setup,
 // trains its own agent, and evaluates it — no state is shared across
 // concurrently running variants.
-func Ablation(ctx context.Context, appName string, scale Scale, variants []AblationVariant, workers int) (*AblationResult, error) {
+func Ablation(ctx context.Context, scale Scale, variants []AblationVariant, workers int) (*AblationResult, error) {
 	if variants == nil {
 		variants = AblationVariants
 	}
 	results, err := pool.Map(ctx, variants, workers,
 		func(_ context.Context, v AblationVariant, _ int) (*server.Result, error) {
-			setup, err := NewSetup(appName, scale)
+			setup, err := NewSetup(app.Xapian, scale)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +96,7 @@ func Ablation(ctx context.Context, appName string, scale Scale, variants []Ablat
 			}); err != nil {
 				return nil, fmt.Errorf("exp: ablation %s training: %w", v.Name, err)
 			}
-			res, err := setup.Evaluate(pol)
+			res, err := setup.EvaluateOn(sim.NewEngine(), pol)
 			if err != nil {
 				return nil, fmt.Errorf("exp: ablation %s eval: %w", v.Name, err)
 			}
@@ -104,17 +106,22 @@ func Ablation(ctx context.Context, appName string, scale Scale, variants []Ablat
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationResult{App: appName, Results: map[string]*server.Result{}}
+	out := &AblationResult{Results: map[string]*server.Result{}}
 	for i, v := range variants {
 		out.Results[v.Name] = results[i]
 	}
 	return out, nil
 }
 
+// Artifacts renders the comparison table.
+func (r *AblationResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("ablation_xapian", r.Table())}
+}
+
 // Table renders the comparison.
 func (r *AblationResult) Table() *Table {
 	t := &Table{
-		Title:   "Ablations — " + r.App,
+		Title:   "Ablations — " + app.Xapian,
 		Columns: []string{"variant", "power(W)", "p99(ms)", "timeout %", "avg freq"},
 	}
 	for _, v := range AblationVariants {

@@ -19,7 +19,7 @@ func TestAblationQuick(t *testing.T) {
 			subset = append(subset, v)
 		}
 	}
-	r, err := Ablation(context.Background(), "xapian", scale, subset, 2)
+	r, err := Ablation(context.Background(), scale, subset, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGeneralizationQuick(t *testing.T) {
 	}
 	scale := Quick()
 	scale.TrainEpisodes = 8
-	r, err := Generalization(context.Background(), "xapian", scale, 2)
+	r, err := Generalization(context.Background(), scale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCrossoverQuick(t *testing.T) {
 	}
 	scale := Quick()
 	scale.TrainEpisodes = 4
-	r, err := Crossover(context.Background(), "xapian", scale, []string{MethodBaseline, MethodRetail, MethodRubik}, 2)
+	r, err := Crossover(context.Background(), scale, []string{MethodBaseline, MethodRetail, MethodRubik}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestColocationQuick(t *testing.T) {
 	}
 	scale := Quick()
 	scale.TrainEpisodes = 8
-	r, err := Colocation(context.Background(), "xapian", scale, []string{MethodBaseline, MethodRetail, MethodDeepPower}, 2)
+	r, err := Colocation(context.Background(), scale, []string{MethodBaseline, MethodRetail, MethodDeepPower}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

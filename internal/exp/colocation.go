@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/pool"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -16,7 +17,6 @@ import (
 // time out; DeepPower's feedback loop observes the slowdown through its
 // state vector and compensates.
 type ColocationResult struct {
-	App     string
 	Methods []string
 	// Results maps method → evaluation under the phasing neighbor.
 	Results map[string]*server.Result
@@ -34,17 +34,18 @@ func neighborPhase(duration sim.Time) func(sim.Time) float64 {
 	}
 }
 
-// Colocation evaluates methods under the phasing neighbor. Predictors are
+// Colocation evaluates methods (nil = baseline, ReTail, Gemini, DeepPower)
+// on Xapian under the phasing neighbor. Predictors are
 // profiled (and DeepPower trained) WITHOUT the neighbor, as in practice:
 // colocation changes after deployment. Each method is one self-contained
 // pool work unit with its own Setup, policy, and engine.
-func Colocation(ctx context.Context, appName string, scale Scale, methods []string, workers int) (*ColocationResult, error) {
+func Colocation(ctx context.Context, scale Scale, methods []string, workers int) (*ColocationResult, error) {
 	if methods == nil {
 		methods = []string{MethodBaseline, MethodRetail, MethodGemini, MethodDeepPower}
 	}
 	results, err := pool.Map(ctx, methods, workers,
 		func(_ context.Context, m string, _ int) (*server.Result, error) {
-			setup, err := NewSetup(appName, scale)
+			setup, err := NewSetup(app.Xapian, scale)
 			if err != nil {
 				return nil, err
 			}
@@ -68,17 +69,22 @@ func Colocation(ctx context.Context, appName string, scale Scale, methods []stri
 	if err != nil {
 		return nil, err
 	}
-	out := &ColocationResult{App: appName, Methods: methods, Results: map[string]*server.Result{}}
+	out := &ColocationResult{Methods: methods, Results: map[string]*server.Result{}}
 	for i, m := range methods {
 		out.Results[m] = results[i]
 	}
 	return out, nil
 }
 
+// Artifacts renders the comparison table.
+func (r *ColocationResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("colocation_xapian", r.Table())}
+}
+
 // Table renders the comparison.
 func (r *ColocationResult) Table() *Table {
 	t := &Table{
-		Title:   "Colocation — " + r.App + " (neighbor phases in mid-run)",
+		Title:   "Colocation — " + app.Xapian + " (neighbor phases in mid-run)",
 		Columns: []string{"method", "power(W)", "p99(ms)", "timeout %", "SLA met"},
 	}
 	for _, m := range r.Methods {

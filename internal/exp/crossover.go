@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/pool"
 	"github.com/deeppower/deeppower/internal/workload"
 )
@@ -13,7 +14,6 @@ import (
 // prediction-based policies excel at low load where slack abounds, while at
 // high load every method converges toward the baseline).
 type CrossoverResult struct {
-	App     string
 	Loads   []float64
 	Methods []string
 	// PowerW[m][i] is method m's power at Loads[i].
@@ -25,13 +25,14 @@ type CrossoverResult struct {
 // CrossoverLoads is the default sweep grid.
 var CrossoverLoads = []float64{0.3, 0.5, 0.7, 0.85}
 
-// Crossover evaluates the methods across constant-rate loads for one app.
+// Crossover evaluates the methods (nil = baseline, Rubik, ReTail, Gemini,
+// DeepPower) across constant-rate loads on Xapian.
 // Each method is one self-contained pool work unit: it builds its own Setup
 // and policy (DeepPower is trained once per unit and reused at every level —
 // its training distribution covers the swept range), then sweeps the loads
 // serially inside the unit so the policy's state evolution stays identical
 // at any worker count.
-func Crossover(ctx context.Context, appName string, scale Scale, methods []string, workers int) (*CrossoverResult, error) {
+func Crossover(ctx context.Context, scale Scale, methods []string, workers int) (*CrossoverResult, error) {
 	if methods == nil {
 		methods = []string{MethodBaseline, MethodRubik, MethodRetail, MethodGemini, MethodDeepPower}
 	}
@@ -41,7 +42,7 @@ func Crossover(ctx context.Context, appName string, scale Scale, methods []strin
 	}
 	sweeps, err := pool.Map(ctx, methods, workers,
 		func(_ context.Context, m string, _ int) (sweep, error) {
-			setup, err := NewSetup(appName, scale)
+			setup, err := NewSetup(app.Xapian, scale)
 			if err != nil {
 				return sweep{}, err
 			}
@@ -66,7 +67,6 @@ func Crossover(ctx context.Context, appName string, scale Scale, methods []strin
 		return nil, err
 	}
 	out := &CrossoverResult{
-		App:     appName,
 		Loads:   CrossoverLoads,
 		Methods: methods,
 		PowerW:  map[string][]float64{},
@@ -79,11 +79,16 @@ func Crossover(ctx context.Context, appName string, scale Scale, methods []strin
 	return out, nil
 }
 
+// Artifacts renders the sweep table.
+func (r *CrossoverResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("crossover_xapian", r.Table())}
+}
+
 // Table renders power per (method, load); cells carry a * when the SLA was
 // violated at that point.
 func (r *CrossoverResult) Table() *Table {
 	t := &Table{
-		Title:   "Load sweep — " + r.App + " (power W; * = SLA violated)",
+		Title:   "Load sweep — " + app.Xapian + " (power W; * = SLA violated)",
 		Columns: []string{"method"},
 	}
 	for _, l := range r.Loads {

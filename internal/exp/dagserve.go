@@ -229,6 +229,11 @@ func DAGServe(ctx context.Context, scale Scale, workers int) (*DAGServeResult, e
 	return out, nil
 }
 
+// Artifacts renders the grid table.
+func (r *DAGServeResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("dagserve_searchsvc", r.Table())}
+}
+
 // Table renders the grid with the DAG rows' critical-path accounting: the
 // mean critical path lower-bounds achievable latency, and its share of the
 // end-to-end mean separates processing from queueing/precedence stall.

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/deeppower/deeppower/internal/agent"
 	"github.com/deeppower/deeppower/internal/app"
+	"github.com/deeppower/deeppower/internal/sim"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -78,7 +80,7 @@ func TestFig1(t *testing.T) {
 func TestFig2CrossLoadDegradation(t *testing.T) {
 	scale := Quick()
 	scale.Samples = 1500
-	r, err := Fig2(context.Background(), app.Masstree, scale, 2)
+	r, err := fig2Heatmap(context.Background(), app.Masstree, scale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +136,7 @@ func TestTable2Ordering(t *testing.T) {
 }
 
 func TestTable3ShapeMatchesPaper(t *testing.T) {
-	scale := Quick()
-	scale.Workers = 0 // Table 3 needs the paper's worker counts
-	r, err := Table3(context.Background(), scale, 2)
+	r, err := Table3(context.Background(), Quick(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,10 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig5ChangePoint(t *testing.T) {
-	r := Fig5(100)
+	r, err := Fig5(context.Background(), Quick(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.X) != len(r.Y) || len(r.X) == 0 {
 		t.Fatal("empty curve")
 	}
@@ -185,7 +188,10 @@ func TestFig5ChangePoint(t *testing.T) {
 }
 
 func TestFig6TraceShape(t *testing.T) {
-	r := Fig6(Quick())
+	r, err := Fig6(context.Background(), Quick(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Trace.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +204,7 @@ func TestFig6TraceShape(t *testing.T) {
 }
 
 func TestOverheadWithinPaperEnvelope(t *testing.T) {
-	r, err := Overhead()
+	r, err := Overhead(context.Background(), Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +316,7 @@ func TestFig4ControllerTrace(t *testing.T) {
 	}
 	scale := Quick()
 	scale.TrainEpisodes = 2
-	r, err := Fig4(context.Background(), scale)
+	r, err := Fig4(context.Background(), scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +334,11 @@ func TestFig9MethodsDiffer(t *testing.T) {
 	}
 	scale := Quick()
 	scale.TrainEpisodes = 8
-	retail, err := Fig9(context.Background(), MethodRetail, scale)
+	retail, err := methodFreqTrace(context.Background(), app.Xapian, MethodRetail, scale, 2*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := Fig9(context.Background(), MethodDeepPower, scale)
+	dp, err := methodFreqTrace(context.Background(), app.Xapian, MethodDeepPower, scale, 2*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +353,10 @@ func TestFig9MethodsDiffer(t *testing.T) {
 }
 
 func TestTable1Static(t *testing.T) {
-	tbl := Table1()
+	tbl, err := Table1(context.Background(), Quick(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 methods", len(tbl.Rows))
 	}
@@ -356,5 +365,42 @@ func TestTable1Static(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %s", want)
 		}
+	}
+}
+
+// TestEvaluateOnWarmMatchesFresh pins the warm-engine contract of
+// Setup.EvaluateOn: an engine another evaluation already grew evaluates a
+// policy exactly as a fresh engine does. The policy itself is stateful
+// across runs (observer normalization persists by design), so the two runs
+// use fresh same-seed agents.
+func TestEvaluateOnWarmMatchesFresh(t *testing.T) {
+	scale := equivScale()
+	scale.EvalDuration = 5 * sim.Second
+	setup, err := NewSetup(app.Xapian, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAgent := func(seed int64) *agent.DeepPower {
+		dp, err := agent.New(agent.Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dp
+	}
+	want, err := setup.EvaluateOn(sim.NewEngine(), newAgent(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	if _, err := setup.EvaluateOn(eng, newAgent(26)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := setup.EvaluateOn(eng, newAgent(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AvgPowerW != want.AvgPowerW || got.Latency.P99 != want.Latency.P99 ||
+		got.Counters != want.Counters {
+		t.Fatalf("warm-engine result differs: %+v vs %+v", got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // MaxOffDiagonal returns the largest relative RMSE outside the diagonal —
 // the headline number showing cross-load degradation.
-func (r *Fig2Result) MaxOffDiagonal() float64 {
+func (r *Fig2Heatmap) MaxOffDiagonal() float64 {
 	worst := 0.0
 	for i := range r.RelRMSE {
 		for j := range r.RelRMSE[i] {

@@ -72,6 +72,14 @@ func (r *Fig1Result) Table() *Table {
 	return t
 }
 
+// Artifacts renders the skew table and the CDF curves.
+func (r *Fig1Result) Artifacts() []Artifact {
+	return []Artifact{
+		tableArtifact("fig1_service_time_skew", r.Table()),
+		csvArtifact("fig1_cdf", r.CSVCurves()),
+	}
+}
+
 // CSVCurves renders all CDF curves as long-form CSV (app, x, p).
 func (r *Fig1Result) CSVCurves() string {
 	t := &Table{Columns: []string{"app", "service_over_mean", "cdf"}}

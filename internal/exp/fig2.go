@@ -14,23 +14,52 @@ import (
 // Fig2Loads are the load levels of the §3.1 motivation experiment.
 var Fig2Loads = []float64{0.2, 0.35, 0.5, 0.6, 0.7}
 
-// Fig2Result is the Relative RMSE heatmap of Fig. 2: cell (i, j) is the RMSE
-// of a linear-regression service-time model trained at load level i
-// predicting data from load level j, divided by the matched-load RMSE
-// error(j, j). Values near 1 on the diagonal and above 1 off it demonstrate
-// that static predictors degrade when the load shifts — the paper's case for
-// workload-aware power management.
-type Fig2Result struct {
+// fig2Apps are the applications Fig. 2 shows.
+var fig2Apps = []string{app.Masstree, app.Sphinx}
+
+// Fig2Heatmap is one application's Relative RMSE heatmap of Fig. 2: cell
+// (i, j) is the RMSE of a linear-regression service-time model trained at
+// load level i predicting data from load level j, divided by the
+// matched-load RMSE error(j, j). Values near 1 on the diagonal and above 1
+// off it demonstrate that static predictors degrade when the load shifts —
+// the paper's case for workload-aware power management.
+type Fig2Heatmap struct {
 	App     string
 	Loads   []float64
 	RelRMSE [][]float64 // [train][test]
 }
 
-// Fig2 runs the motivation experiment for one application (the paper shows
-// Masstree and Sphinx). Each load level's profiling run is one pool work
-// unit with its own profile and simulation; model fitting needs every
-// dataset and stays serial.
-func Fig2(ctx context.Context, appName string, scale Scale, workers int) (*Fig2Result, error) {
+// Fig2Result holds one heatmap per application: Masstree, then Sphinx.
+type Fig2Result struct {
+	Heatmaps []*Fig2Heatmap
+}
+
+// Fig2 runs the motivation experiment for each application in turn.
+func Fig2(ctx context.Context, scale Scale, workers int) (*Fig2Result, error) {
+	out := &Fig2Result{}
+	for _, name := range fig2Apps {
+		h, err := fig2Heatmap(ctx, name, scale, workers)
+		if err != nil {
+			return nil, err
+		}
+		out.Heatmaps = append(out.Heatmaps, h)
+	}
+	return out, nil
+}
+
+// Artifacts renders one heatmap table per application.
+func (r *Fig2Result) Artifacts() []Artifact {
+	var out []Artifact
+	for _, h := range r.Heatmaps {
+		out = append(out, tableArtifact("fig2_rmse_"+h.App, h.Table()))
+	}
+	return out
+}
+
+// fig2Heatmap runs the experiment for one application. Each load level's
+// profiling run is one pool work unit with its own profile and simulation;
+// model fitting needs every dataset and stays serial.
+func fig2Heatmap(ctx context.Context, appName string, scale Scale, workers int) (*Fig2Heatmap, error) {
 	n := scale.Samples
 	if n > 5000 {
 		n = 5000 // profiling runs are simulation-bound; 5k is plenty for LR
@@ -79,11 +108,11 @@ func Fig2(ctx context.Context, appName string, scale Scale, workers int) (*Fig2R
 			rel[i][j] = abs[i][j] / abs[j][j]
 		}
 	}
-	return &Fig2Result{App: appName, Loads: Fig2Loads, RelRMSE: rel}, nil
+	return &Fig2Heatmap{App: appName, Loads: Fig2Loads, RelRMSE: rel}, nil
 }
 
 // Table renders the heatmap.
-func (r *Fig2Result) Table() *Table {
+func (r *Fig2Heatmap) Table() *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Fig. 2 — relative RMSE heatmap (%s)", r.App),
 		Columns: []string{"train\\test"},

@@ -20,24 +20,73 @@ type FreqTraceResult struct {
 	Trace  *server.FreqTrace
 }
 
+// Fig4Result is Fig. 4's frequency trace.
+type Fig4Result struct{ *FreqTraceResult }
+
 // Fig4 records 2 seconds of millisecond-level frequency under the thread
 // controller with DRL-updated parameters (a trained DeepPower policy on
 // Xapian), reproducing Fig. 4's sawtooth ramps between request begin/end
-// markers.
-func Fig4(ctx context.Context, scale Scale) (*FreqTraceResult, error) {
-	return methodFreqTrace(ctx, app.Xapian, MethodDeepPower, scale, 2*sim.Second)
+// markers. The one recording runs serially; workers does not apply.
+func Fig4(ctx context.Context, scale Scale, _ int) (*Fig4Result, error) {
+	ft, err := methodFreqTrace(ctx, app.Xapian, MethodDeepPower, scale, 2*sim.Second)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig4Result{ft}, nil
 }
 
-// Fig9 records the same window under a chosen method for Xapian
+// Artifacts renders the trace summary and the trace.
+func (r *Fig4Result) Artifacts() []Artifact {
+	return []Artifact{
+		tableArtifact("fig4_controller_trace_summary", r.Summary()),
+		csvArtifact("fig4_controller_trace", CSVFreqTrace(r.Trace)),
+	}
+}
+
+// freqTraceMethods is the method comparison Figs. 9 and 10 record.
+var freqTraceMethods = []string{MethodDeepPower, MethodRetail, MethodGemini}
+
+// MethodTracesResult is Fig. 9 or Fig. 10: one frequency trace per method,
+// in the order DeepPower, ReTail, Gemini.
+type MethodTracesResult struct {
+	fig    string // artifact name prefix
+	Traces []*FreqTraceResult
+}
+
+// Fig9 records the Fig. 4 window for Xapian under each method
 // (millisecond-scale latency; the paper contrasts DeepPower's gradual ramps
 // with ReTail's and Gemini's coarse per-request selections).
-func Fig9(ctx context.Context, method string, scale Scale) (*FreqTraceResult, error) {
-	return methodFreqTrace(ctx, app.Xapian, method, scale, 2*sim.Second)
+func Fig9(ctx context.Context, scale Scale, workers int) (*MethodTracesResult, error) {
+	return methodTraces(ctx, "fig9", app.Xapian, scale, workers, 2*sim.Second)
 }
 
-// Fig10 records Sphinx (second-scale latency) under a chosen method.
-func Fig10(ctx context.Context, method string, scale Scale) (*FreqTraceResult, error) {
-	return methodFreqTrace(ctx, app.Sphinx, method, scale, 10*sim.Second)
+// Fig10 records Sphinx (second-scale latency) under each method.
+func Fig10(ctx context.Context, scale Scale, workers int) (*MethodTracesResult, error) {
+	return methodTraces(ctx, "fig10", app.Sphinx, scale, workers, 10*sim.Second)
+}
+
+// methodTraces fans the per-method recordings out over the pool; each
+// method is one self-contained unit.
+func methodTraces(ctx context.Context, fig, appName string, scale Scale, workers int, window sim.Time) (*MethodTracesResult, error) {
+	traces, err := pool.Map(ctx, freqTraceMethods, workers,
+		func(ctx context.Context, method string, _ int) (*FreqTraceResult, error) {
+			return methodFreqTrace(ctx, appName, method, scale, window)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &MethodTracesResult{fig: fig, Traces: traces}, nil
+}
+
+// Artifacts renders each method's trace summary and trace.
+func (r *MethodTracesResult) Artifacts() []Artifact {
+	var out []Artifact
+	for _, ft := range r.Traces {
+		out = append(out,
+			tableArtifact(r.fig+"_"+ft.Method+"_summary", ft.Summary()),
+			csvArtifact(r.fig+"_freq_"+ft.Method, CSVFreqTrace(ft.Trace)))
+	}
+	return out
 }
 
 func methodFreqTrace(ctx context.Context, appName, method string, scale Scale, window sim.Time) (*FreqTraceResult, error) {
@@ -106,6 +155,16 @@ func Fig11(ctx context.Context, scale Scale, workers int) (*Fig11Result, error) 
 		return nil, err
 	}
 	return &Fig11Result{Settings: Fig11Settings, Traces: traces}, nil
+}
+
+// Artifacts renders one trace CSV per parameter setting.
+func (r *Fig11Result) Artifacts() []Artifact {
+	var out []Artifact
+	for i, ft := range r.Traces {
+		name := fmt.Sprintf("fig11_b%.2g_s%.2g", r.Settings[i].BaseFreq, r.Settings[i].ScalingCoef)
+		out = append(out, csvArtifact(name, CSVFreqTrace(ft)))
+	}
+	return out
 }
 
 // Summary reduces a frequency trace to per-core mean frequency plus marker

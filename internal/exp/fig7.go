@@ -194,15 +194,10 @@ func (s *Setup) trainServerConfig() server.Config {
 	return cfg
 }
 
-// Evaluate runs one policy over the evaluation window with a seed distinct
-// from training.
-func (s *Setup) Evaluate(pol server.Policy) (*server.Result, error) {
-	return s.EvaluateOn(sim.NewEngine(), pol)
-}
-
-// EvaluateOn is Evaluate on a caller-provided engine, Reset first — back-to-
-// back evaluations (the vectrain harness, repeated sweeps) reuse one warm
-// event arena instead of growing a fresh engine per policy.
+// EvaluateOn runs one policy over the evaluation window with a seed distinct
+// from training, on eng after a Reset — back-to-back evaluations (the
+// vectrain harness, repeated sweeps) reuse one warm event arena instead of
+// growing a fresh engine per policy.
 func (s *Setup) EvaluateOn(eng *sim.Engine, pol server.Policy) (*server.Result, error) {
 	eng.Reset()
 	srv, err := server.New(eng, s.ServerConfig(s.Scale.Seed+104729), pol)
@@ -250,7 +245,7 @@ func Fig7(ctx context.Context, scale Scale, apps []string, workers int) (*Fig7Re
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig7 %s/%s: %w", u.app, u.method, err)
 		}
-		res, err := setup.Evaluate(pol)
+		res, err := setup.EvaluateOn(sim.NewEngine(), pol)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig7 %s/%s: %w", u.app, u.method, err)
 		}
@@ -267,6 +262,15 @@ func Fig7(ctx context.Context, scale Scale, apps []string, workers int) (*Fig7Re
 		out.Results[u.app][u.method] = results[i]
 	}
 	return out, nil
+}
+
+// Artifacts renders Figs. 7a, 7b and 7c.
+func (r *Fig7Result) Artifacts() []Artifact {
+	return []Artifact{
+		tableArtifact("fig7a_power", r.PowerTable()),
+		tableArtifact("fig7b_latency", r.LatencyTable()),
+		tableArtifact("fig7c_quality", r.QualityTable()),
+	}
 }
 
 // Saving returns a method's power saving vs. the baseline for an app.

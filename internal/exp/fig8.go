@@ -32,8 +32,8 @@ type Fig8Row struct {
 
 // Fig8 trains DeepPower on the Xapian setup, then evaluates once with
 // series and action logging enabled. A single train+evaluate unit: the
-// context is checked on entry, not mid-run.
-func Fig8(ctx context.Context, scale Scale) (*Fig8Result, error) {
+// context is checked on entry, not mid-run, and workers does not apply.
+func Fig8(ctx context.Context, scale Scale, _ int) (*Fig8Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -78,6 +78,14 @@ func Fig8(ctx context.Context, scale Scale) (*Fig8Result, error) {
 		out.Rows = append(out.Rows, fr)
 	}
 	return out, nil
+}
+
+// Artifacts renders the downsampled summary and the full series.
+func (r *Fig8Result) Artifacts() []Artifact {
+	return []Artifact{
+		tableArtifact("fig8_timeseries_summary", r.Table()),
+		csvArtifact("fig8_timeseries", r.CSVSeries()),
+	}
 }
 
 // Table renders a downsampled view.

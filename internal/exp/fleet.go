@@ -323,6 +323,15 @@ func fleetPowerBudget(setup *Setup, shards int) float64 {
 	return 0.9 * total
 }
 
+// Artifacts renders the balancer and fault tables and the time series.
+func (r *FleetResult) Artifacts() []Artifact {
+	return []Artifact{
+		tableArtifact("fleet_campaign", r.Table()),
+		tableArtifact("fleet_fault", r.FaultTable()),
+		csvArtifact("fleet_timeseries", r.CSVSeries()),
+	}
+}
+
 // Table renders the balancer comparison.
 func (r *FleetResult) Table() *Table {
 	t := &Table{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/pool"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -16,7 +17,6 @@ import (
 // diurnal seed, a square-wave load shift, a flash-crowd spike), with the
 // no-management baseline on the same traces as the reference.
 type GeneralizationResult struct {
-	App       string
 	Scenarios []string
 	// DeepPower and Baseline map scenario → result.
 	DeepPower map[string]*server.Result
@@ -51,16 +51,16 @@ func generalizationTrace(setup *Setup, scale Scale, name string) *workload.Trace
 	panic("exp: unknown generalization scenario " + name)
 }
 
-// Generalization trains DeepPower on appName's standard diurnal setup and
+// Generalization trains DeepPower on Xapian's standard diurnal setup and
 // evaluates the frozen policy across shifted workloads. Each scenario is
 // one self-contained pool work unit that deterministically retrains its own
 // copy of the policy (identical weights at every worker count) rather than
 // sharing one stateful agent across concurrent evaluations.
-func Generalization(ctx context.Context, appName string, scale Scale, workers int) (*GeneralizationResult, error) {
+func Generalization(ctx context.Context, scale Scale, workers int) (*GeneralizationResult, error) {
 	type genOut struct{ dp, base *server.Result }
 	outs, err := pool.Map(ctx, GeneralizationScenarios, workers,
 		func(_ context.Context, name string, _ int) (genOut, error) {
-			setup, err := NewSetup(appName, scale)
+			setup, err := NewSetup(app.Xapian, scale)
 			if err != nil {
 				return genOut{}, err
 			}
@@ -87,7 +87,6 @@ func Generalization(ctx context.Context, appName string, scale Scale, workers in
 		return nil, err
 	}
 	out := &GeneralizationResult{
-		App:       appName,
 		DeepPower: map[string]*server.Result{},
 		Baseline:  map[string]*server.Result{},
 	}
@@ -117,10 +116,15 @@ func (r *GeneralizationResult) Saving(scenario string) float64 {
 	return 1 - r.DeepPower[scenario].AvgPowerW/base
 }
 
+// Artifacts renders the comparison table.
+func (r *GeneralizationResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("generalization_xapian", r.Table())}
+}
+
 // Table renders the comparison.
 func (r *GeneralizationResult) Table() *Table {
 	t := &Table{
-		Title:   "Generalization — " + r.App + " (trained on diurnal only)",
+		Title:   "Generalization — " + app.Xapian + " (trained on diurnal only)",
 		Columns: []string{"scenario", "dp power(W)", "base power(W)", "saving", "dp p99(ms)", "dp timeout %"},
 	}
 	for _, sc := range r.Scenarios {

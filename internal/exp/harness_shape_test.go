@@ -26,7 +26,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Skip("training run")
 	}
 	scale := shapeScale()
-	r, err := Fig8(context.Background(), scale)
+	r, err := Fig8(context.Background(), scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFig8Shape(t *testing.T) {
 	}
 
 	// Seed stability: an identical run renders the identical series.
-	again, err := Fig8(context.Background(), scale)
+	again, err := Fig8(context.Background(), scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFig7Shape(t *testing.T) {
 // §5.5 rows plus the two simulator-throughput rows, with the measured
 // columns populated.
 func TestOverheadTableShape(t *testing.T) {
-	r, err := Overhead()
+	r, err := Overhead(context.Background(), Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,6 +214,11 @@ func heteroPlaceCell(method string, scale Scale) (*server.Result, error) {
 	return agent.Evaluate(pol, evalCfg, setup.Trace, scale.EvalDuration)
 }
 
+// Artifacts renders the placement comparison table.
+func (r *HeteroPlaceResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("heteroplace_xapian", r.Table())}
+}
+
 // Table renders the placement comparison with per-class energy attribution.
 func (r *HeteroPlaceResult) Table() *Table {
 	t := &Table{

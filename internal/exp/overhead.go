@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"time"
 
 	"github.com/deeppower/deeppower/internal/agent"
@@ -34,8 +35,9 @@ type OverheadResult struct {
 	SimEventsPerSec float64
 }
 
-// Overhead measures the framework's computational costs.
-func Overhead() (*OverheadResult, error) {
+// Overhead measures the framework's computational costs. It takes the
+// harness signature; scale and workers do not apply.
+func Overhead(context.Context, Scale, int) (*OverheadResult, error) {
 	ddpg, err := rl.NewDDPG(rl.DDPGConfig{
 		StateDim:  agent.StateDim,
 		ActionDim: agent.ActionDim,
@@ -94,6 +96,11 @@ func randState(rng *sim.RNG) []float64 {
 		s[i] = rng.Float64()
 	}
 	return s
+}
+
+// Artifacts renders the overhead table.
+func (r *OverheadResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("overhead", r.Table())}
 }
 
 // Table renders measured vs. paper overheads.

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"github.com/deeppower/deeppower/internal/agent"
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/ckpt"
 	"github.com/deeppower/deeppower/internal/fault"
 	"github.com/deeppower/deeppower/internal/pool"
@@ -51,11 +52,10 @@ type PolicyLifeCell struct {
 	HistoryDepth    int
 }
 
-// PolicyLifeResult compares the guard's escalation ladder configurations for
-// one application: an unguarded policy, the max-frequency-pinning guard, and
-// the guard with a checkpoint-registry rollback rung ahead of the pin.
+// PolicyLifeResult compares the guard's escalation ladder configurations on
+// Xapian: an unguarded policy, the max-frequency-pinning guard, and the
+// guard with a checkpoint-registry rollback rung ahead of the pin.
 type PolicyLifeResult struct {
-	App   string
 	Cells map[string]*PolicyLifeCell
 }
 
@@ -63,10 +63,10 @@ type PolicyLifeResult struct {
 // registry, then evaluates it under the write-loss fault campaign in each
 // escalation configuration. Every mode is one self-contained pool unit that
 // retrains its own policy, so results are byte-identical at any worker count.
-func PolicyLife(ctx context.Context, scale Scale, appName string, workers int) (*PolicyLifeResult, error) {
+func PolicyLife(ctx context.Context, scale Scale, workers int) (*PolicyLifeResult, error) {
 	cells, err := pool.Map(ctx, PolicyLifeModes, workers,
 		func(_ context.Context, mode string, _ int) (*PolicyLifeCell, error) {
-			cell, err := policyLifeUnit(mode, appName, scale)
+			cell, err := policyLifeUnit(mode, scale)
 			if err != nil {
 				return nil, fmt.Errorf("exp: policylife %s: %w", mode, err)
 			}
@@ -75,7 +75,7 @@ func PolicyLife(ctx context.Context, scale Scale, appName string, workers int) (
 	if err != nil {
 		return nil, err
 	}
-	out := &PolicyLifeResult{App: appName, Cells: map[string]*PolicyLifeCell{}}
+	out := &PolicyLifeResult{Cells: map[string]*PolicyLifeCell{}}
 	for i, mode := range PolicyLifeModes {
 		out.Cells[mode] = cells[i]
 	}
@@ -100,8 +100,8 @@ func policyLifeGuardConfig(rollback func() bool) fault.GuardConfig {
 	}
 }
 
-func policyLifeUnit(mode, appName string, scale Scale) (*PolicyLifeCell, error) {
-	setup, err := NewSetup(appName, scale)
+func policyLifeUnit(mode string, scale Scale) (*PolicyLifeCell, error) {
+	setup, err := NewSetup(app.Xapian, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +185,15 @@ func policyLifeUnit(mode, appName string, scale Scale) (*PolicyLifeCell, error) 
 	return cell, nil
 }
 
+// Artifacts renders the mode comparison table.
+func (r *PolicyLifeResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("policylife_xapian", r.Table())}
+}
+
 // Table renders the mode comparison.
 func (r *PolicyLifeResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Policy lifecycle under 60%% write-loss (%s)", r.App),
+		Title: fmt.Sprintf("Policy lifecycle under 60%% write-loss (%s)", app.Xapian),
 		Columns: []string{"mode", "power W", "timeout %", "Eq.2 met",
 			"rollbacks", "fallbacks", "safe ticks", "ckpt versions", "history depth"},
 	}

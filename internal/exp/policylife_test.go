@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/sim"
 )
 
@@ -31,7 +30,7 @@ func TestPolicyLifeRollbackLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three policies")
 	}
-	r, err := PolicyLife(context.Background(), policyLifeScale(), app.Xapian, 3)
+	r, err := PolicyLife(context.Background(), policyLifeScale(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

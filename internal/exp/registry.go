@@ -3,10 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"strings"
-
-	"github.com/deeppower/deeppower/internal/app"
-	"github.com/deeppower/deeppower/internal/pool"
 )
 
 // Artifact is one rendered output of a harness: a text table or a CSV,
@@ -34,45 +30,59 @@ func csvArtifact(name, data string) Artifact {
 type Harness struct {
 	// Name is the registry key (-only flag, test names).
 	Name string
-	// Deterministic harnesses produce byte-identical artifacts for a given
-	// scale at any worker count — the serial/parallel equivalence contract
-	// TestSerialParallelEquivalence enforces. Harnesses whose artifacts
-	// contain wall-clock measurements (table2, overhead) are exempt from
-	// byte identity; for those only the artifact shape is stable.
-	Deterministic bool
 	// Run produces the harness's artifacts.
 	Run func(ctx context.Context, scale Scale, workers int) ([]Artifact, error)
 }
 
+// result is what every harness entry point returns: a result that renders
+// its own named artifacts.
+type result interface{ Artifacts() []Artifact }
+
+// harness registers an entry point under name. A cancelled context runs
+// nothing.
+func harness[R result](name string, run func(context.Context, Scale, int) (R, error)) Harness {
+	return Harness{Name: name, Run: func(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := run(ctx, scale, workers)
+		if err != nil {
+			return nil, err
+		}
+		return r.Artifacts(), nil
+	}}
+}
+
 // Harnesses returns every registered experiment in the paper's order. The
-// registry is the single source of truth shared by cmd/repro, the
-// equivalence tests, and the suite benchmarks.
+// registry is the single source of truth shared by cmd/repro, the golden
+// tests, and the suite benchmarks. Entry points with a subset parameter
+// that only tests narrow get their full default here.
 func Harnesses() []Harness {
 	return []Harness{
-		{Name: "table1", Deterministic: true, Run: runTable1},
-		{Name: "fig1", Deterministic: true, Run: runFig1},
-		{Name: "fig2", Deterministic: true, Run: runFig2},
-		{Name: "table2", Deterministic: false, Run: runTable2},
-		{Name: "table3", Deterministic: true, Run: runTable3},
-		{Name: "fig4", Deterministic: true, Run: runFig4},
-		{Name: "fig5", Deterministic: true, Run: runFig5},
-		{Name: "fig6", Deterministic: true, Run: runFig6},
-		{Name: "fig7", Deterministic: true, Run: runFig7},
-		{Name: "fig8", Deterministic: true, Run: runFig8},
-		{Name: "fig9", Deterministic: true, Run: runFig9},
-		{Name: "fig10", Deterministic: true, Run: runFig10},
-		{Name: "fig11", Deterministic: true, Run: runFig11},
-		{Name: "overhead", Deterministic: false, Run: runOverhead},
-		{Name: "ablation", Deterministic: true, Run: runAblationH},
-		{Name: "generalization", Deterministic: true, Run: runGeneralizationH},
-		{Name: "crossover", Deterministic: true, Run: runCrossoverH},
-		{Name: "colocation", Deterministic: true, Run: runColocationH},
-		{Name: "robustness", Deterministic: true, Run: runRobustnessH},
-		{Name: "policylife", Deterministic: true, Run: runPolicyLifeH},
-		{Name: "fleet", Deterministic: true, Run: runFleetH},
-		{Name: "vectrain", Deterministic: false, Run: runVecTrainH},
-		{Name: "dagserve", Deterministic: true, Run: runDAGServeH},
-		{Name: "heteroplace", Deterministic: true, Run: runHeteroPlaceH},
+		harness("table1", Table1),
+		harness("fig1", Fig1),
+		harness("fig2", Fig2),
+		harness("table2", func(context.Context, Scale, int) (*Table2Result, error) { return Table2(5000) }),
+		harness("table3", Table3),
+		harness("fig4", Fig4),
+		harness("fig5", Fig5),
+		harness("fig6", Fig6),
+		harness("fig7", func(c context.Context, s Scale, w int) (*Fig7Result, error) { return Fig7(c, s, nil, w) }),
+		harness("fig8", Fig8),
+		harness("fig9", Fig9),
+		harness("fig10", Fig10),
+		harness("fig11", Fig11),
+		harness("overhead", Overhead),
+		harness("ablation", func(c context.Context, s Scale, w int) (*AblationResult, error) { return Ablation(c, s, nil, w) }),
+		harness("generalization", Generalization),
+		harness("crossover", func(c context.Context, s Scale, w int) (*CrossoverResult, error) { return Crossover(c, s, nil, w) }),
+		harness("colocation", func(c context.Context, s Scale, w int) (*ColocationResult, error) { return Colocation(c, s, nil, w) }),
+		harness("robustness", Robustness),
+		harness("policylife", PolicyLife),
+		harness("fleet", Fleet),
+		harness("vectrain", VecTrain),
+		harness("dagserve", DAGServe),
+		harness("heteroplace", HeteroPlace),
 	}
 }
 
@@ -84,254 +94,4 @@ func HarnessByName(name string) (Harness, error) {
 		}
 	}
 	return Harness{}, fmt.Errorf("exp: unknown harness %q", name)
-}
-
-func runTable1(context.Context, Scale, int) ([]Artifact, error) {
-	return []Artifact{tableArtifact("table1_method_comparison", Table1())}, nil
-}
-
-func runFig1(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Fig1(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fig1_service_time_skew", r.Table()),
-		csvArtifact("fig1_cdf", r.CSVCurves()),
-	}, nil
-}
-
-func runFig2(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	var out []Artifact
-	for _, name := range []string{app.Masstree, app.Sphinx} {
-		r, err := Fig2(ctx, name, scale, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tableArtifact("fig2_rmse_"+name, r.Table()))
-	}
-	return out, nil
-}
-
-func runTable2(ctx context.Context, _ Scale, _ int) ([]Artifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := Table2(5000)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("table2_inference_time", r.Table())}, nil
-}
-
-func runTable3(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	scale.Workers = 0 // Table 3 uses the paper's worker counts
-	r, err := Table3(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("table3_tail_latency", r.Table())}, nil
-}
-
-func runFig4(ctx context.Context, scale Scale, _ int) ([]Artifact, error) {
-	r, err := Fig4(ctx, scale)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fig4_controller_trace_summary", r.Summary()),
-		csvArtifact("fig4_controller_trace", CSVFreqTrace(r.Trace)),
-	}, nil
-}
-
-func runFig5(ctx context.Context, _ Scale, _ int) ([]Artifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := Fig5(100)
-	return []Artifact{
-		tableArtifact("fig5_scalefunc", r.Table()),
-		csvArtifact("fig5_scalefunc", r.CSVCurve()),
-	}, nil
-}
-
-func runFig6(ctx context.Context, scale Scale, _ int) ([]Artifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := Fig6(scale)
-	var sb strings.Builder
-	if err := r.Trace.WriteCSV(&sb); err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fig6_workload", r.Table()),
-		csvArtifact("fig6_workload", sb.String()),
-	}, nil
-}
-
-func runFig7(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Fig7(ctx, scale, nil, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fig7a_power", r.PowerTable()),
-		tableArtifact("fig7b_latency", r.LatencyTable()),
-		tableArtifact("fig7c_quality", r.QualityTable()),
-	}, nil
-}
-
-func runFig8(ctx context.Context, scale Scale, _ int) ([]Artifact, error) {
-	r, err := Fig8(ctx, scale)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fig8_timeseries_summary", r.Table()),
-		csvArtifact("fig8_timeseries", r.CSVSeries()),
-	}, nil
-}
-
-// freqTraceMethods is the method comparison Figs. 9 and 10 record.
-var freqTraceMethods = []string{MethodDeepPower, MethodRetail, MethodGemini}
-
-func runFig9(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	return methodTraceArtifacts(ctx, scale, workers, "fig9", Fig9)
-}
-
-func runFig10(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	return methodTraceArtifacts(ctx, scale, workers, "fig10", Fig10)
-}
-
-// methodTraceArtifacts fans the per-method frequency-trace recordings out
-// over the pool; each method is one self-contained unit.
-func methodTraceArtifacts(ctx context.Context, scale Scale, workers int, prefix string,
-	fig func(context.Context, string, Scale) (*FreqTraceResult, error)) ([]Artifact, error) {
-	traces, err := pool.Map(ctx, freqTraceMethods, workers,
-		func(ctx context.Context, method string, _ int) (*FreqTraceResult, error) {
-			return fig(ctx, method, scale)
-		})
-	if err != nil {
-		return nil, err
-	}
-	var out []Artifact
-	for i, method := range freqTraceMethods {
-		out = append(out,
-			tableArtifact(prefix+"_"+method+"_summary", traces[i].Summary()),
-			csvArtifact(prefix+"_freq_"+method, CSVFreqTrace(traces[i].Trace)))
-	}
-	return out, nil
-}
-
-func runFig11(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Fig11(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	var out []Artifact
-	for i, ft := range r.Traces {
-		name := fmt.Sprintf("fig11_b%.2g_s%.2g", r.Settings[i].BaseFreq, r.Settings[i].ScalingCoef)
-		out = append(out, csvArtifact(name, CSVFreqTrace(ft)))
-	}
-	return out, nil
-}
-
-func runOverhead(ctx context.Context, _ Scale, _ int) ([]Artifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := Overhead()
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("overhead", r.Table())}, nil
-}
-
-func runAblationH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Ablation(ctx, app.Xapian, scale, nil, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("ablation_xapian", r.Table())}, nil
-}
-
-func runGeneralizationH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Generalization(ctx, app.Xapian, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("generalization_xapian", r.Table())}, nil
-}
-
-func runCrossoverH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Crossover(ctx, app.Xapian, scale, nil, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("crossover_xapian", r.Table())}, nil
-}
-
-func runColocationH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Colocation(ctx, app.Xapian, scale, nil, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("colocation_xapian", r.Table())}, nil
-}
-
-func runPolicyLifeH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := PolicyLife(ctx, scale, app.Xapian, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("policylife_xapian", r.Table())}, nil
-}
-
-func runFleetH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Fleet(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{
-		tableArtifact("fleet_campaign", r.Table()),
-		tableArtifact("fleet_fault", r.FaultTable()),
-		csvArtifact("fleet_timeseries", r.CSVSeries()),
-	}, nil
-}
-
-func runVecTrainH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := VecTrain(ctx, app.Xapian, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("vectrain_xapian", r.Table())}, nil
-}
-
-func runDAGServeH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := DAGServe(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("dagserve_searchsvc", r.Table())}, nil
-}
-
-func runHeteroPlaceH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := HeteroPlace(ctx, scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{tableArtifact("heteroplace_xapian", r.Table())}, nil
-}
-
-func runRobustnessH(ctx context.Context, scale Scale, workers int) ([]Artifact, error) {
-	r, err := Robustness(ctx, scale, app.Xapian, workers)
-	if err != nil {
-		return nil, err
-	}
-	var out []Artifact
-	for i, t := range r.Tables() {
-		out = append(out, tableArtifact("robustness_xapian_"+r.Scenarios[i], t))
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/fault"
 	"github.com/deeppower/deeppower/internal/pool"
@@ -112,9 +113,8 @@ func (s *Setup) EvaluateUnderFaults(pol server.Policy, plan fault.Plan) (*server
 var RobustnessMethods = []string{MethodRetail, MethodGemini, MethodDeepPower}
 
 // RobustnessResult compares each method bare vs guarded under every fault
-// scenario for one application.
+// scenario on Xapian.
 type RobustnessResult struct {
-	App       string
 	Scenarios []string
 	// Bare and Guarded map scenario → method → result.
 	Bare    map[string]map[string]*server.Result
@@ -134,7 +134,7 @@ type robustnessUnit struct {
 // method, bare/guarded) cell is one self-contained pool work unit that
 // rebuilds its own Setup and policy — policies keep state across runs
 // (DeepPower's controller, the guard's window), so nothing may be shared.
-func Robustness(ctx context.Context, scale Scale, appName string, workers int) (*RobustnessResult, error) {
+func Robustness(ctx context.Context, scale Scale, workers int) (*RobustnessResult, error) {
 	var units []robustnessUnit
 	for _, sc := range Scenarios(scale.Seed) {
 		for _, method := range RobustnessMethods {
@@ -145,7 +145,7 @@ func Robustness(ctx context.Context, scale Scale, appName string, workers int) (
 	}
 	results, err := pool.Map(ctx, units, workers,
 		func(_ context.Context, u robustnessUnit, _ int) (*server.Result, error) {
-			setup, err := NewSetup(appName, scale)
+			setup, err := NewSetup(app.Xapian, scale)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +167,6 @@ func Robustness(ctx context.Context, scale Scale, appName string, workers int) (
 	}
 
 	out := &RobustnessResult{
-		App:     appName,
 		Bare:    map[string]map[string]*server.Result{},
 		Guarded: map[string]map[string]*server.Result{},
 	}
@@ -187,13 +186,22 @@ func Robustness(ctx context.Context, scale Scale, appName string, workers int) (
 	return out, nil
 }
 
+// Artifacts renders one table per scenario.
+func (r *RobustnessResult) Artifacts() []Artifact {
+	var out []Artifact
+	for i, t := range r.Tables() {
+		out = append(out, tableArtifact("robustness_xapian_"+r.Scenarios[i], t))
+	}
+	return out
+}
+
 // Tables renders one table per scenario: per method, bare vs guarded power,
 // timeout rate, Eq. 2 budget, and guard interventions.
 func (r *RobustnessResult) Tables() []*Table {
 	var out []*Table
 	for _, sc := range r.Scenarios {
 		t := &Table{
-			Title: fmt.Sprintf("Robustness (%s) — scenario %q", r.App, sc),
+			Title: fmt.Sprintf("Robustness (%s) — scenario %q", app.Xapian, sc),
 			Columns: []string{"method", "power W", "timeout %", "Eq.2 met",
 				"guard power W", "guard timeout %", "guard Eq.2", "fallbacks", "invalid"},
 		}

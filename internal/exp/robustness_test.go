@@ -101,7 +101,7 @@ func TestRobustnessHarness(t *testing.T) {
 	}
 	scale := robustnessScale()
 	scale.EvalDuration = 10 * sim.Second
-	r, err := Robustness(context.Background(), scale, app.Xapian, 2)
+	r, err := Robustness(context.Background(), scale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,6 +81,11 @@ func timeUS(iters int, fn func()) float64 {
 // Algorithms lists Table 2's column order.
 var table2Order = []string{"DQN", "DDQN", "DDPG", "SAC"}
 
+// Artifacts renders the inference-time table.
+func (r *Table2Result) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("table2_inference_time", r.Table())}
+}
+
 // Table renders measured vs. paper numbers.
 func (r *Table2Result) Table() *Table {
 	t := &Table{

@@ -31,10 +31,10 @@ type table3Unit struct {
 	load float64
 }
 
-// Table3 measures every built-in application. Workers from scale override
-// the paper's counts for quick runs; the (app, load) grid runs on up to
-// workers concurrent pool workers, each cell with its own engine, server,
-// and profile, so the result is identical at any parallelism.
+// Table3 measures every built-in application at the paper's worker counts
+// (scale.Workers is ignored). The (app, load) grid runs on up to workers
+// concurrent pool workers, each cell with its own engine, server, and
+// profile, so the result is identical at any parallelism.
 func Table3(ctx context.Context, scale Scale, workers int) (*Table3Result, error) {
 	var units []table3Unit
 	for _, name := range app.Names() {
@@ -44,9 +44,6 @@ func Table3(ctx context.Context, scale Scale, workers int) (*Table3Result, error
 	}
 	p99s, err := pool.Map(ctx, units, workers, func(_ context.Context, u table3Unit, _ int) (float64, error) {
 		prof := app.MustByName(u.app)
-		if scale.Workers > 0 {
-			prof.Workers = scale.Workers
-		}
 		rate := u.load * prof.MaxCapacity(prof.RefFreq, scale.Seed)
 		// Aim for enough completions to resolve a p99; cap the
 		// virtual duration for the second-scale apps.
@@ -81,6 +78,11 @@ func Table3(ctx context.Context, scale Scale, workers int) (*Table3Result, error
 		res.P99ms[u.app] = append(res.P99ms[u.app], p99s[i])
 	}
 	return res, nil
+}
+
+// Artifacts renders the latency table.
+func (r *Table3Result) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("table3_tail_latency", r.Table())}
 }
 
 // Table renders measured vs. paper numbers.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/deeppower/deeppower/internal/agent"
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -37,9 +38,9 @@ type VecTrainRow struct {
 	Eval *server.Result
 }
 
-// VecTrainResult compares single-env and vectorized DeepPower training.
+// VecTrainResult compares single-env and vectorized DeepPower training on
+// Xapian.
 type VecTrainResult struct {
-	App  string
 	Rows []VecTrainRow
 }
 
@@ -51,12 +52,12 @@ type VecTrainResult struct {
 // bounds the env fan-out inside one vectorized trainer. Wall-clock numbers
 // make this harness non-deterministic; everything else about the rows is
 // seed-stable.
-func VecTrain(ctx context.Context, appName string, scale Scale, workers int) (*VecTrainResult, error) {
-	setup, err := NewSetup(appName, scale)
+func VecTrain(ctx context.Context, scale Scale, workers int) (*VecTrainResult, error) {
+	setup, err := NewSetup(app.Xapian, scale)
 	if err != nil {
 		return nil, err
 	}
-	out := &VecTrainResult{App: appName}
+	out := &VecTrainResult{}
 	evalEng := sim.NewEngine() // warm arena reused across all evaluations
 
 	run := func(name string, envs int) error {
@@ -139,10 +140,15 @@ func VecTrain(ctx context.Context, appName string, scale Scale, workers int) (*V
 	return out, nil
 }
 
+// Artifacts renders the throughput/quality table.
+func (r *VecTrainResult) Artifacts() []Artifact {
+	return []Artifact{tableArtifact("vectrain_xapian", r.Table())}
+}
+
 // Table renders the throughput/quality comparison.
 func (r *VecTrainResult) Table() *Table {
 	t := &Table{
-		Title: "Vectorized training — experience throughput vs policy quality (" + r.App + ")",
+		Title: "Vectorized training — experience throughput vs policy quality (" + app.Xapian + ")",
 		Columns: []string{"config", "envs", "wall s", "transitions", "trans/s",
 			"speedup", "return", "power W", "p99 ms", "timeout %"},
 	}

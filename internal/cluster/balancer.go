@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/deeppower/deeppower/internal/sim"
 )
@@ -50,17 +51,19 @@ func (st *ShardState) Backlog(pending int) int {
 }
 
 // Balancer routes fleet-level requests to shards. Implementations must be
-// deterministic pure functions of (at, shards, pending) and their own
-// internal routing state: the cluster calls Pick serially, in arrival order,
-// so serial and parallel fleet runs route identically.
+// deterministic pure functions of (at, shards) and their own internal routing
+// state: the cluster calls Route serially, once per epoch, so serial and
+// parallel fleet runs route identically.
 type Balancer interface {
 	// Name identifies the balancer in artifacts.
 	Name() string
-	// Pick returns the destination shard index for a request arriving at
-	// time at. shards holds the last epoch-boundary snapshots; pending[i]
-	// counts requests already routed to shard i in the current epoch. Pick
-	// must return an index in [0, len(shards)) — or -1 for an empty fleet.
-	Pick(at sim.Time, shards []ShardState, pending []int) int
+	// Route assigns the coming epoch's arrivals, in arrival order: dst[j] is
+	// the destination of the request arriving at at[j] (len(dst) >=
+	// len(at)). shards holds the last epoch-boundary snapshots, and each
+	// assignment counts as pending on its shard for every later arrival of
+	// the call (see ShardState.Backlog). Every dst[j] must be an index in
+	// [0, len(shards)) — or -1 for an empty fleet.
+	Route(at []sim.Time, shards []ShardState, dst []int)
 }
 
 // Balancer registry names.
@@ -99,38 +102,51 @@ type RoundRobin struct {
 // Name implements Balancer.
 func (b *RoundRobin) Name() string { return RoundRobinName }
 
-// Pick implements Balancer.
-func (b *RoundRobin) Pick(_ sim.Time, shards []ShardState, _ []int) int {
-	if len(shards) == 0 {
-		return -1
+// Route implements Balancer.
+func (b *RoundRobin) Route(at []sim.Time, shards []ShardState, dst []int) {
+	for j := range at {
+		if len(shards) == 0 {
+			dst[j] = -1
+			continue
+		}
+		if b.next >= len(shards) {
+			b.next = 0
+		}
+		dst[j] = b.next
+		b.next++
 	}
-	if b.next >= len(shards) {
-		b.next = 0
-	}
-	i := b.next
-	b.next++
-	return i
 }
 
 // JSQ is join-shortest-queue over the epoch-boundary view: it routes to the
 // shard with the smallest backlog (snapshot queue + busy + already routed
 // this epoch), breaking ties toward the lowest index. It never routes to a
 // shard whose backlog strictly exceeds another's.
-type JSQ struct{}
+type JSQ struct {
+	backlog []int // per-shard backlog within the current Route call
+}
 
 // Name implements Balancer.
 func (b *JSQ) Name() string { return JSQName }
 
-// Pick implements Balancer.
-func (b *JSQ) Pick(_ sim.Time, shards []ShardState, pending []int) int {
-	best, bestLen := -1, 0
+// Route implements Balancer. Each shard's backlog is read from the snapshot
+// once and then counted up by one per request routed there.
+func (b *JSQ) Route(at []sim.Time, shards []ShardState, dst []int) {
+	b.backlog = b.backlog[:0]
 	for i := range shards {
-		n := shards[i].Backlog(pending[i])
-		if best == -1 || n < bestLen {
-			best, bestLen = i, n
+		b.backlog = append(b.backlog, shards[i].Backlog(0))
+	}
+	for j := range at {
+		best, bestLen := -1, 0
+		for i, n := range b.backlog {
+			if best == -1 || n < bestLen {
+				best, bestLen = i, n
+			}
+		}
+		dst[j] = best
+		if best >= 0 {
+			b.backlog[best]++
 		}
 	}
-	return best
 }
 
 // PowerAware routes on a cost blending per-core load against the shard's
@@ -144,6 +160,11 @@ type PowerAware struct {
 	EnergyWeight float64
 	// NoEnergyTerm disables the energy term entirely.
 	NoEnergyTerm bool
+
+	// costs and pending are each shard's cost and routing count within the
+	// current Route call.
+	costs   []float64
+	pending []int
 }
 
 // DefaultEnergyWeight is the routing cost's energy-vs-load trade-off used
@@ -174,24 +195,75 @@ func (b *PowerAware) weight() float64 {
 // Name implements Balancer.
 func (b *PowerAware) Name() string { return PowerAwareName }
 
-// Pick implements Balancer. It is total on arbitrary (even non-finite)
+// Pick returns the destination shard for one request, given pending[i]
+// requests already routed to shard i this epoch: the choice Route makes for
+// an arrival after those. It is total on arbitrary (even non-finite)
 // snapshot values: any shard whose cost fails to evaluate finitely is
-// considered last, and a non-empty fleet always yields a valid index.
+// considered last, and a non-empty fleet always yields a valid index; an
+// empty one yields -1.
 func (b *PowerAware) Pick(_ sim.Time, shards []ShardState, pending []int) int {
 	if len(shards) == 0 {
 		return -1
 	}
-	// Normalize the energy term by the fleet's best (lowest finite,
-	// positive) marginal cost so it is dimensionless and zero-based.
+	best, _ := b.scan(shards, pending, 0, len(shards), minEffCost(shards))
+	return fallback(best)
+}
+
+// Route implements Balancer. It evaluates every shard's cost once, and after
+// each assignment only the picked shard's, so an epoch of k arrivals over n
+// shards costs n+k cost evaluations and k scans of n cached floats instead
+// of k·n evaluations.
+func (b *PowerAware) Route(at []sim.Time, shards []ShardState, dst []int) {
+	if len(shards) == 0 {
+		for j := range at {
+			dst[j] = -1
+		}
+		return
+	}
+	n, minEff := len(shards), minEffCost(shards)
+	b.costs = slices.Grow(b.costs[:0], n)[:n]
+	b.pending = slices.Grow(b.pending[:0], n)[:n]
+	clear(b.pending)
+	for i := range shards {
+		_, b.costs[i] = b.scan(shards, b.pending, i, i+1, minEff)
+	}
+	for j := range at {
+		best, bestCost := -1, math.Inf(1)
+		for i, c := range b.costs {
+			if lower(c, best, bestCost) {
+				best, bestCost = i, c
+			}
+		}
+		best = fallback(best)
+		dst[j] = best
+		b.pending[best]++
+		_, b.costs[best] = b.scan(shards, b.pending, best, best+1, minEff)
+	}
+}
+
+// minEffCost is the fleet's best (lowest finite, positive) marginal cost,
+// the normalizer that makes the energy term dimensionless and zero-based;
+// +Inf when no shard has one.
+func minEffCost(shards []ShardState) float64 {
 	minEff := math.Inf(1)
 	for i := range shards {
 		if e := shards[i].EffCost; e > 0 && !math.IsInf(e, 1) && e < minEff {
 			minEff = e
 		}
 	}
+	return minEff
+}
+
+// scan evaluates the routing cost of shards lo..hi-1, with pending[i]
+// requests already routed to shard i this epoch, under the fleet normalizer
+// minEff. It returns the lowest-index shard of least cost in the range (-1
+// when every cost was NaN) and the cost of shard hi-1, so one call both
+// answers Pick and refreshes one shard's cached cost in Route.
+func (b *PowerAware) scan(shards []ShardState, pending []int, lo, hi int, minEff float64) (best int, last float64) {
 	w := b.weight()
-	best, bestCost := -1, math.Inf(1)
-	for i := range shards {
+	best = -1
+	bestCost := math.Inf(1)
+	for i := lo; i < hi; i++ {
 		st := &shards[i]
 		cores := st.Online
 		if cores <= 0 {
@@ -212,14 +284,26 @@ func (b *PowerAware) Pick(_ sim.Time, shards []ShardState, pending []int) int {
 		if st.Online == 0 && st.Cores > 0 {
 			cost += offlineCost
 		}
-		// NaN costs (hostile snapshot values) compare false and are skipped.
-		if cost < bestCost || best == -1 && !math.IsNaN(cost) {
+		if lower(cost, best, bestCost) {
 			best, bestCost = i, cost
 		}
+		last = cost
 	}
+	return best, last
+}
+
+// lower reports whether a shard of cost c replaces the running argmin best
+// (-1 for none yet) of cost bestCost. Scanned in index order it finds the
+// lowest-index shard of least cost; NaN costs (hostile snapshot values)
+// compare false and are skipped.
+func lower(c float64, best int, bestCost float64) bool {
+	return c < bestCost || best == -1 && !math.IsNaN(c)
+}
+
+// fallback maps an argmin that found no shard — every cost was NaN — to the
+// lowest index, so the fleet keeps serving.
+func fallback(best int) int {
 	if best == -1 {
-		// Every cost was NaN; fall back to the lowest index so the fleet
-		// keeps serving.
 		return 0
 	}
 	return best

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/deeppower/deeppower/internal/sim"
@@ -30,9 +32,66 @@ func TestNewBalancer(t *testing.T) {
 	}
 }
 
+// withPending returns shards with pending[i] folded into shard i's queue:
+// Backlog sums the two, so a balancer routing one arrival on the folded
+// snapshot decides what it would after pending[i] arrivals went to shard i.
+func withPending(shards []ShardState, pending []int) []ShardState {
+	out := append([]ShardState(nil), shards...)
+	for i := range out {
+		out[i].Queue += pending[i]
+	}
+	return out
+}
+
+// route runs one Route call over k arrivals and returns the destinations.
+func route(b Balancer, shards []ShardState, k int) []int {
+	at := make([]sim.Time, k)
+	for j := range at {
+		at[j] = sim.Time(j)
+	}
+	dst := make([]int, k)
+	b.Route(at, shards, dst)
+	return dst
+}
+
+// refJSQ is the per-arrival join-shortest-queue rule, recomputing every
+// backlog for every arrival: the reference JSQ.Route must match.
+func refJSQ(shards []ShardState, k int) []int {
+	pending := make([]int, len(shards))
+	out := make([]int, k)
+	for j := range out {
+		best, bestLen := -1, 0
+		for i := range shards {
+			if n := shards[i].Backlog(pending[i]); best == -1 || n < bestLen {
+				best, bestLen = i, n
+			}
+		}
+		out[j] = best
+		if best >= 0 {
+			pending[best]++
+		}
+	}
+	return out
+}
+
+// refPicks is k successive PowerAware.Pick calls, pending counted up after
+// each: the reference PowerAware.Route must match.
+func refPicks(b *PowerAware, shards []ShardState, k int) []int {
+	pending := make([]int, len(shards))
+	out := make([]int, k)
+	for j := range out {
+		out[j] = b.Pick(0, shards, pending)
+		if out[j] >= 0 {
+			pending[out[j]]++
+		}
+	}
+	return out
+}
+
 // TestBalancerPickTable drives every balancer through the shared edge cases
 // (empty fleet, single shard, saturation, ties) plus per-balancer routing
-// expectations.
+// expectations: the next arrival Route assigns after pending[i] arrivals
+// went to shard i, and for power-aware the same answer from Pick.
 func TestBalancerPickTable(t *testing.T) {
 	saturated := []ShardState{
 		state(0, 2, 10, 2, 8), state(1, 2, 10, 2, 8), state(2, 2, 10, 2, 8),
@@ -86,44 +145,85 @@ func TestBalancerPickTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := b.Pick(0, tc.shards, tc.pending); got != tc.want {
-				t.Errorf("Pick = %d, want %d", got, tc.want)
+			if got := route(b, withPending(tc.shards, tc.pending), 1)[0]; got != tc.want {
+				t.Errorf("Route = %d, want %d", got, tc.want)
+			}
+			if pa, ok := b.(*PowerAware); ok {
+				if got := pa.Pick(0, tc.shards, tc.pending); got != tc.want {
+					t.Errorf("Pick = %d, want %d", got, tc.want)
+				}
 			}
 		})
 	}
 }
 
+// TestJSQRouteMatchesReference holds JSQ.Route's cached, counted-up
+// backlogs to the per-arrival argmin that recomputes them: on random
+// snapshots with dense ties, every destination of a k-arrival call matches,
+// and equal backlogs go to the lowest index.
+func TestJSQRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		shards := make([]ShardState, 1+rng.Intn(8))
+		for i := range shards {
+			shards[i] = state(i, 1+rng.Intn(4), rng.Intn(4), rng.Intn(3), 8)
+		}
+		k := rng.Intn(40)
+		b := &JSQ{}
+		got, want := route(b, shards, k), refJSQ(shards, k)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("trial %d: arrival %d routed to %d, reference %d (%v)", trial, j, got[j], want[j], shards)
+			}
+		}
+		// A second call starts from the snapshot again, not from the first
+		// call's counts.
+		if again := route(b, shards, k); fmt.Sprint(again) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: second call %v, reference %v", trial, again, want)
+		}
+	}
+	// Equal backlogs fill lowest index first, one round at a time.
+	eq := []ShardState{state(0, 2, 1, 1, 8), state(1, 2, 1, 1, 8), state(2, 2, 1, 1, 8)}
+	if got := fmt.Sprint(route(&JSQ{}, eq, 7)); got != "[0 1 2 0 1 2 0]" {
+		t.Errorf("tie-break order %s, want [0 1 2 0 1 2 0]", got)
+	}
+}
+
 // TestRoundRobinFairness is the round-robin contract: after any number of
-// picks, per-shard counts differ by at most one.
+// routed arrivals, per-shard counts differ by at most one, and the cursor
+// carries over between Route calls — arrival n overall goes to shard n mod
+// len(shards), however the arrivals are split into epochs.
 func TestRoundRobinFairness(t *testing.T) {
 	shards := []ShardState{state(0, 2, 0, 0, 8), state(1, 2, 0, 0, 8), state(2, 2, 0, 0, 8)}
-	pending := make([]int, len(shards))
 	b := &RoundRobin{}
 	counts := make([]int, len(shards))
-	for n := 1; n <= 100; n++ {
-		i := b.Pick(0, shards, pending)
-		if i < 0 || i >= len(shards) {
-			t.Fatalf("pick %d: invalid index %d", n, i)
-		}
-		counts[i]++
-		min, max := counts[0], counts[0]
-		for _, c := range counts[1:] {
-			if c < min {
-				min = c
+	n := 0
+	for k := 0; n < 100; k = (k + 1) % 5 {
+		for _, i := range route(b, shards, k) {
+			if i != n%len(shards) {
+				t.Fatalf("arrival %d: routed to %d, want %d", n, i, n%len(shards))
 			}
-			if c > max {
-				max = c
+			n++
+			counts[i]++
+			min, max := counts[0], counts[0]
+			for _, c := range counts[1:] {
+				if c < min {
+					min = c
+				}
+				if c > max {
+					max = c
+				}
 			}
-		}
-		if max-min > 1 {
-			t.Fatalf("after %d picks counts diverge: %v", n, counts)
+			if max-min > 1 {
+				t.Fatalf("after %d arrivals counts diverge: %v", n, counts)
+			}
 		}
 	}
 }
 
 // TestPickDeterminism: identical inputs into fresh balancers produce
-// identical pick sequences (the property cluster.Run's serial routing leans
-// on).
+// identical routing sequences (the property cluster.Run's serial routing
+// leans on), over several Route calls of uneven size.
 func TestPickDeterminism(t *testing.T) {
 	shards := []ShardState{
 		state(0, 2, 3, 1, 8), state(1, 4, 1, 2, 10), state(2, 1, 0, 1, 12),
@@ -131,21 +231,20 @@ func TestPickDeterminism(t *testing.T) {
 	for _, name := range BalancerNames() {
 		a, _ := NewBalancer(name)
 		b, _ := NewBalancer(name)
-		pa, pb := make([]int, len(shards)), make([]int, len(shards))
-		for n := 0; n < 50; n++ {
-			ia := a.Pick(sim.Time(n), shards, pa)
-			ib := b.Pick(sim.Time(n), shards, pb)
-			if ia != ib {
-				t.Fatalf("%s: pick %d diverged: %d vs %d", name, n, ia, ib)
+		for k := 0; k < 12; k++ {
+			ra, rb := route(a, shards, k), route(b, shards, k)
+			for j := range ra {
+				if ra[j] != rb[j] {
+					t.Fatalf("%s: call %d arrival %d diverged: %d vs %d", name, k, j, ra[j], rb[j])
+				}
 			}
-			pa[ia]++
-			pb[ib]++
 		}
 	}
 }
 
 // TestPowerAwareHostileStates feeds non-finite telemetry straight into the
-// scoring function: picks must stay in range whatever the snapshot claims.
+// scoring function: picks and routes must stay in range whatever the
+// snapshot claims.
 func TestPowerAwareHostileStates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := [][]ShardState{
@@ -162,16 +261,28 @@ func TestPowerAwareHostileStates(t *testing.T) {
 		if got := b.Pick(0, shards, pending); got < 0 || got >= len(shards) {
 			t.Errorf("case %d: Pick = %d out of range [0,%d)", i, got, len(shards))
 		}
+		for j, got := range route(b, shards, 5) {
+			if got < 0 || got >= len(shards) {
+				t.Errorf("case %d: Route arrival %d = %d out of range [0,%d)", i, j, got, len(shards))
+			}
+		}
 	}
 }
 
 // FuzzPowerAwarePick fuzzes the power-aware scoring function with raw bit
 // patterns (NaNs, infinities, negative counts included): it must never panic
-// and must always return a valid shard index for a non-empty fleet.
+// and must always return a valid shard index for a non-empty fleet, and
+// Route over k arrivals must return exactly the shards k successive Pick
+// calls return, with pending counted up after each.
 func FuzzPowerAwarePick(f *testing.F) {
 	f.Add(uint8(3), int64(1), uint64(0x3FF0000000000000), uint64(0x4000000000000000), int64(2), int64(1), uint64(0))
 	f.Add(uint8(1), int64(-4), uint64(0x7FF8000000000000), uint64(0xFFF0000000000000), int64(0), int64(-1), uint64(0x7FF0000000000000))
 	f.Add(uint8(8), int64(1000), uint64(0), uint64(0x0010000000000000), int64(-3), int64(64), uint64(0x4030000000000000))
+	// Healthy fleets of eight shards routing 32 arrivals: load, share and
+	// efficiency all steer, so Route must recompute each picked shard's
+	// cost to keep up with successive Picks.
+	f.Add(uint8(0xFF), int64(1), uint64(0x4020000000000000), uint64(0x3FF0000000000000), int64(4), int64(4), uint64(0x3FD0000000000000))
+	f.Add(uint8(0xF7), int64(3), uint64(0x4028000000000000), uint64(0x3FE8000000000000), int64(2), int64(9), uint64(0))
 	f.Fuzz(func(t *testing.T, n uint8, queue int64, effBits, shareBits uint64, cores, online int64, weightBits uint64) {
 		shards := make([]ShardState, int(n%8)+1)
 		pending := make([]int, len(shards))
@@ -192,6 +303,14 @@ func FuzzPowerAwarePick(f *testing.F) {
 		got := b.Pick(0, shards, pending)
 		if got < 0 || got >= len(shards) {
 			t.Fatalf("Pick = %d out of range [0,%d)", got, len(shards))
+		}
+		k := 1 + int(n>>3)
+		routed, want := route(b, shards, k), refPicks(b, shards, k)
+		for j := range want {
+			if routed[j] != want[j] {
+				t.Fatalf("Route arrival %d = %d, successive Pick %d (routed %v, picks %v)",
+					j, routed[j], want[j], routed, want)
+			}
 		}
 	})
 }

@@ -13,17 +13,21 @@
 // epochs. At each epoch boundary the fleet tier runs serially — the global
 // tier reassigns shares/budgets from epoch-boundary telemetry, and the
 // balancer routes every arrival in the coming epoch, in arrival order,
-// seeing only that stale boundary snapshot plus its own routing counts.
-// Then all shards advance one epoch concurrently; each owns its engine,
-// server, policy, and RNG substream, so no state is shared mid-epoch.
-// Routing never observes mid-epoch state, shard evolution never depends on
-// sibling shards, and a fleet run with one worker is byte-identical to the
-// same run with eight.
+// seeing only that stale boundary snapshot plus its own routing counts,
+// into per-shard buffers. Then all shards advance one epoch concurrently:
+// each injects its own arrivals, runs, takes its snapshot and, on the final
+// epoch, ends its run, while one more unit draws the next epoch's fleet
+// arrivals. Each shard owns its engine, server, policy, and RNG substream,
+// and the arrival draw owns the fleet arrival stream, so no state is shared
+// mid-epoch. Routing never observes mid-epoch state, shard evolution never
+// depends on sibling shards, and a fleet run with one worker is
+// byte-identical to the same run with eight.
 package cluster
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/pool"
@@ -111,6 +115,8 @@ type shard struct {
 
 	state  ShardState // last epoch-boundary snapshot
 	routed uint64     // fleet requests routed here
+	inbox  []sim.Time // arrivals routed here for the coming epoch
+	result *server.Result
 
 	// window accounting for per-epoch telemetry deltas
 	lastCounters server.Counters
@@ -230,6 +236,22 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 
 	arrivals := workload.NewArrivals(full.Trace, sim.NewRNG(full.Seed).Stream("fleet/arrivals"))
 	next := arrivals.Next()
+	// The arrival and destination buffers start at the busiest epoch's
+	// expected size, so a run ramping up to its peak leaves no chain of
+	// outgrown copies behind; a busier epoch still grows them.
+	peak := int(min(full.Trace.MaxRate()*full.Epoch.Seconds()*1.25, 1<<20)) + 16
+	fleetAt := make([]sim.Time, 0, peak)
+	dst := make([]int, 0, peak)
+	// draw refills fleetAt with every fleet arrival before end.
+	draw := func(end sim.Time) {
+		fleetAt = fleetAt[:0]
+		for ; next < end; next = arrivals.Next() {
+			fleetAt = append(fleetAt, next)
+		}
+	}
+	epochEndAfter := func(t sim.Time) sim.Time {
+		return min(t+full.Epoch, full.Duration)
+	}
 
 	res := &Result{
 		Balancer: full.Balancer.Name(),
@@ -238,28 +260,44 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		Epoch:    full.Epoch,
 	}
 	states := make([]ShardState, len(shards))
-	pending := make([]int, len(shards))
-	units := make([]pool.Unit, len(shards))
+	// Unit 0 draws the next epoch's arrivals while units 1..n advance the
+	// shards: the draw touches only the arrival stream and fleetAt, which
+	// the routing phase has finished reading, and each shard unit only its
+	// own shard.
+	units := make([]pool.Unit, 1+len(shards))
 	var epochStart, epochEnd sim.Time
+	units[0] = func(context.Context) error {
+		if epochEnd < full.Duration {
+			draw(epochEndAfter(epochEnd))
+		}
+		return nil
+	}
 	for i, sh := range shards {
 		sh := sh
-		units[i] = func(context.Context) error {
+		units[1+i] = func(context.Context) error {
+			for _, at := range sh.inbox {
+				if err := sh.srv.Inject(at); err != nil {
+					return err
+				}
+			}
+			sh.inbox = sh.inbox[:0]
 			sh.eng.RunUntil(epochEnd)
 			sh.snapshot(epochEnd, epochEnd-epochStart)
+			if epochEnd == full.Duration {
+				sh.result = sh.srv.End()
+			}
 			return nil
 		}
 	}
 
 	var acc seriesAccum
+	draw(epochEndAfter(0))
 	for epoch, t := 0, sim.Time(0); t < full.Duration; epoch, t = epoch+1, epochEnd {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		epochStart = t
-		epochEnd = t + full.Epoch
-		if epochEnd > full.Duration {
-			epochEnd = full.Duration
-		}
+		epochEnd = epochEndAfter(t)
 
 		// Serial fleet tier: global reassignment, then arrival routing.
 		for i, sh := range shards {
@@ -274,25 +312,20 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 				states[i].FreqCapGHz = float64(sh.ceil)
 			}
 		}
-		for i := range pending {
-			pending[i] = 0
-		}
-		for next < epochEnd {
-			i := full.Balancer.Pick(next, states, pending)
+		dst = slices.Grow(dst[:0], len(fleetAt))[:len(fleetAt)]
+		full.Balancer.Route(fleetAt, states, dst)
+		for j, i := range dst {
 			if i < 0 || i >= len(shards) {
 				return nil, fmt.Errorf("cluster: balancer %q returned shard %d of %d",
 					full.Balancer.Name(), i, len(shards))
 			}
-			if err := shards[i].srv.Inject(next); err != nil {
-				return nil, err
-			}
-			pending[i]++
-			shards[i].routed++
-			res.TotalRouted++
-			next = arrivals.Next()
+			sh := shards[i]
+			sh.inbox = append(sh.inbox, fleetAt[j])
+			sh.routed++
 		}
+		res.TotalRouted += uint64(len(fleetAt))
 
-		// Parallel shard advancement: each unit owns exactly one shard.
+		// Parallel phase: the next epoch's arrival draw and one unit per shard.
 		if err := pool.Run(ctx, units, workers); err != nil {
 			return nil, err
 		}

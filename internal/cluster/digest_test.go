@@ -17,9 +17,11 @@ import (
 	"github.com/deeppower/deeppower/internal/workload"
 )
 
-// capRecorder is a power-aware balancer that also logs, at every pick, each
-// shard's frequency ceiling as the fleet tier reports it, and counts how
-// often a ceiling tightened and lifted between consecutive picks.
+// capRecorder is a power-aware balancer that also logs, at the first arrival
+// it routes in an epoch, each shard's frequency ceiling as the fleet tier
+// reports it, and counts how often a ceiling tightened and lifted between
+// consecutive routed epochs. The snapshot is fixed for the whole epoch, so
+// this is the log a per-arrival observer would write.
 type capRecorder struct {
 	PowerAware
 	last      []float64
@@ -28,7 +30,10 @@ type capRecorder struct {
 	lifted    int
 }
 
-func (b *capRecorder) Pick(at sim.Time, shards []ShardState, pending []int) int {
+func (b *capRecorder) Route(at []sim.Time, shards []ShardState, dst []int) {
+	if len(at) == 0 {
+		return
+	}
 	if b.last == nil {
 		b.last = make([]float64, len(shards))
 	}
@@ -41,11 +46,11 @@ func (b *capRecorder) Pick(at sim.Time, shards []ShardState, pending []int) int 
 			b.lifted++
 		}
 		if cur != prev {
-			b.log = append(b.log, float64(at), float64(i), cur)
+			b.log = append(b.log, float64(at[0]), float64(i), cur)
 		}
 		b.last[i] = cur
 	}
-	return b.PowerAware.Pick(at, shards, pending)
+	b.PowerAware.Route(at, shards, dst)
 }
 
 // fleetDigest hashes what a fleet campaign reports: every shard's counters,

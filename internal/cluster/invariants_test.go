@@ -43,17 +43,18 @@ func (p *clPolicy) OnTick(sim.Time) {
 	}
 }
 
-// jsqChecker wraps JSQ and asserts, at every pick, that the chosen shard's
-// backlog is minimal — JSQ must never route to a shard whose backlog
-// strictly exceeds another's.
+// jsqChecker wraps JSQ and asserts, at every routing decision, that the
+// chosen shard's backlog is minimal — JSQ must never route to a shard whose
+// backlog strictly exceeds another's.
 type jsqChecker struct {
 	JSQ
 	violations int
 }
 
-func (b *jsqChecker) Pick(at sim.Time, shards []ShardState, pending []int) int {
-	i := b.JSQ.Pick(at, shards, pending)
-	if i >= 0 {
+func (b *jsqChecker) Route(at []sim.Time, shards []ShardState, dst []int) {
+	b.JSQ.Route(at, shards, dst)
+	pending := make([]int, len(shards))
+	for _, i := range dst[:len(at)] {
 		got := shards[i].Backlog(pending[i])
 		for j := range shards {
 			if shards[j].Backlog(pending[j]) < got {
@@ -61,8 +62,8 @@ func (b *jsqChecker) Pick(at sim.Time, shards []ShardState, pending []int) int {
 				break
 			}
 		}
+		pending[i]++
 	}
-	return i
 }
 
 // clShardConfigs builds n self-contained fixed-frequency shards.
@@ -178,42 +179,57 @@ func TestClusterRandomizedInvariants(t *testing.T) {
 
 // TestClusterWorkerCountEquivalence pins the package-level determinism
 // contract directly (the harness-level test lives in internal/exp): the same
-// fleet advanced with 1 worker and with 8 yields identical results.
+// fleet advanced with 1 worker and with 8 yields identical results. Besides
+// a whole number of epochs, it runs a campaign shorter than one epoch and
+// one that ends mid-epoch: the next epoch's arrivals are drawn clamped at
+// the horizon, and each shard ends its run inside its unit of the final,
+// short epoch.
 func TestClusterWorkerCountEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated fleet simulations")
 	}
-	for _, name := range BalancerNames() {
-		results := make([]*Result, 2)
-		for i, workers := range []int{1, 8} {
-			bal, err := NewBalancer(name)
-			if err != nil {
-				t.Fatal(err)
+	const epoch = 50 * sim.Millisecond
+	for _, dur := range []sim.Time{sim.Second, 30 * sim.Millisecond, 1234 * sim.Millisecond} {
+		for _, name := range BalancerNames() {
+			results := make([]*Result, 2)
+			for i, workers := range []int{1, 8} {
+				bal, err := NewBalancer(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(context.Background(), Config{
+					Trace:    workload.Constant(800, sim.Second),
+					Duration: dur,
+					Epoch:    epoch,
+					Seed:     7,
+					Balancer: bal,
+					Global:   &GlobalConfig{Every: 3, PowerBudgetW: 120},
+				}, clShardConfigs(6, 2, 500*sim.Microsecond, 5*sim.Millisecond, 7), workers)
+				if err != nil {
+					t.Fatalf("%s, %v: %v", name, dur, err)
+				}
+				results[i] = res
 			}
-			res, err := Run(context.Background(), Config{
-				Trace:    workload.Constant(800, sim.Second),
-				Duration: sim.Second,
-				Epoch:    50 * sim.Millisecond,
-				Seed:     7,
-				Balancer: bal,
-				Global:   &GlobalConfig{Every: 3, PowerBudgetW: 120},
-			}, clShardConfigs(6, 2, 500*sim.Microsecond, 5*sim.Millisecond, 7), workers)
-			if err != nil {
-				t.Fatal(err)
+			a, b := results[0], results[1]
+			if a.String() != b.String() {
+				t.Errorf("%s, %v: results differ between workers=1 and workers=8:\n  %s\n  %s", name, dur, a, b)
 			}
-			results[i] = res
-		}
-		a, b := results[0], results[1]
-		if a.String() != b.String() {
-			t.Errorf("%s: results differ between workers=1 and workers=8:\n  %s\n  %s", name, a, b)
-		}
-		for i := range a.Routed {
-			if a.Routed[i] != b.Routed[i] {
-				t.Errorf("%s: shard %d routed %d vs %d", name, i, a.Routed[i], b.Routed[i])
+			for i := range a.Routed {
+				if a.Routed[i] != b.Routed[i] {
+					t.Errorf("%s, %v: shard %d routed %d vs %d", name, dur, i, a.Routed[i], b.Routed[i])
+				}
 			}
-		}
-		if fmt.Sprint(a.Series) != fmt.Sprint(b.Series) {
-			t.Errorf("%s: fleet series differ across worker counts", name)
+			if fmt.Sprint(a.Series) != fmt.Sprint(b.Series) {
+				t.Errorf("%s, %v: fleet series differ across worker counts", name, dur)
+			}
+			if a.TotalRouted == 0 || a.TotalRouted != a.Arrivals || a.Arrivals != a.Completions+a.InFlight {
+				t.Errorf("%s, %v: routed %d, arrivals %d, completions %d, in flight %d",
+					name, dur, a.TotalRouted, a.Arrivals, a.Completions, a.InFlight)
+			}
+			if last := a.Series[len(a.Series)-1]; last.At != dur || len(a.Series) != int((dur+epoch-1)/epoch) {
+				t.Errorf("%s, %v: %d series rows ending at %v, want one per epoch ending at the horizon",
+					name, dur, len(a.Series), last.At)
+			}
 		}
 	}
 }

@@ -77,14 +77,14 @@ type Result struct {
 	Series []EpochRow
 }
 
-// finish ends every shard's run and folds the per-shard results into the
-// fleet summary.
+// finish folds the per-shard results, each ended in its shard's unit of the
+// final epoch, into the fleet summary.
 func (r *Result) finish(shards []*shard) {
 	r.Routed = make([]uint64, len(shards))
 	r.PerShard = make([]*server.Result, len(shards))
 	p99s := make([]float64, 0, len(shards))
 	for i, sh := range shards {
-		sr := sh.srv.End()
+		sr := sh.result
 		r.PerShard[i] = sr
 		r.Routed[i] = sh.routed
 		c := sr.Counters

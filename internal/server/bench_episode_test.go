@@ -45,3 +45,43 @@ func BenchmarkServerEpisode(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(events)/float64(b.N), "events/episode")
 }
+
+// BenchmarkEngineInjectEpoch measures one fleet shard's epoch through the
+// server's external entry, the path cluster.Run drives for every shard and
+// epoch: BeginExternal, 150 Inject calls spread over a 100 ms epoch,
+// RunSegment to its end, and End, on a 4-core Xapian server. Injected
+// arrivals are posted (sim.Engine.Post) and wait outside the event heap, so
+// this is where the heap-versus-post cost of an epoch shows.
+func BenchmarkEngineInjectEpoch(b *testing.B) {
+	const (
+		epoch    = 100 * sim.Millisecond
+		arrivals = 150
+	)
+	prof, err := app.ByName(app.Xapian)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof.Workers = 4
+	eng := sim.NewEngine()
+	s, err := New(eng, Config{App: prof, Seed: 1, DiscardLatencies: true}, &maxFreqPolicy{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := eng.Now()
+		if err := s.BeginExternal(epoch); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < arrivals; k++ {
+			if err := s.Inject(start + sim.Time(k)*epoch/arrivals); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.RunSegment(start + epoch)
+		s.End()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.Fired())/b.Elapsed().Seconds(), "events/sec")
+}

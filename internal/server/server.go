@@ -346,7 +346,9 @@ func (s *Server) BeginExternal(duration sim.Time) error {
 // BeginExternal; at must not precede the engine's current time or reach the
 // run's end. Work is sampled from the profile when the arrival fires, from
 // the server's own service RNG, so a server fed the same arrival instants
-// behaves identically however they were produced.
+// behaves identically however they were produced. Arrivals are posted
+// (sim.Engine.Post): injected in non-decreasing time, they never enter the
+// event heap, which then holds only completions, ticks and delayed applies.
 func (s *Server) Inject(at sim.Time) error {
 	if at < s.eng.Now() {
 		return fmt.Errorf("server: inject at %v before now %v", at, s.eng.Now())
@@ -354,7 +356,7 @@ func (s *Server) Inject(at sim.Time) error {
 	if at >= s.endAt {
 		return fmt.Errorf("server: inject at %v beyond run end %v", at, s.endAt)
 	}
-	s.eng.At(at, s.injectFn)
+	s.eng.Post(at, s.injectFn)
 	return nil
 }
 
@@ -412,7 +414,7 @@ func (s *Server) scheduleNextArrival() {
 			return
 		}
 	}
-	s.eng.At(at, s.arrivalFn)
+	s.eng.Post(at, s.arrivalFn)
 }
 
 // getRequest takes a Request from the episode pool, or allocates one when

@@ -41,6 +41,14 @@ type node struct {
 	idx int32 // arena slot holding the callback
 }
 
+// posted is one event scheduled by Post. It has no handle, so nothing can
+// cancel or move it, and it carries its callback inline.
+type posted struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
 // Engine is a discrete-event simulation driver. It is not safe for concurrent
 // use; a simulation is a single logical thread of control whose parallelism,
 // if any, lives inside individual event handlers.
@@ -50,7 +58,9 @@ type node struct {
 // zero heap allocations in steady state and no interface boxing. Events with
 // equal firing times keep FIFO order via a monotone sequence number, so the
 // pop order is a strict total order on (at, seq) — identical to the previous
-// container/heap implementation bit for bit.
+// container/heap implementation bit for bit. Events from Post that arrive in
+// non-decreasing time skip the heap: they wait in a ring that is already in
+// (at, seq) order, and the run loop merges its head with the heap's root.
 type Engine struct {
 	now   Time
 	nodes []node // 4-ary min-heap ordered by (at, seq)
@@ -58,6 +68,11 @@ type Engine struct {
 	free  []int32 // recycled arena indices (LIFO)
 	seq   uint64
 	fired uint64
+
+	// post is a power-of-two ring of posted events, ascending in (at, seq);
+	// the pending ones are [postHead, postTail) (monotone counters).
+	post               []posted
+	postHead, postTail uint64
 }
 
 // NewEngine returns an engine whose clock starts at zero.
@@ -86,6 +101,10 @@ func (e *Engine) Reset() {
 		s.pos = -1
 		e.free = append(e.free, int32(i))
 	}
+	for ; e.postHead != e.postTail; e.postHead++ {
+		e.post[e.postHead&uint64(len(e.post)-1)].fn = nil
+	}
+	e.postHead, e.postTail = 0, 0
 	e.now, e.seq, e.fired = 0, 0, 0
 }
 
@@ -109,6 +128,49 @@ func (e *Engine) At(t Time, fn func()) Event {
 	e.seq++
 	e.siftUp(len(e.nodes) - 1)
 	return Event{eng: e, at: t, ref: uint32(idx) + 1, gen: s.gen}
+}
+
+// Post schedules fn to run at absolute virtual time t, like At, but returns
+// no handle: a posted event cannot be cancelled or rescheduled. It fires in
+// exactly the place At would have given it — it takes the next sequence
+// number, and the run loop merges posted events with the heap by the same
+// strict (at, seq) order — so replacing At by Post never changes a run. The
+// gain is for a caller that posts in non-decreasing time, as an arrival
+// process does: those events wait in a ring instead of the heap, at O(1)
+// each. A post earlier than the last one still pending falls back to the heap.
+func (e *Engine) Post(t Time, fn func()) {
+	if t < e.now || fn == nil {
+		e.badSchedule(t)
+	}
+	n := e.postTail - e.postHead
+	mask := uint64(len(e.post) - 1)
+	if n > 0 && t < e.post[(e.postTail-1)&mask].at {
+		e.At(t, fn)
+		return
+	}
+	if int(n) == len(e.post) {
+		e.growPost()
+		mask = uint64(len(e.post) - 1)
+	}
+	e.post[e.postTail&mask] = posted{at: t, seq: e.seq, fn: fn}
+	e.seq++
+	e.postTail++
+}
+
+// growPost doubles the post ring, unwrapping the pending events to the front.
+// The ring grows only when more posts are pending at once than ever before.
+func (e *Engine) growPost() {
+	n := 2 * len(e.post)
+	if n == 0 {
+		n = 16
+	}
+	ring := make([]posted, n)
+	for i, c := 0, e.postHead; c != e.postTail; i, c = i+1, c+1 {
+		ring[i] = e.post[c&uint64(len(e.post)-1)]
+	}
+	e.post = ring
+	e.postTail -= e.postHead
+	e.postHead = 0
 }
 
 // badSchedule panics for a schedule request that is always a logic error in
@@ -202,6 +264,18 @@ func (e *Engine) release(idx int32) {
 // Step fires the earliest pending event, advancing the clock to its time.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
+	if e.postHead != e.postTail {
+		p := &e.post[e.postHead&uint64(len(e.post)-1)]
+		if len(e.nodes) == 0 || nodeLess(node{at: p.at, seq: p.seq}, e.nodes[0]) {
+			e.now = p.at
+			fn := p.fn
+			p.fn = nil
+			e.postHead++
+			e.fired++
+			fn()
+			return true
+		}
+	}
 	if len(e.nodes) == 0 {
 		return false
 	}
@@ -220,7 +294,8 @@ func (e *Engine) RunUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	for len(e.nodes) > 0 && e.nodes[0].at <= t {
+	for len(e.nodes) > 0 && e.nodes[0].at <= t ||
+		e.postHead != e.postTail && e.post[e.postHead&uint64(len(e.post)-1)].at <= t {
 		e.Step()
 	}
 	e.now = t

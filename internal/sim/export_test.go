@@ -4,7 +4,10 @@
 package sim
 
 // Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.nodes) }
+func (e *Engine) Pending() int { return len(e.nodes) + int(e.postTail-e.postHead) }
+
+// postCap reports the capacity of the post ring.
+func (e *Engine) postCap() int { return len(e.post) }
 
 // Run fires events until the queue is empty.
 func (e *Engine) Run() {

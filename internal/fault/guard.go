@@ -102,15 +102,15 @@ type GuardedPolicy struct {
 	turbo cpu.Freq
 
 	safeMode    bool
-	safeSince   sim.Time
 	backoff     sim.Time
 	nextCheck   sim.Time
 	retryAt     sim.Time
 	invalidBase int
 	rollbacks   int // consecutive rollbacks since the last healthy window
-	completions []guardSample
-	lats        []float64 // windowHealth's scratch, reused across checks
+	win         healthWindow
 
+	// stats and Transitions are cumulative over every run the guard
+	// serves; Init resets the per-run state above.
 	stats GuardStats
 	// Transitions logs every mode change for diagnostics.
 	Transitions []GuardTransition
@@ -127,12 +127,6 @@ type GuardTransition struct {
 	// the moment of the transition (fallbacks only; zero on re-engage).
 	WindowTimeoutRate float64
 	WindowP99         sim.Time
-}
-
-type guardSample struct {
-	at       sim.Time
-	latency  sim.Time
-	timedOut bool
 }
 
 // WithGuard wraps inner with a default-configured watchdog.
@@ -155,11 +149,21 @@ func (g *GuardedPolicy) Name() string { return "guarded(" + g.inner.Name() + ")"
 
 // Init implements server.Policy. The inner policy receives a guarded
 // Control handle; the guard keeps the real one for safe-mode actuation.
+//
+// Init starts a fresh run: the guard is engaged, its health window is empty
+// and its backoff and rollback budget are back at their configured start,
+// because what a previous run left there is stamped on that run's clock.
+// Stats and Transitions stay cumulative across runs.
 func (g *GuardedPolicy) Init(c server.Control) {
 	g.ctl = c
 	g.sla = c.SLA()
 	g.turbo = c.Ladder().Turbo
 	g.gctl = &guardedControl{Control: c, g: g}
+	g.safeMode = false
+	g.retryAt = 0
+	g.rollbacks = 0
+	g.invalidBase = int(g.stats.InvalidActions)
+	g.win.reset(g.sla)
 	g.nextCheck = c.Now() + g.cfg.CheckEvery
 	g.backoff = g.cfg.Backoff
 	g.inner.Init(g.gctl)
@@ -203,8 +207,7 @@ func (g *GuardedPolicy) OnDispatch(r *server.Request, core int) {
 // in both modes; the inner policy only sees them when engaged.
 func (g *GuardedPolicy) OnComplete(r *server.Request, core int) {
 	now := g.ctl.Now()
-	lat := now - r.Arrive
-	g.completions = append(g.completions, guardSample{at: now, latency: lat, timedOut: lat > g.sla})
+	g.win.add(now, now-r.Arrive)
 	if !g.safeMode {
 		g.inner.OnComplete(r, core)
 	}
@@ -227,58 +230,37 @@ func (g *GuardedPolicy) Stats() GuardStats { return g.stats }
 // SafeMode reports whether the guard is currently in safe mode.
 func (g *GuardedPolicy) SafeMode() bool { return g.safeMode }
 
-func (g *GuardedPolicy) prune(now sim.Time) {
-	cut := now - window
-	i := 0
-	for i < len(g.completions) && g.completions[i].at < cut {
-		i++
-	}
-	if i > 0 {
-		g.completions = append(g.completions[:0], g.completions[i:]...)
-	}
-}
-
-// windowHealth computes the pruned window's timeout rate and p99; ok
+// windowHealth reads the pruned window's timeout rate and exact p99; ok
 // reports whether the window passes the configured limits.
 func (g *GuardedPolicy) windowHealth() (rate float64, p99 sim.Time, ok bool) {
-	n := len(g.completions)
+	n := g.win.len()
 	if n < g.cfg.MinSamples {
 		// Too few samples to judge either way; treat as healthy so an
 		// idle period neither trips nor blocks re-engagement.
 		return 0, 0, true
 	}
-	timeouts := 0
-	lats := g.lats[:0]
-	for _, s := range g.completions {
-		if s.timedOut {
-			timeouts++
-		}
-		lats = append(lats, float64(s.latency))
-	}
-	g.lats = lats
-	rate = float64(timeouts) / float64(n)
-	// Exact p99 over the window (windows are small; sorting is cheap).
-	p99 = sim.Time(quickSelect(lats, int(math.Ceil(0.99*float64(n)))-1))
+	rate = float64(g.win.timeouts) / float64(n)
+	// The p99 is rounded through float64, which is exact for every
+	// latency below 2^53 ns.
+	p99 = sim.Time(float64(g.win.kth(int(math.Ceil(0.99*float64(n))) - 1)))
 	ok = rate <= g.cfg.TimeoutRateLimit && p99 <= sim.Time(p99Factor*float64(g.sla))
 	return rate, p99, ok
 }
 
-func (g *GuardedPolicy) windowHealthy() bool {
-	_, _, ok := g.windowHealth()
-	return ok
-}
-
 func (g *GuardedPolicy) checkHealth(now sim.Time) {
-	g.prune(now)
+	g.win.prune(now - window)
 	if g.safeMode {
-		if now >= g.retryAt && g.windowHealthy() {
-			g.reengage(now)
+		if now >= g.retryAt {
+			if _, _, ok := g.windowHealth(); ok {
+				g.reengage(now)
+			}
 		}
 		return
 	}
-	if !g.windowHealthy() || int(g.stats.InvalidActions)-g.invalidAtWindowStart() > maxInvalid {
-		g.fallback(now)
-	} else if g.rollbacks > 0 && len(g.completions) >= g.cfg.MinSamples {
+	rate, p99, ok := g.windowHealth()
+	if !ok || int(g.stats.InvalidActions)-g.invalidAtWindowStart() > maxInvalid {
+		g.fallback(now, rate, p99)
+	} else if g.rollbacks > 0 && g.win.len() >= g.cfg.MinSamples {
 		// A rolled-back policy survived a full-sample healthy window; its
 		// rollback budget resets.
 		g.rollbacks = 0
@@ -289,8 +271,9 @@ func (g *GuardedPolicy) checkHealth(now sim.Time) {
 // trips on the count accumulated since the last mode change.
 func (g *GuardedPolicy) invalidAtWindowStart() int { return g.invalidBase }
 
-func (g *GuardedPolicy) fallback(now sim.Time) {
-	rate, p99, _ := g.windowHealth()
+// fallback escalates a breach; rate and p99 are the window reading the
+// check that found it took.
+func (g *GuardedPolicy) fallback(now sim.Time, rate float64, p99 sim.Time) {
 	// Escalation rung 1: swap the inner policy back to its last-good
 	// version and stay engaged. Pinning max frequency (rung 2) burns the
 	// whole power budget; a known-good policy usually restores QoS without
@@ -302,11 +285,10 @@ func (g *GuardedPolicy) fallback(now sim.Time) {
 			At: now, RolledBack: true, WindowTimeoutRate: rate, WindowP99: p99})
 		g.invalidBase = int(g.stats.InvalidActions)
 		// Judge the rolled-back policy on its own completions.
-		g.completions = g.completions[:0]
+		g.win.clear()
 		return
 	}
 	g.safeMode = true
-	g.safeSince = now
 	g.stats.Fallbacks++
 	g.Transitions = append(g.Transitions, GuardTransition{
 		At: now, ToSafe: true, WindowTimeoutRate: rate, WindowP99: p99})
@@ -315,7 +297,7 @@ func (g *GuardedPolicy) fallback(now sim.Time) {
 		g.backoff *= 2
 	}
 	// Clear the window so safe mode is judged on its own completions.
-	g.completions = g.completions[:0]
+	g.win.clear()
 	// Safe mode runs at full capacity: every core enabled, pinned to turbo.
 	if t := g.ctl.Topology(); t != nil {
 		counts := make([]int, len(t.Classes))
@@ -334,7 +316,7 @@ func (g *GuardedPolicy) reengage(now sim.Time) {
 	g.stats.Reengages++
 	g.Transitions = append(g.Transitions, GuardTransition{At: now})
 	g.invalidBase = int(g.stats.InvalidActions)
-	g.completions = g.completions[:0]
+	g.win.clear()
 	g.inner.OnTick(now)
 }
 
@@ -404,35 +386,4 @@ func (gc *guardedControl) Sleep(core int, state cpu.CState) bool {
 		return false
 	}
 	return gc.Control.Sleep(core, state)
-}
-
-// quickSelect returns the k-th smallest element (0-indexed) of a, which it
-// partially reorders in place.
-func quickSelect(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return a[k]
 }

@@ -230,8 +230,14 @@ type Injector struct {
 	offline    []*renewal
 	throttle   []*renewal
 
-	lastSnap server.Snapshot
-	haveSnap bool
+	// lastSnap is the read a stale fault repeats. Its feeds live in the
+	// injector's own buffers: the server reuses its feed slices on every
+	// Snapshot call.
+	lastSnap    server.Snapshot
+	haveSnap    bool
+	lastQueue   []sim.Time
+	lastCores   []sim.Time
+	lastClasses []server.ClassSnap
 
 	stats Stats
 }
@@ -344,6 +350,19 @@ func (in *Injector) PerturbSnapshot(now sim.Time, snap server.Snapshot) server.S
 		in.stats.DroppedFields++
 	}
 	in.lastSnap = snap
+	in.lastSnap.QueueSLARemaining = keepFeed(&in.lastQueue, snap.QueueSLARemaining)
+	in.lastSnap.CoreSLARemaining = keepFeed(&in.lastCores, snap.CoreSLARemaining)
+	in.lastSnap.Classes = keepFeed(&in.lastClasses, snap.Classes)
 	in.haveSnap = true
 	return snap
+}
+
+// keepFeed copies src into *buf, reusing its storage, and returns the copy;
+// a nil src stays nil.
+func keepFeed[T any](buf *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	*buf = append((*buf)[:0], src...)
+	return *buf
 }

@@ -273,6 +273,71 @@ func TestSnapshotPerturbation(t *testing.T) {
 	}
 }
 
+// staleReader reads the snapshot feed twice under an always-stale sensor
+// plan: once at first (the read the injector keeps), once at second, after
+// the queue has drained a little.
+type staleReader struct {
+	server.BasePolicy
+	first, second sim.Time
+
+	kept                 server.Snapshot
+	keptQueue, keptCores []sim.Time
+	stale                server.Snapshot
+	queueAtStale         int
+}
+
+func (p *staleReader) Name() string { return "stale-reader" }
+
+func (p *staleReader) OnTick(now sim.Time) {
+	switch now {
+	case p.first:
+		p.kept = p.Ctl.Snapshot()
+		p.keptQueue = append([]sim.Time(nil), p.kept.QueueSLARemaining...)
+		p.keptCores = append([]sim.Time(nil), p.kept.CoreSLARemaining...)
+	case p.second:
+		p.queueAtStale = p.Ctl.QueueLen()
+		p.stale = p.Ctl.Snapshot()
+	}
+}
+
+// TestStaleSnapshotOwnsItsFeeds: a stale read repeats the feed values of the
+// read it replays, even though the server has since refilled the slices it
+// hands out with the shorter queue's budgets. An injector that kept the
+// server's slices instead of copying them would replay the new values.
+func TestStaleSnapshotOwnsItsFeeds(t *testing.T) {
+	inj, err := NewInjector(Plan{Seed: 1, Sensor: SensorPlan{StaleProb: 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 300 req/s for half a second builds a queue on one 10 ms worker; no
+	// arrivals after that, so it drains.
+	trace := &workload.Trace{Period: sim.Second, Rates: []float64{300, 0}}
+	p := &staleReader{first: 450 * sim.Millisecond, second: 700 * sim.Millisecond}
+	s, err := server.New(sim.NewEngine(), server.Config{
+		App: testApp(10*sim.Millisecond, 1, 20*sim.Millisecond), Seed: 3, Faults: inj}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(trace, sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.keptQueue) == 0 || len(p.keptCores) == 0 {
+		t.Fatalf("kept read has empty feeds: queue %d, cores %d", len(p.keptQueue), len(p.keptCores))
+	}
+	if p.queueAtStale == 0 || p.queueAtStale >= len(p.keptQueue) {
+		t.Fatalf("queue at the stale read = %d, want between 1 and %d", p.queueAtStale, len(p.keptQueue)-1)
+	}
+	if p.stale.Now != p.kept.Now || inj.Counters().StaleSnapshots != 1 {
+		t.Fatalf("second read not stale: now %v, stale reads %d", p.stale.Now, inj.Counters().StaleSnapshots)
+	}
+	if !reflect.DeepEqual(p.stale.QueueSLARemaining, p.keptQueue) {
+		t.Errorf("stale queue feed %v, want the kept read's %v", p.stale.QueueSLARemaining, p.keptQueue)
+	}
+	if !reflect.DeepEqual(p.stale.CoreSLARemaining, p.keptCores) {
+		t.Errorf("stale core feed %v, want the kept read's %v", p.stale.CoreSLARemaining, p.keptCores)
+	}
+}
+
 // TestThrottleCapsFrequency drives a real server with a throttle-only plan
 // and checks cores never exceed the cap while a throttle episode is active
 // (observable via the throttle stats moving and the run completing).

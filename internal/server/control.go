@@ -267,7 +267,8 @@ type ClassSnap struct {
 
 // Snapshot builds a point-in-time Snapshot. A configured fault injector
 // perturbs it before any policy sees it — noisy, stale, or partial
-// telemetry, never the server's own ground-truth accounting.
+// telemetry, never the server's own ground-truth accounting. The feed
+// slices are the server's scratch, valid until the next Snapshot call.
 func (s *Server) Snapshot() Snapshot {
 	now := s.eng.Now()
 	snap := Snapshot{
@@ -277,25 +278,26 @@ func (s *Server) Snapshot() Snapshot {
 		Energy:   s.Energy(),
 	}
 	if snap.QueueLen > 0 {
-		// Both feeds are sized once, but a fresh slice per call:
-		// fault.Injector retains snapshots for stale-read faults, so
-		// server-owned scratch would alias them.
-		snap.QueueSLARemaining = make([]sim.Time, 0, snap.QueueLen)
-	}
-	for i := 0; i < snap.QueueLen; i++ {
-		r := s.queue.Peek(i)
-		snap.QueueSLARemaining = append(snap.QueueSLARemaining, r.SLARemaining(now, s.prof.SLA))
+		s.snapQueue = s.snapQueue[:0]
+		for i := 0; i < snap.QueueLen; i++ {
+			s.snapQueue = append(s.snapQueue, s.queue.Peek(i).SLARemaining(now, s.prof.SLA))
+		}
+		snap.QueueSLARemaining = s.snapQueue
 	}
 	if s.busy > 0 {
-		snap.CoreSLARemaining = make([]sim.Time, 0, s.busy)
+		s.snapCores = s.snapCores[:0]
 		for _, w := range s.workers {
 			if w.req != nil {
-				snap.CoreSLARemaining = append(snap.CoreSLARemaining, w.req.SLARemaining(now, s.prof.SLA))
+				s.snapCores = append(s.snapCores, w.req.SLARemaining(now, s.prof.SLA))
 			}
 		}
+		snap.CoreSLARemaining = s.snapCores
 	}
 	if s.topo != nil {
-		snap.Classes = make([]ClassSnap, len(s.topo.Classes))
+		if s.snapClasses == nil {
+			s.snapClasses = make([]ClassSnap, len(s.topo.Classes))
+		}
+		snap.Classes = s.snapClasses
 		idx := 0
 		for c, cl := range s.topo.Classes {
 			cs := ClassSnap{Name: cl.Name, Cores: cl.Count, EnergyJ: s.classEnergy[c]}

@@ -64,7 +64,9 @@ type Control interface {
 	// Counters returns cumulative arrival/completion/timeout counts.
 	Counters() Counters
 	// Snapshot captures the full system-information feed (queue and
-	// in-service SLA budgets) the DeepPower state observer consumes.
+	// in-service SLA budgets) the DeepPower state observer consumes. Its
+	// slices (QueueSLARemaining, CoreSLARemaining, Classes) are valid only
+	// until the next Snapshot call: a caller that keeps them must copy them.
 	Snapshot() Snapshot
 	// Energy returns cumulative socket energy in joules (the RAPL read).
 	Energy() float64

@@ -72,7 +72,8 @@ type Result struct {
 // latBlocks retains latency samples in chunked, individually preallocated
 // blocks: appends never copy previously stored samples (no slice-doubling
 // churn in long runs) and one block allocation amortizes over latBlockSize
-// completions. The flat view is materialized once, at result construction.
+// completions. The flat view is materialized once, at result construction,
+// where the blocks double as the completion-order copy (see summarize).
 type latBlocks struct {
 	blocks [][]float64
 	n      int // total samples stored
@@ -90,8 +91,7 @@ func (l *latBlocks) add(v float64) {
 	l.n++
 }
 
-// flatten materializes the samples as one contiguous slice (nil when empty,
-// matching the previous plain-slice behavior).
+// flatten materializes the samples as one contiguous slice, nil when empty.
 func (l *latBlocks) flatten() []float64 {
 	if l.n == 0 {
 		return nil
@@ -103,13 +103,28 @@ func (l *latBlocks) flatten() []float64 {
 	return out
 }
 
+// summarize returns the samples in completion order and their Summary,
+// holding two copies of each sample at most: the flat slice is summarized
+// (sorted) in place, then the blocks are copied back over it to restore
+// completion order, and the blocks are dropped.
+func (l *latBlocks) summarize() ([]float64, stats.Summary) {
+	flat := l.flatten()
+	sum := stats.SummarizeInPlace(flat)
+	rest := flat
+	for _, b := range l.blocks {
+		rest = rest[copy(rest, b):]
+	}
+	*l = latBlocks{}
+	return flat, sum
+}
+
 func (s *Server) buildResult(start, duration sim.Time) *Result {
 	measured := duration - s.cfg.Warmup
 	if measured <= 0 {
 		measured = duration
 	}
 	energy := s.meter.Energy() - s.warmupEnergy
-	latencies := s.latencies.flatten()
+	latencies, latency := s.latencies.summarize()
 	res := &Result{
 		Policy:    s.policy.Name(),
 		App:       s.prof.Name,
@@ -119,12 +134,12 @@ func (s *Server) buildResult(start, duration sim.Time) *Result {
 		AvgPowerW: energy / measured.Seconds(),
 		AvgFreqGHz: s.totalCycles /
 			(float64(len(s.cores)) * duration.Seconds()),
+		Latency:   latency,
 		Latencies: latencies,
 		SLA:       s.prof.SLA,
 		Series:    s.series,
 		FreqTrace: s.freqTrace,
 	}
-	res.Latency = stats.Summarize(latencies)
 	if s.cfg.DiscardLatencies && s.latMean.N() > 0 {
 		// Streamed digests replace the (discarded) sample set.
 		res.Latency.N = s.latMean.N()

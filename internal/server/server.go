@@ -180,6 +180,13 @@ type Server struct {
 	reqFree    []*Request
 	sampleInto app.IntoSampler // non-nil when the profile's sampler supports reuse
 
+	// snapQueue, snapCores and snapClasses back the feeds of the latest
+	// Snapshot: reused by every call, so a steady-state read allocates
+	// nothing.
+	snapQueue   []sim.Time
+	snapCores   []sim.Time
+	snapClasses []ClassSnap
+
 	// DAG mode (profile with a stage graph): jobs are pooled like
 	// requests, stage samplers are pre-asserted for the allocation-free
 	// path, and the end-to-end digests replace per-request ones.

@@ -5,3 +5,9 @@ package stats
 
 // N reports how many observations were added.
 func (q *P2Quantile) N() int { return q.count }
+
+// Summarize computes a Summary of xs without touching xs: SummarizeInPlace
+// over a private copy.
+func Summarize(xs []float64) Summary {
+	return SummarizeInPlace(append([]float64(nil), xs...))
+}

@@ -142,23 +142,24 @@ type Summary struct {
 	P50, P90, P95, P99 float64
 }
 
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
+// SummarizeInPlace computes a Summary of xs by sorting xs itself: on return
+// xs is in ascending order. It makes no copy, so a caller that wants its
+// samples in their original order keeps its own.
+func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	cp := append([]float64(nil), xs...)
-	sortFloats(cp)
+	sortFloats(xs)
 	return Summary{
-		N:    len(cp),
-		Mean: Mean(cp),
-		Std:  StdDev(cp),
-		Min:  cp[0],
-		Max:  cp[len(cp)-1],
-		P50:  percentileSorted(cp, 50),
-		P90:  percentileSorted(cp, 90),
-		P95:  percentileSorted(cp, 95),
-		P99:  percentileSorted(cp, 99),
+		N:    len(xs),
+		Mean: Mean(xs),
+		Std:  StdDev(xs),
+		Min:  xs[0],
+		Max:  xs[len(xs)-1],
+		P50:  percentileSorted(xs, 50),
+		P90:  percentileSorted(xs, 90),
+		P95:  percentileSorted(xs, 95),
+		P99:  percentileSorted(xs, 99),
 	}
 }
 

@@ -161,7 +161,7 @@ func New(cfg Config) (*DeepPower, error) {
 		return nil, err
 	}
 	k := &pairCodec{ActorCritic: learner, cfg: full}
-	replay := rl.NewReplay(full.replayCap, sim.NewRNG(full.Seed).Stream("deeppower").Stream("replay"))
+	replay := rl.NewReplay(full.replayCap, sim.NewRNG(sim.SubSeed(sim.SubSeed(full.Seed, "deeppower"), "replay")))
 	return &DeepPower{newCore("deeppower", full, k.seeded(full.Seed), replay)}, nil
 }
 
@@ -186,13 +186,13 @@ type pairCodec struct {
 }
 
 func (k *pairCodec) seeded(seed int64) codec {
-	rng := sim.NewRNG(seed).Stream("deeppower")
+	base := sim.SubSeed(seed, "deeppower")
 	fresh := *k
 	fresh.noise = &rl.DecayedNoise{
-		Inner: rl.NewGaussianNoise(k.cfg.NoiseMu, k.cfg.NoiseSigma, rng.Stream("noise")),
+		Inner: rl.NewGaussianNoise(k.cfg.NoiseMu, k.cfg.NoiseSigma, sim.NewRNG(sim.SubSeed(base, "noise"))),
 		Scale: 1, Decay: k.cfg.NoiseDecay, Floor: 0.05,
 	}
-	fresh.rng = rng.Stream("warmup-actions")
+	fresh.rng = sim.NewRNG(sim.SubSeed(base, "warmup-actions"))
 	return &fresh
 }
 

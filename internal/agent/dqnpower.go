@@ -58,7 +58,7 @@ func NewDQNPower(cfg DQNPowerConfig) (*DQNPower, error) {
 	loop.Train, loop.Seed = cfg.Train, cfg.Seed
 	loop = loop.withDefaults()
 	k := &lattice{DQN: dqn}
-	replay := rl.NewReplay(loop.replayCap, sim.NewRNG(loop.Seed).Stream("dqnpower").Stream("replay"))
+	replay := rl.NewReplay(loop.replayCap, sim.NewRNG(sim.SubSeed(sim.SubSeed(loop.Seed, "dqnpower"), "replay")))
 	return &DQNPower{newCore(name, loop, k.seeded(loop.Seed), replay)}, nil
 }
 
@@ -75,7 +75,7 @@ type lattice struct {
 func (k *lattice) seeded(seed int64) codec {
 	fresh := *k
 	fresh.eps = epsStart
-	fresh.rng = sim.NewRNG(seed).Stream("dqnpower").Stream("explore")
+	fresh.rng = sim.NewRNG(sim.SubSeed(sim.SubSeed(seed, "dqnpower"), "explore"))
 	return &fresh
 }
 

@@ -18,7 +18,10 @@ type TrainConfig struct {
 	// trace period).
 	EpisodeLen sim.Time
 	// Server configures the simulated latency-critical system; its Seed is
-	// perturbed per episode so the agent sees varied arrivals.
+	// perturbed per episode so the agent sees varied arrivals. Its
+	// DiscardLatencies is overridden to false: each episode's exact p99
+	// (EpisodeStats.P99Seconds) comes from the retained samples, whose
+	// storage the run store recycles from one episode's server to the next.
 	Server server.Config
 	// Trace is the request-rate trace to train against.
 	Trace *workload.Trace

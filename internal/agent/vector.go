@@ -37,7 +37,9 @@ type TrainVectorConfig struct {
 	EpisodeLen sim.Time
 	// Server configures each environment; env i of episode ep gets seed
 	// SubSeed(Server.Seed, "vec-env/i") + ep·7919, so environments see
-	// decoupled arrival processes that still vary per episode.
+	// decoupled arrival processes that still vary per episode. As in
+	// TrainConfig, DiscardLatencies is overridden to false for the exact
+	// episode p99.
 	Server server.Config
 	// Trace is the request-rate trace every environment replays.
 	Trace *workload.Trace
@@ -161,8 +163,8 @@ func (vt *VectorTrainer) runEnv(i int) error {
 	ph := vt.phase
 	if ph.arm {
 		// The engine is Reset to recycle its warm event arena; the server is
-		// fresh (the request pool is per-server and re-pools within the
-		// episode).
+		// fresh, and New seeds its requests and latency blocks from a store
+		// an earlier End returned (see server.runStore).
 		sc := vt.cfg.Server
 		sc.Seed = vt.seeds[i] + int64(ph.episode)*7919
 		sc.DiscardLatencies = false

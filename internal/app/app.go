@@ -129,7 +129,7 @@ func (p *Profile) MeanService(seed int64, n int) sim.Time {
 	if p.Sampler == nil && p.DAG != nil {
 		return p.DAG.MeanTotalService(seed, n)
 	}
-	r := sim.NewRNG(seed).Stream("mean-service-" + p.Name)
+	r := sim.NewRNG(sim.SubSeed(seed, "mean-service-"+p.Name))
 	var sum float64
 	for i := 0; i < n; i++ {
 		sum += float64(p.Sampler.Sample(r).ServiceRef)

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,8 +24,10 @@ type DAGStage struct {
 // DAG is a request's stage graph: a microservice chain/fan-out where the SLA
 // applies to the end-to-end latency of the whole graph, not to any single
 // stage (the HiDVFS-style real-time DAG workload model). Validate must
-// succeed before the DAG is used; it also precomputes successor lists,
-// roots, and a topological order.
+// succeed before the DAG is used; it also precomputes successor lists and
+// roots. Validating a DAG again leaves it untouched unless its stages
+// changed, so servers built concurrently from one validated profile only
+// read it.
 type DAG struct {
 	// Name labels the graph in reports.
 	Name string
@@ -33,19 +36,19 @@ type DAG struct {
 
 	succs [][]int
 	roots []int
-	order []int
 }
 
 // Validate checks the graph — in-range acyclic edges, no self-loops,
-// samplers present — and precomputes the derived views (successors, roots,
-// topological order) the server's admission path consumes.
+// samplers present — and precomputes the derived views (successors, roots)
+// the server's admission path consumes. The views are built aside and
+// stored only when they differ from the ones the DAG already holds.
 func (d *DAG) Validate() error {
 	n := len(d.Stages)
 	if n == 0 {
 		return fmt.Errorf("app: DAG %q has no stages", d.Name)
 	}
-	d.succs = make([][]int, n)
-	d.roots = d.roots[:0]
+	succs := make([][]int, n)
+	var roots []int
 	indeg := make([]int, n)
 	for i, st := range d.Stages {
 		if st.Sampler == nil {
@@ -63,32 +66,35 @@ func (d *DAG) Validate() error {
 				return fmt.Errorf("app: DAG %q stage %d (%s): duplicate predecessor %d", d.Name, i, st.Name, p)
 			}
 			seen[p] = true
-			d.succs[p] = append(d.succs[p], i)
+			succs[p] = append(succs[p], i)
 			indeg[i]++
 		}
 	}
 	// Kahn's algorithm: a complete topological order proves acyclicity.
-	d.order = d.order[:0]
 	var frontier []int
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			frontier = append(frontier, i)
-			d.roots = append(d.roots, i)
+			roots = append(roots, i)
 		}
 	}
+	ordered := 0
 	for len(frontier) > 0 {
 		i := frontier[0]
 		frontier = frontier[1:]
-		d.order = append(d.order, i)
-		for _, nx := range d.succs[i] {
+		ordered++
+		for _, nx := range succs[i] {
 			indeg[nx]--
 			if indeg[nx] == 0 {
 				frontier = append(frontier, nx)
 			}
 		}
 	}
-	if len(d.order) != n {
+	if ordered != n {
 		return fmt.Errorf("app: DAG %q contains a cycle", d.Name)
+	}
+	if !slices.Equal(d.roots, roots) || !slices.EqualFunc(d.succs, succs, slices.Equal[[]int]) {
+		d.succs, d.roots = succs, roots
 	}
 	return nil
 }
@@ -109,7 +115,7 @@ func (d *DAG) Preds(i int) []int { return d.Stages[i].Preds }
 // reference service times — the total work one job brings, which bounds
 // sustainable job throughput at Workers/mean. Deterministic for a seed.
 func (d *DAG) MeanTotalService(seed int64, n int) sim.Time {
-	r := sim.NewRNG(seed).Stream("mean-service-dag-" + d.Name)
+	r := sim.NewRNG(sim.SubSeed(seed, "mean-service-dag-"+d.Name))
 	var sum float64
 	for i := 0; i < n; i++ {
 		for _, st := range d.Stages {

@@ -70,6 +70,30 @@ func TestDAGDerivedViews(t *testing.T) {
 	}
 }
 
+// TestRevalidateLeavesDAGUntouched: validating an unchanged DAG again — as
+// every server built from its profile does — writes nothing, so concurrent
+// server construction only reads a shared DAG. A changed DAG is re-derived.
+func TestRevalidateLeavesDAGUntouched(t *testing.T) {
+	d, err := ParseDAG("diamond", "gate(500us); auth(1ms):gate; search(2ms):gate; merge(1ms):auth,search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	succs, roots := d.succs, d.roots
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if &d.succs[0] != &succs[0] || &d.roots[0] != &roots[0] {
+		t.Error("re-validating an unchanged DAG replaced its derived views")
+	}
+	d.Stages[3].Preds = []int{2}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Succs(1); len(got) != 0 {
+		t.Errorf("after dropping edge auth→merge, succs(1) = %v", got)
+	}
+}
+
 // TestParseDAGErrors covers the parser's rejection paths.
 func TestParseDAGErrors(t *testing.T) {
 	cases := []struct {

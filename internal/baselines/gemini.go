@@ -92,7 +92,7 @@ func FitGemini(samples []ServiceSample, cfg GeminiTrainConfig) (*Gemini, error) 
 		}
 	}
 
-	rng := sim.NewRNG(cfg.Seed).Stream("gemini-train")
+	rng := sim.NewRNG(sim.SubSeed(cfg.Seed, "gemini-train"))
 	sizes := append([]int{d}, cfg.Hidden...)
 	sizes = append(sizes, 1)
 	m := nn.NewMLP(sizes, nn.ReLU, nn.Identity, rng)

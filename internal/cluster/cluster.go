@@ -19,7 +19,10 @@
 // epoch, ends its run, while one more unit draws the next epoch's fleet
 // arrivals. Each shard owns its engine, server, policy, and RNG substream,
 // and the arrival draw owns the fleet arrival stream, so no state is shared
-// mid-epoch. Routing never observes mid-epoch state, shard evolution never
+// mid-epoch. The one thing shards share is the server package's pool of run
+// stores: a shard's server takes a store at New and returns it at End, so
+// the pool passes storage — emptied latency blocks, free requests and jobs
+// — between runs and never a value any run reads. Routing never observes mid-epoch state, shard evolution never
 // depends on sibling shards, and a fleet run with one worker is
 // byte-identical to the same run with eight.
 package cluster
@@ -234,7 +237,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		global = newGlobalTier(*full.Global, shards)
 	}
 
-	arrivals := workload.NewArrivals(full.Trace, sim.NewRNG(full.Seed).Stream("fleet/arrivals"))
+	arrivals := workload.NewArrivals(full.Trace, sim.NewRNG(sim.SubSeed(full.Seed, "fleet/arrivals")))
 	next := arrivals.Next()
 	// The arrival and destination buffers start at the busiest epoch's
 	// expected size, so a run ramping up to its peak leaves no chain of

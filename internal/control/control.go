@@ -14,7 +14,6 @@ package control
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/deeppower/deeppower/internal/server"
 	"github.com/deeppower/deeppower/internal/sim"
@@ -49,10 +48,13 @@ func (p Params) Score(elapsed, sla sim.Time) float64 {
 // current Params and each in-flight request's consumed time. It implements
 // server.Policy so it can run standalone with fixed parameters (the Fig. 11
 // experiment); DeepPower embeds it and updates Params from the DRL agent.
+// It is not safe for concurrent use: like the Server that drives it, it
+// belongs to one goroutine, which both reads the params (every tick and
+// dispatch) and sets them (the agent's action, taken from the server's own
+// callbacks).
 type ThreadController struct {
 	server.BasePolicy
 
-	mu     sync.RWMutex
 	params Params
 }
 
@@ -69,8 +71,6 @@ func (tc *ThreadController) Name() string {
 
 // Params returns the current parameters.
 func (tc *ThreadController) Params() Params {
-	tc.mu.RLock()
-	defer tc.mu.RUnlock()
 	return tc.params
 }
 
@@ -78,8 +78,6 @@ func (tc *ThreadController) Params() Params {
 // Out-of-range values are clamped into [0,1]; a NaN component — a diverged
 // actor — is rejected, keeping that knob at its last good value.
 func (tc *ThreadController) SetParams(p Params) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
 	if math.IsNaN(p.BaseFreq) {
 		p.BaseFreq = tc.params.BaseFreq
 	}

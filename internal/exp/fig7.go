@@ -186,11 +186,12 @@ func (s *Setup) TrainDeepPowerVector(envs, workers int) (*agent.DeepPower, error
 	return dp, nil
 }
 
-// trainServerConfig is ServerConfig adjusted for training runs.
+// trainServerConfig is ServerConfig adjusted for training runs. It leaves
+// DiscardLatencies alone: the trainers override it to keep the samples
+// their exact episode p99 needs.
 func (s *Setup) trainServerConfig() server.Config {
 	cfg := s.ServerConfig(s.Scale.Seed)
 	cfg.Warmup = 0
-	cfg.DiscardLatencies = true
 	return cfg
 }
 

@@ -143,7 +143,7 @@ func (p Plan) ApplyToTrace(tr *workload.Trace) *workload.Trace {
 	if !p.Load.enabled() {
 		return tr
 	}
-	rng := sim.NewRNG(p.Seed).Stream("fault-load")
+	rng := sim.NewRNG(sim.SubSeed(p.Seed, "fault-load"))
 	out := &workload.Trace{Period: tr.Period, Rates: make([]float64, len(tr.Rates))}
 	copy(out.Rates, tr.Rates)
 	for i := range out.Rates {
@@ -252,22 +252,22 @@ func NewInjector(plan Plan, numCores int) (*Injector, error) {
 	if numCores <= 0 {
 		return nil, fmt.Errorf("fault: non-positive core count %d", numCores)
 	}
-	root := sim.NewRNG(plan.Seed)
+	stream := func(name string) *sim.RNG { return sim.NewRNG(sim.SubSeed(plan.Seed, name)) }
 	in := &Injector{
 		plan:       plan,
-		act:        root.Stream("fault-actuation"),
-		sensor:     root.Stream("fault-sensor"),
+		act:        stream("fault-actuation"),
+		sensor:     stream("fault-sensor"),
 		stuckUntil: make([]sim.Time, numCores),
 		offline:    make([]*renewal, numCores),
 		throttle:   make([]*renewal, numCores),
 	}
 	for i := 0; i < numCores; i++ {
 		if plan.Cores.MTBF > 0 {
-			in.offline[i] = newRenewal(root.Stream(fmt.Sprintf("fault-core-%d", i)),
+			in.offline[i] = newRenewal(stream(fmt.Sprintf("fault-core-%d", i)),
 				plan.Cores.MTBF, plan.Cores.MTTR, &in.stats.CoreFailures)
 		}
 		if plan.Cores.ThrottleCap > 0 {
-			in.throttle[i] = newRenewal(root.Stream(fmt.Sprintf("fault-throttle-%d", i)),
+			in.throttle[i] = newRenewal(stream(fmt.Sprintf("fault-throttle-%d", i)),
 				plan.Cores.ThrottleMTBF, plan.Cores.ThrottleMTTR, &in.stats.ThrottleEpisodes)
 		}
 	}

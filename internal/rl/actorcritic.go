@@ -146,7 +146,7 @@ func newActorCritic(cfg DDPGConfig, v *variant) (*ActorCritic, error) {
 	l := &ActorCritic{cfg: full, v: v, head: v.newHead(), qT: make([][]float64, v.critics)}
 	// The draw order — actor, then the critics in order — is part of the
 	// numerics.
-	rng := sim.NewRNG(full.Seed).Stream(v.name + "-init")
+	rng := sim.NewRNG(sim.SubSeed(full.Seed, v.name+"-init"))
 	if l.Actor, l.ActorTarget, err = l.head.build(l, rng); err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func newActorCritic(cfg DDPGConfig, v *variant) (*ActorCritic, error) {
 		l.Targets = append(l.Targets, c.Clone())
 	}
 	if v.draws != "" {
-		l.rng = sim.NewRNG(full.Seed).Stream(v.draws)
+		l.rng = sim.NewRNG(sim.SubSeed(full.Seed, v.draws))
 	}
 	l.guard.rebuild = l.resetOptimizers
 	l.resetOptimizers()

@@ -53,7 +53,7 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(full.Seed).Stream("dqn-init")
+	rng := sim.NewRNG(sim.SubSeed(full.Seed, "dqn-init"))
 	sizes := append([]int{full.StateDim}, full.hidden...)
 	sizes = append(sizes, full.NumActions)
 	q := nn.NewMLP(sizes, nn.ReLU, nn.Identity, rng)
@@ -61,7 +61,7 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 		cfg:    full,
 		Q:      q,
 		Target: q.Clone(),
-		rng:    sim.NewRNG(full.Seed).Stream("dqn-explore"),
+		rng:    sim.NewRNG(sim.SubSeed(full.Seed, "dqn-explore")),
 	}
 	d.guard.rebuild = d.resetOptimizer
 	d.rewire()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/deeppower/deeppower/internal/app"
 	"github.com/deeppower/deeppower/internal/cpu"
 	"github.com/deeppower/deeppower/internal/sim"
 	"github.com/deeppower/deeppower/internal/stats"
@@ -123,5 +124,62 @@ func TestSnapshotSteadyStateZeroAllocs(t *testing.T) {
 				t.Errorf("Classes = %v with topology %v", p.snap.Classes, tc.topo)
 			}
 		})
+	}
+}
+
+// expIntoSampler is expSampler refilling a request's Work in place, as the
+// application samplers do, so a run's requests allocate no feature vectors.
+type expIntoSampler struct{ expSampler }
+
+func (e expIntoSampler) SampleInto(r *sim.RNG, w *app.Work) {
+	w.ServiceRef = sim.Seconds(r.Exp(1 / e.mean.Seconds()))
+	w.Features = append(w.Features[:0], 1)
+}
+
+// TestWarmRunAllocatesOnlyResult: a run after one with the same config finds
+// its latency blocks and requests in the run store the first run's End
+// handed back, so from New through End it allocates the Result's one flat
+// copy of the samples and a fixed overhead, not the blocks as well.
+func TestWarmRunAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// A sync.Pool item put on one P sits in that P's private slot, which no
+	// other P takes, so a goroutine moved between End and New could miss
+	// the store. With one P the hand-off is certain.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prof := fixedApp(100*sim.Microsecond, 4, 10*sim.Millisecond)
+	prof.Sampler = expIntoSampler{expSampler{mean: 100 * sim.Microsecond}}
+	cfg := Config{App: prof, Seed: 5}
+	eng := sim.NewEngine()
+	run := func() *Result {
+		eng.Reset()
+		s, err := New(eng, cfg, &maxFreqPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(workload.Constant(25_000, sim.Second), 5*sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := run()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm := run()
+	runtime.ReadMemStats(&after)
+
+	n := len(warm.Latencies)
+	if n < 100_000 {
+		t.Fatalf("%d retained samples, want at least 100000", n)
+	}
+	if n != len(cold.Latencies) || warm.Latency != cold.Latency {
+		t.Fatalf("warm run differs from the cold one: %d samples %+v, cold %d %+v",
+			n, warm.Latency, len(cold.Latencies), cold.Latency)
+	}
+	if delta, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*n+256<<10); delta > limit {
+		t.Errorf("warm run allocated %d bytes for %d samples, want at most %d (the Result's copy)", delta, n, limit)
 	}
 }

@@ -100,7 +100,10 @@ type Counters struct {
 
 // Policy is a power-management strategy plugged into the server. All
 // methods are invoked from the simulation thread; implementations must not
-// retain the *Request pointers beyond the callback unless documented.
+// retain the *Request pointers beyond the callback unless documented. A
+// completed Request is recycled for a later arrival of the same run and,
+// once the run ends, for the runs of later servers, so a retained pointer
+// would read another request's fields, possibly another server's.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

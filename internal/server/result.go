@@ -74,9 +74,12 @@ type Result struct {
 // churn in long runs) and one block allocation amortizes over latBlockSize
 // completions. The flat view is materialized once, at result construction,
 // where the blocks double as the completion-order copy (see summarize).
+// Emptied blocks wait in spare until a later block fills; a server seeds
+// spare from its run store, so a warm run allocates no block at all.
 type latBlocks struct {
 	blocks [][]float64
-	n      int // total samples stored
+	spare  [][]float64 // emptied blocks (length 0), taken before allocating
+	n      int         // total samples stored
 }
 
 // latBlockSize is the per-block capacity; 4096 float64s = one 32 KiB block.
@@ -84,11 +87,21 @@ const latBlockSize = 4096
 
 func (l *latBlocks) add(v float64) {
 	if len(l.blocks) == 0 || len(l.blocks[len(l.blocks)-1]) == latBlockSize {
-		l.blocks = append(l.blocks, make([]float64, 0, latBlockSize))
+		l.blocks = append(l.blocks, l.newBlock())
 	}
 	b := len(l.blocks) - 1
 	l.blocks[b] = append(l.blocks[b], v)
 	l.n++
+}
+
+// newBlock returns an empty block, a spare one when there is one.
+func (l *latBlocks) newBlock() []float64 {
+	if n := len(l.spare); n > 0 {
+		b := l.spare[n-1]
+		l.spare = l.spare[:n-1]
+		return b
+	}
+	return make([]float64, 0, latBlockSize)
 }
 
 // flatten materializes the samples as one contiguous slice, nil when empty.
@@ -106,15 +119,16 @@ func (l *latBlocks) flatten() []float64 {
 // summarize returns the samples in completion order and their Summary,
 // holding two copies of each sample at most: the flat slice is summarized
 // (sorted) in place, then the blocks are copied back over it to restore
-// completion order, and the blocks are dropped.
+// completion order, and the blocks are emptied into spare.
 func (l *latBlocks) summarize() ([]float64, stats.Summary) {
 	flat := l.flatten()
 	sum := stats.SummarizeInPlace(flat)
 	rest := flat
 	for _, b := range l.blocks {
 		rest = rest[copy(rest, b):]
+		l.spare = append(l.spare, b[:0])
 	}
-	*l = latBlocks{}
+	l.blocks, l.n = nil, 0
 	return flat, sum
 }
 

@@ -170,14 +170,17 @@ type Server struct {
 	cancelTick func()
 
 	// arrivalFn is the arrival callback bound once at construction, and
-	// reqFree pools completed Requests for reuse within the episode —
-	// together with the workers' bound completion callbacks they make a
-	// steady-state arrival/dispatch/complete cycle allocation-free.
-	// injectFn is the externally-driven variant (admit without rearming the
-	// internal generator), bound once for the same reason.
+	// reqFree pools completed Requests for reuse — together with the
+	// workers' bound completion callbacks they make a steady-state
+	// arrival/dispatch/complete cycle allocation-free. injectFn is the
+	// externally-driven variant (admit without rearming the internal
+	// generator), bound once for the same reason. store is the run store
+	// New seeded reqFree, jobFree and the latency spares from; End hands
+	// them back through it to the next server (see runStore).
 	arrivalFn  func()
 	injectFn   func()
 	reqFree    []*Request
+	store      *runStore
 	sampleInto app.IntoSampler // non-nil when the profile's sampler supports reuse
 
 	// snapQueue, snapCores and snapClasses back the feeds of the latest
@@ -223,7 +226,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 		prof:       full.App,
 		policy:     policy,
 		meter:      power.NewMeter(),
-		rngService: sim.NewRNG(full.Seed).Stream("service"),
+		rngService: sim.NewRNG(sim.SubSeed(full.Seed, "service")),
 		latP99:     stats.NewP2Quantile(0.99),
 		enforcing:  full.Faults != nil,
 	}
@@ -277,6 +280,7 @@ func New(eng *sim.Engine, cfg Config, policy Policy) (*Server, error) {
 	if full.SeriesInterval > 0 {
 		s.series = newSeries(full.SeriesInterval)
 	}
+	s.takeStore()
 	return s, nil
 }
 
@@ -317,7 +321,7 @@ func (s *Server) Begin(trace *workload.Trace, duration sim.Time) error {
 		s.powerLast[i] = start
 	}
 	s.uncoreLast = start
-	s.arrivals = workload.NewArrivals(trace, sim.NewRNG(s.cfg.Seed).Stream("arrivals"))
+	s.arrivals = workload.NewArrivals(trace, sim.NewRNG(sim.SubSeed(s.cfg.Seed, "arrivals")))
 	s.policy.Init(s)
 
 	// Control loop: the paper's ShortTime tick.
@@ -384,11 +388,15 @@ func (s *Server) RunSegment(until sim.Time) bool {
 
 // End settles accounting at the run's end time, stops the control loop, and
 // builds the result. The engine must have been driven to Begin's duration.
+// The run's free storage then goes back to the run-store pool for the next
+// server (see runStore).
 func (s *Server) End() *Result {
 	s.cancelTick()
 	s.accrueAll(s.endAt)
 	s.accrueUncore(s.endAt)
-	return s.buildResult(s.runStart, s.endAt-s.runStart)
+	res := s.buildResult(s.runStart, s.endAt-s.runStart)
+	s.releaseStore()
+	return res
 }
 
 // EndNow settles accounting at the engine's current time instead of the
@@ -403,7 +411,9 @@ func (s *Server) EndNow() *Result {
 	now := s.eng.Now()
 	s.accrueAll(now)
 	s.accrueUncore(now)
-	return s.buildResult(s.runStart, now-s.runStart)
+	res := s.buildResult(s.runStart, now-s.runStart)
+	s.releaseStore()
+	return res
 }
 
 func (s *Server) scheduleNextArrival() {
@@ -424,8 +434,9 @@ func (s *Server) scheduleNextArrival() {
 	s.eng.Post(at, s.arrivalFn)
 }
 
-// getRequest takes a Request from the episode pool, or allocates one when
-// the pool is dry (only while the in-flight high-water mark still rises).
+// getRequest takes a Request from the free list, or allocates one when it
+// is dry (only while the in-flight high-water mark still rises past what
+// the run store brought).
 func (s *Server) getRequest() *Request {
 	if n := len(s.reqFree); n > 0 {
 		r := s.reqFree[n-1]
@@ -435,9 +446,10 @@ func (s *Server) getRequest() *Request {
 	return &Request{}
 }
 
-// putRequest recycles a completed request. Callers must not touch r after
-// this; the Policy contract (no retention beyond callbacks) is what makes
-// recycling sound.
+// putRequest recycles a completed request, within this run and, through the
+// run store, into later servers. Callers must not touch r after this; the
+// Policy contract (no retention beyond callbacks) is what makes recycling
+// sound.
 func (s *Server) putRequest(r *Request) {
 	s.reqFree = append(s.reqFree, r)
 }

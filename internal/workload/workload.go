@@ -151,7 +151,7 @@ func Diurnal(cfg DiurnalConfig) *Trace {
 	if cfg.PeakRPS < cfg.BaseRPS {
 		panic("workload: PeakRPS below BaseRPS")
 	}
-	r := sim.NewRNG(cfg.Seed).Stream("diurnal")
+	r := sim.NewRNG(sim.SubSeed(cfg.Seed, "diurnal"))
 	rates := make([]float64, cfg.Buckets)
 	amp := (cfg.PeakRPS - cfg.BaseRPS) / 2
 	mid := (cfg.PeakRPS + cfg.BaseRPS) / 2

@@ -100,10 +100,10 @@ type Dense struct {
 
 	// The vector kernels' scratch (dense_amd64.go): wt is the forward's
 	// [In×Out&^3] transpose of W, rewritten at the top of every ForwardBatch
-	// that uses it; bdelta is the backward's [batch×Out] δ and surv its list
-	// of one sample's surviving units. Grown on demand, then reused.
-	wt, bdelta []float64
-	surv       []int
+	// that uses it; surv is the backward's δ row of one sample and its list
+	// of surviving units. Grown on demand, then reused.
+	wt   []float64
+	surv []int
 }
 
 // NewDense returns a layer with Xavier/Glorot-uniform initialized weights.
@@ -195,12 +195,16 @@ func (d *Dense) ensureBatch(n int) {
 // serializes a single dot product, and each input element is loaded once
 // for all four units. Every accumulator still sums its row in the exact
 // index order of Forward (seeded from the bias), so a ForwardBatch over n
-// inputs is bit-identical to n Forward calls. The activation runs afterwards
-// as one pass over the whole output buffer (see applyAll).
+// inputs is bit-identical to n Forward calls. ReLU, the activation of every
+// hidden layer, is applied to each row as soon as it is computed; the other
+// activations run afterwards as one pass over the whole output buffer (see
+// applyAll).
 //
-// Where a vector kernel exists (AVX2 on amd64, dense_amd64.go), it computes
-// the units [0, Out&^3) of every sample first, lane by lane in the same
-// order, and the loop below computes only the remaining Out%4.
+// Where vector kernels exist (AVX2 on amd64, dense_amd64.go), they compute
+// the units [0, Out&^3) of every sample and the remaining Out%4 units of the
+// first n&^3 samples first, lane by lane in the same order, ReLU included,
+// and the loop below computes only what is left: the Out%4 units of the
+// last n%4 samples.
 func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 || len(x) != n*d.In {
 		panic(fmt.Sprintf("nn: ForwardBatch input %d, want %d rows × %d", len(x), n, d.In))
@@ -208,8 +212,8 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	d.ensureBatch(n)
 	copy(d.bx, x)
 	in, out := d.In, d.Out
-	done := d.forwardVector(n)
-	for b := 0; b < n; b++ {
+	done, rows := d.forwardVector(n)
+	for b := rows; b < n; b++ {
 		xrow := d.bx[b*in : (b+1)*in : (b+1)*in]
 		yrow := d.by[b*out : (b+1)*out]
 		o := done
@@ -235,17 +239,22 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 			}
 			yrow[o] = sum
 		}
+		if d.Act == ReLU {
+			ReLU.applyAll(yrow[done:])
+		}
 	}
-	d.Act.applyAll(d.by)
+	if d.Act != ReLU {
+		d.Act.applyAll(d.by)
+	}
 	return d.by
 }
 
-// applyAll overwrites every pre-activation in y with Apply of it. ReLU, the
-// activation of every hidden layer, is chosen once for the buffer instead of
-// once per element, and written as a select on the bit pattern: whether a
-// pre-activation is negative is close to a coin flip, which a branch
-// mispredicts and a conditional move does not. NaN and −0 are kept exactly
-// as Apply keeps them (neither is < 0).
+// applyAll overwrites every pre-activation in y with Apply of it. The
+// activation is chosen once for the buffer instead of once per element, and
+// ReLU is written as a select on the bit pattern: whether a pre-activation
+// is negative is close to a coin flip, which a branch mispredicts and a
+// conditional move does not. NaN and −0 are kept exactly as Apply keeps
+// them (neither is < 0).
 func (a Activation) applyAll(y []float64) {
 	switch a {
 	case Identity:
@@ -443,10 +452,17 @@ func (d *Dense) SoftUpdateFrom(src *Dense, tau float64) {
 	if d.In != src.In || d.Out != src.Out {
 		panic("nn: SoftUpdateFrom shape mismatch")
 	}
-	for i := range d.W {
-		d.W[i] = tau*src.W[i] + (1-tau)*d.W[i]
+	blend(d.W, src.W, tau)
+	blend(d.B, src.B, tau)
+}
+
+// blend is SoftUpdateFrom's loop over one parameter slice; a vector kernel
+// runs it where one exists, lane by lane in the same order.
+func blend(dst, src []float64, tau float64) {
+	if blendVector(dst, src, tau) {
+		return
 	}
-	for i := range d.B {
-		d.B[i] = tau*src.B[i] + (1-tau)*d.B[i]
+	for i := range dst {
+		dst[i] = tau*src[i] + (1-tau)*dst[i]
 	}
 }

@@ -40,6 +40,89 @@ func TestAdamTrainingKernelIdentity(t *testing.T) {
 	}
 }
 
+// TestAdamSpecialValues runs Adam steps, with and without the gradient-norm
+// clip, and a soft update on the portable kernels and on the ones this build
+// selects, over gradients, moments and
+// weights that hold the values a packed kernel could get wrong — NaN with
+// different payloads, ±Inf, subnormals, −0, the largest finite number — and
+// over slices whose lengths leave every vector tail. The paths must agree
+// bit for bit, except that two NaNs may carry different payloads (see
+// FuzzDenseKernels).
+func TestAdamSpecialValues(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff4000000000abc),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64,
+		0x1p-1040, math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, 1e-300, 0.75, -2.5,
+	}
+	// Each case fills the layers' weights, gradients and moments from the
+	// specials, offset per slice so that every value meets every other; a
+	// "finite" case keeps only the finite ones, whose norm the clip rescales.
+	type state struct{ w, g, m, v [][]float64 }
+	run := func(finite bool, clip float64, offset int) state {
+		rng := sim.NewRNG(67)
+		layers := []*Dense{NewDense(3, 5, ReLU, rng), NewDense(1, 1, Identity, rng), NewDense(6, 7, Sigmoid, rng)}
+		opt := NewAdam(layers, 0.01)
+		opt.MaxGradNorm = clip
+		k := offset
+		fill := func(v []float64) {
+			for i := range v {
+				x := specials[k%len(specials)]
+				for finite && (math.IsNaN(x) || math.IsInf(x, 0)) {
+					k++
+					x = specials[k%len(specials)]
+				}
+				v[i] = x
+				k += 7
+			}
+		}
+		for li, l := range layers {
+			fill(l.W)
+			fill(l.B)
+			fill(opt.mw[li])
+			fill(opt.mb[li])
+			fill(opt.vw[li])
+			fill(opt.vb[li])
+		}
+		var st state
+		for step := 0; step < 3; step++ {
+			for _, l := range layers {
+				fill(l.GW)
+				fill(l.GB)
+			}
+			opt.Step()
+		}
+		target := NewDense(6, 7, Sigmoid, rng)
+		fill(target.W)
+		fill(target.B)
+		target.SoftUpdateFrom(layers[2], 0.01)
+		for li, l := range append(layers, target) {
+			st.w = append(st.w, l.W, l.B)
+			if li < len(layers) {
+				st.m = append(st.m, opt.mw[li], opt.mb[li])
+				st.v = append(st.v, opt.vw[li], opt.vb[li])
+			}
+		}
+		return st
+	}
+	for _, finite := range []bool{false, true} {
+		for _, clip := range []float64{0, 5, 1e-3} {
+			for offset := 0; offset < len(specials); offset++ {
+				var port state
+				onPortable(func() { port = run(finite, clip, offset) })
+				vec := run(finite, clip, offset)
+				what := fmt.Sprintf("finite %v, clip %v, offset %d: ", finite, clip, offset)
+				for i := range vec.w {
+					sameOrNaN(t, what+"weights", vec.w[i], port.w[i])
+				}
+				for i := range vec.m {
+					sameOrNaN(t, what+"first moment", vec.m[i], port.m[i])
+					sameOrNaN(t, what+"second moment", vec.v[i], port.v[i])
+				}
+			}
+		}
+	}
+}
+
 // fuzzValue maps a byte to a layer value: mostly ordinary numbers, and one
 // byte in six a value a kernel could get wrong — ±0, NaNs with different
 // payloads and signs (a quiet one, x86's default, a signalling one), ±Inf,

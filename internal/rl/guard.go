@@ -83,20 +83,34 @@ func (g *guard) diverged(lossesFinite bool) bool {
 	return true
 }
 
+// weightsFinite reports whether every live weight is finite, without a
+// branch per weight (see nonFinite).
 func (g *guard) weightsFinite() bool {
+	var acc uint64
 	for _, l := range g.layers[:g.live] {
-		for _, w := range l.W {
-			if !isFinite(w) {
-				return false
-			}
-		}
-		for _, b := range l.B {
-			if !isFinite(b) {
-				return false
-			}
-		}
+		acc |= nonFinite(l.W) | nonFinite(l.B)
 	}
-	return true
+	return acc>>63 == 0
+}
+
+// nonFinite returns a word whose top bit is set exactly when some value in
+// xs is NaN or ±Inf, i.e. has an all-ones exponent. Adding 1<<52 to the
+// exponent bits carries into bit 63 only from an all-ones exponent, and
+// four independent OR chains keep the loop from waiting on one another.
+func nonFinite(xs []float64) uint64 {
+	const exp, one = 0x7ff << 52, 1 << 52
+	var a0, a1, a2, a3 uint64
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		a0 |= math.Float64bits(xs[i])&exp + one
+		a1 |= math.Float64bits(xs[i+1])&exp + one
+		a2 |= math.Float64bits(xs[i+2])&exp + one
+		a3 |= math.Float64bits(xs[i+3])&exp + one
+	}
+	for ; i < len(xs); i++ {
+		a0 |= math.Float64bits(xs[i])&exp + one
+	}
+	return a0 | a1 | a2 | a3
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -379,3 +379,31 @@ func TestConfigErrors(t *testing.T) {
 		t.Error("sac accepted the deterministic two-head topology")
 	}
 }
+
+// TestNonFiniteFindsEveryNonFiniteValue: the guard's branch-free sweep flags
+// a slice exactly when it holds a NaN (either sign, quiet or signalling) or
+// ±Inf, at every position of its unrolled body and of its tail, and passes
+// every finite extreme: ±0, subnormals, ±MaxFloat64.
+func TestNonFiniteFindsEveryNonFiniteValue(t *testing.T) {
+	bad := []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Inf(1), math.Inf(-1)}
+	good := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1040, math.MaxFloat64, -math.MaxFloat64, 1, -2.5}
+	for n := 0; n <= 9; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = good[i%len(good)]
+		}
+		if nonFinite(xs)>>63 != 0 {
+			t.Fatalf("len %d: finite values %v flagged", n, xs)
+		}
+		for pos := 0; pos < n; pos++ {
+			for _, v := range bad {
+				keep := xs[pos]
+				xs[pos] = v
+				if nonFinite(xs)>>63 == 0 {
+					t.Errorf("len %d: %v at %d not flagged", n, v, pos)
+				}
+				xs[pos] = keep
+			}
+		}
+	}
+}

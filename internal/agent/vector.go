@@ -51,25 +51,30 @@ type TrainVectorConfig struct {
 // VectorTrainer trains one shared policy on E environments advanced in
 // lockstep. Each control period is one parallel phase and one serial phase:
 //
-//   - parallel (one pool.Run): unit 0 runs the gradient updates the previous
-//     boundary owes (vecLearn) while units 1..E advance one environment each
-//     to the next boundary (Server.RunSegment). The first phase of an episode
-//     also arms each environment inside its unit (server.New + Begin), the
-//     last one settles it (End). The two kinds of unit touch disjoint state:
-//     an environment unit only its own engine, server, result slot and
-//     shell (Init at arm, the thread controller per tick — shells never act
+//   - parallel (one Run of the pool.Gang that Train keeps for its whole
+//     call): unit 0 runs the gradient updates the previous boundary owes
+//     (vecLearn) while units 1..E advance one environment each to the next
+//     boundary (Server.RunSegment). The first phase of an episode also arms
+//     each environment inside its unit (server.New + Begin), the last one
+//     settles it (End). The two kinds of unit touch disjoint state: an
+//     environment unit only its own engine, server, result slot and shell
+//     (Init at arm, the thread controller per tick — shells never act
 //     inline); the learn unit only the owner's networks, replay sampler,
 //     minibatch buffer and loss fields. So any worker count computes the
 //     same thing, and at one worker the units run in index order: update,
-//     then advance, strictly serial.
-//   - serial, ascending env index, after pool.Run has returned: observe each
-//     env and push its transition into the shared replay (one fixed
-//     interleave order), gather all E observations, evaluate the policy
-//     network once for the whole batch (vecForward), act each env from its
-//     row. This is the only phase that reads the networks the learn unit
-//     writes or writes the replay it samples.
+//     then advance, strictly serial. The gang's workers persist across
+//     phases and a worker runs its own units first (unit i's is worker
+//     i mod W), so an environment's engine, server and shell mostly stay
+//     on one goroutine and in its CPU's cache. Go does not pin goroutines
+//     to CPUs, so this is locality only; nothing computed depends on it.
+//   - serial, ascending env index, after the phase's Run has returned:
+//     observe each env and push its transition into the shared replay (one
+//     fixed interleave order), gather all E observations, evaluate the
+//     policy network once for the whole batch (vecForward), act each env
+//     from its row. This is the only phase that reads the networks the
+//     learn unit writes or writes the replay it samples.
 //
-// The learn unit is joined — pool.Run does not return while a unit runs —
+// The learn unit is joined — Gang.Run does not return while a unit runs —
 // before every access to shared state: the replay push, the batched forward,
 // the end-of-episode report and OnEpisode hook, and every error or
 // cancellation return. Training is therefore race-clean and byte-identical
@@ -85,12 +90,12 @@ type VectorTrainer struct {
 	// results holds each environment's settled episode, written by its unit.
 	results []*server.Result
 	// units is the learn unit followed by one unit per environment: the
-	// learn is the longest unit, so it is dispatched first.
+	// learn is the longest unit, so it starts first on its worker.
 	units []pool.Unit
 	// states is the preallocated [Envs×vecStateDim] observation gather buffer.
 	states []float64
 	// phase describes the parallel phase in flight; written between
-	// pool.Run calls, read by the units.
+	// Gang.Run calls, read by the units.
 	phase vecPhase
 }
 
@@ -185,12 +190,6 @@ func (vt *VectorTrainer) runEnv(i int) error {
 	return nil
 }
 
-// run executes one parallel phase and joins it.
-func (vt *VectorTrainer) run(ctx context.Context, ph vecPhase) error {
-	vt.phase = ph
-	return pool.Run(ctx, vt.units, vt.cfg.Workers)
-}
-
 // Experience reports how many transitions have entered the shared replay
 // pool — the throughput numerator for the vector benchmarks.
 func (vt *VectorTrainer) Experience() uint64 { return vt.owner.Experience() }
@@ -201,6 +200,13 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 	vt.owner.SetTrain(true)
 	for _, sh := range vt.shells {
 		sh.SetTrain(true)
+	}
+	gang := pool.NewGang(vt.units, vt.cfg.Workers)
+	defer gang.Close()
+	// run executes one parallel phase and joins it.
+	run := func(ph vecPhase) error {
+		vt.phase = ph
+		return gang.Run(ctx)
 	}
 	period := vt.owner.vecPeriod()
 	stateW := vt.owner.vecStateDim()
@@ -217,7 +223,7 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 				return stats, err
 			}
 			ph.until = t
-			if err := vt.run(ctx, ph); err != nil {
+			if err := run(ph); err != nil {
 				return stats, err
 			}
 			for i, sh := range vt.shells {
@@ -235,7 +241,7 @@ func (vt *VectorTrainer) Train(ctx context.Context) ([]EpisodeStats, error) {
 		// Drain every env to the episode end and settle results, beside the
 		// last boundary's updates.
 		ph.until, ph.settle = vt.cfg.EpisodeLen, true
-		if err := vt.run(ctx, ph); err != nil {
+		if err := run(ph); err != nil {
 			return stats, err
 		}
 		st := EpisodeStats{Episode: ep}

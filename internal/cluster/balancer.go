@@ -122,7 +122,7 @@ func (b *RoundRobin) Route(at []sim.Time, shards []ShardState, dst []int) {
 // this epoch), breaking ties toward the lowest index. It never routes to a
 // shard whose backlog strictly exceeds another's.
 type JSQ struct {
-	backlog []int // per-shard backlog within the current Route call
+	backlog winnerTree[int] // per-shard backlog within the current Route call
 }
 
 // Name implements Balancer.
@@ -131,20 +131,16 @@ func (b *JSQ) Name() string { return JSQName }
 // Route implements Balancer. Each shard's backlog is read from the snapshot
 // once and then counted up by one per request routed there.
 func (b *JSQ) Route(at []sim.Time, shards []ShardState, dst []int) {
-	b.backlog = b.backlog[:0]
+	backlog := b.backlog.reset(len(shards))
 	for i := range shards {
-		b.backlog = append(b.backlog, shards[i].Backlog(0))
+		backlog[i] = shards[i].Backlog(0)
 	}
+	b.backlog.build()
 	for j := range at {
-		best, bestLen := -1, 0
-		for i, n := range b.backlog {
-			if best == -1 || n < bestLen {
-				best, bestLen = i, n
-			}
-		}
+		best := b.backlog.winner()
 		dst[j] = best
 		if best >= 0 {
-			b.backlog[best]++
+			b.backlog.set(best, backlog[best]+1)
 		}
 	}
 }
@@ -163,7 +159,7 @@ type PowerAware struct {
 
 	// costs and pending are each shard's cost and routing count within the
 	// current Route call.
-	costs   []float64
+	costs   winnerTree[float64]
 	pending []int
 }
 
@@ -210,9 +206,9 @@ func (b *PowerAware) Pick(_ sim.Time, shards []ShardState, pending []int) int {
 }
 
 // Route implements Balancer. It evaluates every shard's cost once, and after
-// each assignment only the picked shard's, so an epoch of k arrivals over n
-// shards costs n+k cost evaluations and k scans of n cached floats instead
-// of k·n evaluations.
+// each assignment only the picked shard's, keeping the costs in a winner
+// tree: an epoch of k arrivals over n shards costs n+k cost evaluations and
+// k·log n comparisons instead of k·n evaluations.
 func (b *PowerAware) Route(at []sim.Time, shards []ShardState, dst []int) {
 	if len(shards) == 0 {
 		for j := range at {
@@ -221,23 +217,19 @@ func (b *PowerAware) Route(at []sim.Time, shards []ShardState, dst []int) {
 		return
 	}
 	n, minEff := len(shards), minEffCost(shards)
-	b.costs = slices.Grow(b.costs[:0], n)[:n]
+	costs := b.costs.reset(n)
 	b.pending = slices.Grow(b.pending[:0], n)[:n]
 	clear(b.pending)
 	for i := range shards {
-		_, b.costs[i] = b.scan(shards, b.pending, i, i+1, minEff)
+		_, costs[i] = b.scan(shards, b.pending, i, i+1, minEff)
 	}
+	b.costs.build()
 	for j := range at {
-		best, bestCost := -1, math.Inf(1)
-		for i, c := range b.costs {
-			if lower(c, best, bestCost) {
-				best, bestCost = i, c
-			}
-		}
-		best = fallback(best)
+		best := fallback(b.costs.winner())
 		dst[j] = best
 		b.pending[best]++
-		_, b.costs[best] = b.scan(shards, b.pending, best, best+1, minEff)
+		_, c := b.scan(shards, b.pending, best, best+1, minEff)
+		b.costs.set(best, c)
 	}
 }
 
@@ -307,4 +299,69 @@ func fallback(best int) int {
 		return 0
 	}
 	return best
+}
+
+// winnerTree keeps one cost per shard and answers the argmin a scan in index
+// order finds — the lowest index of least cost, a NaN cost never winning —
+// in O(1), after a change to one cost in O(log n). winner is -1 when no
+// cost qualifies (an empty fleet, or every cost NaN).
+type winnerTree[C int | float64] struct {
+	cost []C
+	// node is a complete binary tree over a power-of-two count of leaves:
+	// node[1] is the root, node[k]'s children are node[2k] and node[2k+1],
+	// and leaf i is node[len(node)/2+i]. Each holds its subtree's winner.
+	node []int
+}
+
+// reset sizes the tree for n costs and returns them for the caller to fill
+// before build.
+func (t *winnerTree[C]) reset(n int) []C {
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
+	}
+	t.cost = slices.Grow(t.cost[:0], n)[:n]
+	t.node = slices.Grow(t.node[:0], 2*leaves)[:2*leaves]
+	return t.cost
+}
+
+// build computes every node from the costs.
+func (t *winnerTree[C]) build() {
+	leaves := len(t.node) / 2
+	for i := range leaves {
+		t.node[leaves+i] = t.leaf(i)
+	}
+	for k := leaves - 1; k >= 1; k-- {
+		t.node[k] = t.better(t.node[2*k], t.node[2*k+1])
+	}
+}
+
+// set changes cost i and recomputes its leaf's ancestors.
+func (t *winnerTree[C]) set(i int, c C) {
+	t.cost[i] = c
+	k := len(t.node)/2 + i
+	t.node[k] = t.leaf(i)
+	for k >>= 1; k >= 1; k >>= 1 {
+		t.node[k] = t.better(t.node[2*k], t.node[2*k+1])
+	}
+}
+
+// winner is the lowest index of least cost, -1 for none.
+func (t *winnerTree[C]) winner() int { return t.node[1] }
+
+// leaf is shard i's own candidacy: i, or -1 for padding and NaN costs.
+func (t *winnerTree[C]) leaf(i int) int {
+	if i >= len(t.cost) || t.cost[i] != t.cost[i] {
+		return -1
+	}
+	return i
+}
+
+// better is the winner of two subtrees, a's all below b's in index: b only
+// when its cost is strictly lower, so ties go to the lower index.
+func (t *winnerTree[C]) better(a, b int) int {
+	if b < 0 || a >= 0 && !(t.cost[b] < t.cost[a]) {
+		return a
+	}
+	return b
 }

@@ -14,17 +14,24 @@
 // tier reassigns shares/budgets from epoch-boundary telemetry, and the
 // balancer routes every arrival in the coming epoch, in arrival order,
 // seeing only that stale boundary snapshot plus its own routing counts,
-// into per-shard buffers. Then all shards advance one epoch concurrently:
-// each injects its own arrivals, runs, takes its snapshot and, on the final
+// into per-shard buffers. Then all shards advance one epoch concurrently,
+// as one phase of a pool.Gang the campaign keeps for its whole run: each
+// injects its own arrivals, runs, takes its snapshot and, on the final
 // epoch, ends its run, while one more unit draws the next epoch's fleet
-// arrivals. Each shard owns its engine, server, policy, and RNG substream,
-// and the arrival draw owns the fleet arrival stream, so no state is shared
+// arrivals. The gang's workers persist across epochs and each runs its own
+// units first, so a shard's engine, server and agent state mostly stay on
+// one goroutine, and with it in one CPU's cache, from epoch to epoch. Go
+// does not pin goroutines to CPUs; this is locality only, and no result
+// depends on it.
+//
+// Each shard owns its engine, server, policy, and RNG substream, and the
+// arrival draw owns the fleet arrival stream, so no state is shared
 // mid-epoch. The one thing shards share is the server package's pool of run
 // stores: a shard's server takes a store at New and returns it at End, so
 // the pool passes storage — emptied latency blocks, free requests and jobs
-// — between runs and never a value any run reads. Routing never observes mid-epoch state, shard evolution never
-// depends on sibling shards, and a fleet run with one worker is
-// byte-identical to the same run with eight.
+// — between runs and never a value any run reads. Routing never observes
+// mid-epoch state, shard evolution never depends on sibling shards, and a
+// fleet run with one worker is byte-identical to the same run with eight.
 package cluster
 
 import (
@@ -293,6 +300,9 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		}
 	}
 
+	gang := pool.NewGang(units, workers)
+	defer gang.Close()
+
 	var acc seriesAccum
 	draw(epochEndAfter(0))
 	for epoch, t := 0, sim.Time(0); t < full.Duration; epoch, t = epoch+1, epochEnd {
@@ -329,7 +339,7 @@ func Run(ctx context.Context, cfg Config, shardCfgs []ShardConfig, workers int) 
 		res.TotalRouted += uint64(len(fleetAt))
 
 		// Parallel phase: the next epoch's arrival draw and one unit per shard.
-		if err := pool.Run(ctx, units, workers); err != nil {
+		if err := gang.Run(ctx); err != nil {
 			return nil, err
 		}
 

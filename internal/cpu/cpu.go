@@ -150,6 +150,11 @@ type Core struct {
 	// levels[k] is the target SetFreq arrives at when asked for grid point
 	// k, built once so a score maps to its target without quantizing twice.
 	levels []Freq
+	// memoLo and memoHi are the lowest and highest scores ScoreLevel has
+	// mapped to memoLevel since that level was last new. The map is
+	// monotone, so every score between them maps to memoLevel too.
+	memoLo, memoHi float64
+	memoLevel      Freq
 
 	// Sleep-state extension (see cstate.go).
 	cstate  CState
@@ -159,7 +164,8 @@ type Core struct {
 // NewCore returns a core starting at the ladder's maximum frequency, which is
 // how the OS hands cores to the baseline (no power management) configuration.
 func NewCore(id int, ladder Ladder) *Core {
-	c := &Core{id: id, ladder: ladder, cur: ladder.Max, pending: ladder.Max}
+	c := &Core{id: id, ladder: ladder, cur: ladder.Max, pending: ladder.Max,
+		memoLo: math.NaN(), memoHi: math.NaN(), memoLevel: Freq(math.NaN())}
 	// gridStep is monotone in f and f stays below Max, so the last index a
 	// score can reach is Max's own.
 	c.levels = make([]Freq, int(ladder.gridStep(ladder.Max))+1)
@@ -204,6 +210,24 @@ func (c *Core) SetFreq(now sim.Time, f Freq) {
 // SetFreq(Ladder.Interpolate(score)) arrives at — the same arithmetic up to
 // the grid index, then the level table in place of two quantizations.
 func (c *Core) ScoreLevel(score float64) Freq {
+	if score >= c.memoLo && score <= c.memoHi {
+		return c.memoLevel
+	}
+	f := c.scoreLevel(score)
+	switch {
+	case math.IsNaN(score):
+	case f != c.memoLevel:
+		c.memoLo, c.memoHi, c.memoLevel = score, score, f
+	case score < c.memoLo:
+		c.memoLo = score
+	default:
+		c.memoHi = score
+	}
+	return f
+}
+
+// scoreLevel is ScoreLevel without the memo.
+func (c *Core) scoreLevel(score float64) Freq {
 	l := &c.ladder
 	f := l.atScore(score)
 	if math.IsNaN(float64(f)) || f <= l.Min {

@@ -64,8 +64,9 @@ func tableLadders() map[string]Ladder {
 // TestScoreLevelMatchesQuantizer: the table path (ScoreLevel → SetLevel)
 // reaches the same target, bit for bit, as the reference interpolate →
 // quantize → quantize path and as today's Ladder.Interpolate → Core.SetFreq,
-// for random scores, the non-finite and out-of-range ones, and every grid
-// point's score and its neighbours one ulp either side.
+// for random scores, the non-finite and out-of-range ones, every grid
+// point's score and its neighbours one ulp either side, and a slow walk
+// across them all.
 func TestScoreLevelMatchesQuantizer(t *testing.T) {
 	for name, l := range tableLadders() {
 		if err := l.Validate(); err != nil {
@@ -85,6 +86,12 @@ func TestScoreLevelMatchesQuantizer(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 100_000; i++ {
 			scores = append(scores, rng.Float64()*1.2-0.1)
+		}
+		// A slow random walk up through every rounding boundary, stepping
+		// back a quarter of the time, so the memoized scores of each level
+		// are asked again on both sides of the boundaries around it.
+		for s := -0.01; s < 1.01; s += (rng.Float64() - 0.25) * 1e-3 {
+			scores = append(scores, s)
 		}
 		now := sim.Time(0)
 		for _, s := range scores {

@@ -216,3 +216,212 @@ func TestMapError(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestGangRunsEveryUnitOncePerPhase: over 1,000 phases of one gang, every
+// unit runs exactly once per phase at any worker count, including more
+// workers than units.
+func TestGangRunsEveryUnitOncePerPhase(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		var runs [5]atomic.Int32
+		units := make([]Unit, len(runs))
+		for i := range units {
+			i := i
+			units[i] = func(context.Context) error { runs[i].Add(1); return nil }
+		}
+		g := NewGang(units, workers)
+		for phase := int32(1); phase <= 1000; phase++ {
+			if err := g.Run(context.Background()); err != nil {
+				t.Fatalf("workers=%d phase %d: %v", workers, phase, err)
+			}
+			for i := range runs {
+				if n := runs[i].Load(); n != phase {
+					t.Fatalf("workers=%d: after phase %d unit %d ran %d times", workers, phase, i, n)
+				}
+			}
+		}
+		g.Close()
+	}
+}
+
+// TestGangErrorsPerPhase: a phase returns its lowest-indexed error or
+// captured panic, and the gang's workers survive both into the next phase.
+func TestGangErrorsPerPhase(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		var mode atomic.Int32 // 0 ok, 1 units 1, 4, 7 fail, 2 unit 3 panics
+		units := make([]Unit, 10)
+		for i := range units {
+			i := i
+			units[i] = func(context.Context) error {
+				switch m := mode.Load(); {
+				case m == 1 && i%3 == 1:
+					return fmt.Errorf("unit %d failed", i)
+				case m == 2 && i == 3:
+					panic("boom")
+				}
+				return nil
+			}
+		}
+		g := NewGang(units, workers)
+		for _, m := range []int32{1, 0, 2, 0, 1} {
+			mode.Store(m)
+			err := g.Run(context.Background())
+			switch {
+			case m == 0 && err != nil:
+				t.Errorf("workers=%d: clean phase returned %v", workers, err)
+			case m == 1 && (err == nil || err.Error() != "unit 1 failed"):
+				t.Errorf("workers=%d: err = %v, want unit 1's error", workers, err)
+			case m == 2 && (err == nil || !strings.Contains(err.Error(), "boom")):
+				t.Errorf("workers=%d: err = %v, want the captured panic", workers, err)
+			}
+		}
+		g.Close()
+	}
+}
+
+// TestRunStartsNoUnitAboveSeenFailure: once a failure is recorded, no unit
+// above its index starts, while a unit below it still runs to completion.
+func TestRunStartsNoUnitAboveSeenFailure(t *testing.T) {
+	seen := make(chan struct{})
+	var started [8]atomic.Bool
+	units := make([]Unit, len(started))
+	for i := range units {
+		i := i
+		units[i] = func(context.Context) error {
+			started[i].Store(true)
+			switch i {
+			case 0:
+				<-seen // hold worker 0 until unit 1's failure is recorded
+			case 1:
+				return errors.New("unit 1 failed")
+			}
+			return nil
+		}
+	}
+	err := RunNotify(context.Background(), units, 2, func(p Progress) {
+		if p.Index == 1 {
+			close(seen)
+		}
+	})
+	if err == nil || err.Error() != "unit 1 failed" {
+		t.Fatalf("err = %v, want unit 1's error", err)
+	}
+	for i := 2; i < len(started); i++ {
+		if started[i].Load() {
+			t.Errorf("unit %d started after unit 1's failure was recorded", i)
+		}
+	}
+}
+
+// TestGangCancellationBetweenUnits: a cancelled phase starts no unit after
+// the in-flight ones, returns the context's error, and the next phase on a
+// live context runs every unit.
+func TestGangCancellationBetweenUnits(t *testing.T) {
+	var started atomic.Int32
+	block := true
+	release := make(chan struct{})
+	units := make([]Unit, 50)
+	for i := range units {
+		units[i] = func(context.Context) error {
+			started.Add(1)
+			if block {
+				<-release
+			}
+			return nil
+		}
+	}
+	g := NewGang(units, 2)
+	defer g.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- g.Run(ctx) }()
+	for started.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(release)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run deadlocked after cancellation")
+	}
+	if s := started.Load(); s != 2 {
+		t.Errorf("%d units started in a phase cancelled with 2 in flight, want 2", s)
+	}
+	block = false
+	started.Store(0)
+	if err := g.Run(context.Background()); err != nil || started.Load() != 50 {
+		t.Fatalf("phase after cancellation: err %v, %d of 50 units ran", err, started.Load())
+	}
+}
+
+// TestGangCloseReturnsWorkers: Close stops every worker, whether or not the
+// gang ever ran, and closing again does nothing.
+func TestGangCloseReturnsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	units := make([]Unit, 20)
+	for i := range units {
+		units[i] = func(context.Context) error { return nil }
+	}
+	idle := NewGang(units, 8)
+	g := NewGang(units, 8)
+	for i := 0; i < 3; i++ {
+		if err := g.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle.Close()
+	g.Close()
+	g.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGangRunZeroAllocs: a steady-state phase allocates nothing of its own.
+func TestGangRunZeroAllocs(t *testing.T) {
+	var n atomic.Int64
+	units := make([]Unit, 9)
+	for i := range units {
+		units[i] = func(context.Context) error { n.Add(1); return nil }
+	}
+	g := NewGang(units, 2)
+	defer g.Close()
+	ctx := context.Background()
+	if err := g.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = g.Run(ctx) }); allocs != 0 {
+		t.Errorf("Gang.Run allocates %v times per phase, want 0", allocs)
+	}
+}
+
+// TestGangIdleWorkerClaimsOthersUnits: a worker that has run its own units
+// claims the unclaimed units of a busy one. Unit 0 holds worker 0 until
+// unit 2, worker 0's next unit, has run — which only worker 1 can do.
+func TestGangIdleWorkerClaimsOthersUnits(t *testing.T) {
+	ran2 := make(chan struct{})
+	units := []Unit{
+		func(context.Context) error {
+			select {
+			case <-ran2:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("unit 2 never ran while worker 0 was busy")
+			}
+		},
+		func(context.Context) error { return nil },
+		func(context.Context) error { close(ran2); return nil },
+	}
+	g := NewGang(units, 2)
+	defer g.Close()
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -98,6 +98,49 @@ func TestControlRefusesBodyInAnyCase(t *testing.T) {
 	}
 }
 
+// TestConnectionCloseInAnyCase: a Connection field asks for a close when
+// its options include the close token, whatever the case of the name or the
+// token and whether the line before it ends in CRLF or a bare LF; the
+// requests behind it on the connection are left unread. Other options, or a
+// token that only starts with "close", keep the connection open.
+func TestConnectionCloseInAnyCase(t *testing.T) {
+	d := startDaemon(t, DaemonConfig{Method: "fixed:1.8", Seed: 1})
+	for _, c := range []struct {
+		eol, field string
+		closing    bool
+	}{
+		{"\r\n", "Connection: close", true},
+		{"\r\n", "connection: close", true},
+		{"\r\n", "CONNECTION: CLOSE", true},
+		{"\r\n", "Connection:close", true},
+		{"\r\n", "Connection : Close ", true},
+		{"\r\n", " \tconnection: close", true},
+		{"\r\n", "Connection: keep-alive, close", true},
+		{"\r\n", "connection: Upgrade,close,foo", true},
+		{"\n", "connection: close", true},
+		{"\n", "Connection: close", true},
+		{"\r\n", "Connection: closed", false},
+		{"\r\n", "Connection: keep-alive", false},
+		{"\r\n", "X-Connection: close", false},
+		{"\r\n", "Proxy-Connection: close", false},
+		{"\r\n", "X-Note: connection: close", false},
+	} {
+		for _, path := range []string{"/req", "/healthz"} {
+			in := []byte("GET " + path + " HTTP/1.1" + c.eol + "Host: x" + c.eol + c.field + "\r\n\r\nGET /req HTTP/1.1\r\n\r\n")
+			var out []byte
+			_, _, responded, closing := d.processBuffer(in, &out, 0)
+			want := 2
+			if c.closing {
+				want = 1
+			}
+			if closing != c.closing || responded != want {
+				t.Errorf("GET %s, %q after %q: closing %v, %d responses; want closing %v, %d",
+					path, c.field, c.eol, closing, responded, c.closing, want)
+			}
+		}
+	}
+}
+
 // FuzzProcessBuffer checks the daemon's hand-rolled framing on arbitrary
 // read buffers:
 //
